@@ -307,17 +307,6 @@ def _solve_two_unknowns(rows):
     return ("point", (x, y))
 
 
-def _param_range(c0, d, lo, hi, rng):
-    # intersect rng with { t : lo <= c0 + t d <= hi }
-    if d == 0:
-        return rng if lo <= c0 <= hi else None
-    t1, t2 = (lo - c0) / d, (hi - c0) / d
-    if t1 > t2:
-        t1, t2 = t2, t1
-    lo2, hi2 = max(rng[0], t1), min(rng[1], t2)
-    return (lo2, hi2) if lo2 <= hi2 else None
-
-
 def _segment_witness(p0, direction, trange, varpi):
     # a point of { p0 + t direction : t in trange } whose coordinates
     # differ by something other than a period, if one exists
@@ -364,14 +353,21 @@ def _collision_pair(ci, cj, varpi):
         return None
     if sol[0] == "line":
         p0, direction = sol[1], sol[2]
-        # the direction is never zero, so the bounded rectangle bounds t
-        rng = _param_range(p0[0], direction[0], xlo, xhi,
-                           (Fraction(-10 ** 12), Fraction(10 ** 12)))
-        if rng is not None:
-            rng = _param_range(p0[1], direction[1], ylo, yhi, rng)
-        if rng is None:
+        # { t : p0 + t direction in ci x cj }; the direction is never zero,
+        # so at least one of the two cell constraints bounds t
+        tlo = thi = None
+        for c0, d, lo, hi in ((p0[0], direction[0], xlo, xhi),
+                              (p0[1], direction[1], ylo, yhi)):
+            if d == 0:
+                if not lo <= c0 <= hi:
+                    return None
+                continue
+            t1, t2 = sorted(((lo - c0) / d, (hi - c0) / d))
+            tlo = t1 if tlo is None else max(tlo, t1)
+            thi = t2 if thi is None else min(thi, t2)
+        if tlo > thi:
             return None
-        w = _segment_witness(p0, direction, rng, varpi)
+        w = _segment_witness(p0, direction, (tlo, thi), varpi)
         return ((w[0],), (w[1],)) if w is not None else None
     x = (xlo + xhi) / 2
     for y in ((ylo + yhi) / 2, (3 * ylo + yhi) / 4, (ylo + 3 * yhi) / 4):

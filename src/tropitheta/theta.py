@@ -16,20 +16,22 @@ with lb = lambda^-1(b) and r the ell point; with that shift theta_b depends
 only on the class of b modulo lambda(M'), whereas the (lambda, gamma)
 normalization depends on the chosen representative.
 
-The minimizer search is an exact Fincke-Pohst enumeration over the rational
-LDL^T of G.  All interval endpoints floor(c + sqrt(r)) are computed with
-integer square roots and a two-sided predicate fix-up, so ties are found
-exactly and no floating point is involved.
+The minimizer search is an exact Fincke-Pohst enumeration over the LDL^T of
+G, scaled to integers.  The factorization, the definiteness check and G^-1
+are prepared once per Gram matrix, in a bounded cache keyed by the
+immutable Matrix value.  Per call the continuous minimizer is one
+matrix-vector product, every partial sum of the G-norm is an integer over
+one common denominator, and every interval end is a closed form in integer
+square roots, so ties are found exactly and no floating point is involved.
 """
 
 import itertools
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .errors import (
-    NotPolarization, PreconditionViolated, SingularPivot, WindowInsufficient,
-)
+from .errors import NotPolarization, PreconditionViolated, SingularPivot
 from .exactlinalg import (
     dot, gram_norm, inverse, ldlt, solve, to_vector, vec_add, vec_scale,
     vec_sub,
@@ -53,29 +55,16 @@ def round_half_up(t):
     return t.numerator // t.denominator
 
 
-def _sqrt_floor(r):
-    # floor(sqrt(r)) for a nonnegative Fraction
-    return isqrt(r.numerator * r.denominator) // r.denominator
-
-
-def _le_c_plus_sqrt(k, c, r):
-    # decide k <= c + sqrt(r) exactly
-    d = Fraction(k) - c
-    if d <= 0:
-        return True
-    return d * d <= r
-
-
 def floor_plus_sqrt(c, r):
-    """floor(c + sqrt(r)) for rationals c and r >= 0, exact."""
+    """floor(c + sqrt(r)) for rationals c and r >= 0, exact.
+
+    With c = cn/cd (cd > 0), c + sqrt(r) = (cn + sqrt(r.cd^2))/cd, and
+    floor((cn + y)/cd) = floor((cn + floor(y))/cd) for integers cn, cd."""
     if r < 0:
         raise ValueError("negative radicand")
-    k = (c.numerator // c.denominator) + _sqrt_floor(r)
-    while _le_c_plus_sqrt(k + 1, c, r):
-        k += 1
-    while not _le_c_plus_sqrt(k, c, r):
-        k -= 1
-    return k
+    cd = c.denominator
+    return (c.numerator
+            + isqrt(r.numerator * cd * cd // r.denominator)) // cd
 
 
 def ceil_minus_sqrt(c, r):
@@ -83,112 +72,110 @@ def ceil_minus_sqrt(c, r):
     return -floor_plus_sqrt(-c, r)
 
 
-def _quadratic(G, h, a):
-    av = to_vector(a)
-    return gram_norm(G, av) / 2 + dot(h, av)
+@lru_cache(maxsize=128)
+def _prepared(G):
+    """Integer-scaled data of the Gram matrix G, computed once per value
+    of G: (n, m, k, cols, e, Ginv, g).  For the LDL^T factorization,
+    cols[i] lists the pairs (j, m.L[j, i]) of the nonzero entries below the
+    diagonal in column i, and e = k.D are the pivots; Ginv = g.G^-1, row by
+    row.  Raises NotPolarization unless G is positive definite."""
+    try:
+        fac = ldlt(G)
+    except SingularPivot:
+        raise NotPolarization("G is not positive definite")
+    if not fac.definite:
+        raise NotPolarization("G is not positive definite")
+    n = G.rows
+    below = [[(j, fac.L[j, i]) for j in range(i + 1, n) if fac.L[j, i]]
+             for i in range(n)]
+    m = lcm(*(x.denominator for col in below for _, x in col))
+    k = lcm(*(d.denominator for d in fac.D))
+    Ginv = inverse(G).entries
+    g = lcm(*(x.denominator for x in Ginv))
+    return (n, m, k,
+            tuple(tuple((j, int(x * m)) for j, x in col) for col in below),
+            tuple(int(d * k) for d in fac.D),
+            tuple(tuple(int(x * g) for x in Ginv[i * n:(i + 1) * n])
+                  for i in range(n)),
+            g)
 
 
 def lattice_argmin(G, h):
     """All integer minimizers of (1/2) a^T G a + h.a for positive definite G.
 
-    Fincke-Pohst over the exact LDL^T: writing v = a - ahat with ahat the
-    continuous minimizer, v^T G v = sum_i d_i w_i^2 where
-    w_i = v_i + sum_{j>i} L_ji v_j, and levels are processed from i = n-1
-    down to 0 with a dynamically shrinking bound.  Pruning is non-strict so
-    ties survive.  The initial incumbent is the componentwise rounding of
-    ahat.
+    Fincke-Pohst over the LDL^T of G, in integers.  The factorization,
+    the definiteness check and G^-1 are prepared once per value of G (a
+    bounded cache keyed by the immutable Matrix).  Per call, the
+    continuous minimizer ahat = -G^-1.h = p/q is one matrix-vector
+    product.  With L = Lam/m and D = e/k, the G-norm of a - ahat is
+
+        (a - ahat)^T G (a - ahat) = sum_i e_i W_i^2 / K,   K = k q^2 m^2,
+
+    where W_i = q m a_i - C_i and C_i = m p_i - sum_{j>i} Lam_ji u_j with
+    u_j = q a_j - p_j are integers.  Levels run from i = n-1 down to 0
+    against the bound B (in units of 1/K) of the best point so far, which
+    starts at the componentwise rounding of ahat.  With Rem = B - partial
+    and r = isqrt(Rem // e_i), level i admits exactly the a_i with
+    |W_i| <= r, the closed-form range
+
+        -((r - C_i) // (q m)) <= a_i <= (C_i + r) // (q m),
+
+    so all decisions are integer comparisons.  Pruning is non-strict so
+    every tied minimizer survives.  The value at the minimizers is
+    (B/K + h.ahat)/2.
     """
-    try:
-        fac = ldlt(G)
-    except SingularPivot:
-        raise NotPolarization("G is not positive definite")
-    if not fac.definite:
-        raise NotPolarization("G is not positive definite")
-    n = G.rows
+    n, m, k, cols, e, Ginv, g = _prepared(G)
     h = to_vector(h)
     if len(h) != n:
         raise ValueError("length mismatch")
     if n == 0:
         return ArgminResult(((),), Fraction(0), False)
-    ahat = solve(G, [-x for x in h])
-    Lf = fac.L
-    piv = fac.D
-    start = tuple(round_half_up(t) for t in ahat)
-    state = {"B": gram_norm(G, vec_sub(start, ahat)), "found": []}
-    a = [0] * n
+    hd = lcm(*(x.denominator for x in h))
+    hn = [x.numerator * (hd // x.denominator) for x in h]
+    p = [-sum(gij * hj for gij, hj in zip(row, hn)) for row in Ginv]
+    q = g * hd
+    t = gcd(q, *p)
+    p = [x // t for x in p]
+    q //= t
+    qm = q * m
+    a = [(2 * x + q) // (2 * q) for x in p]
+    u = [0] * n
+    best = 0
+    for i in range(n - 1, -1, -1):
+        u[i] = q * a[i] - p[i]
+        w = m * u[i] + sum(lji * u[j] for j, lji in cols[i])
+        best += e[i] * w * w
+    # the rounded start is always re-found: its partial sums never exceed
+    # the bound it set, so found is never empty
+    found = []
 
     def descend(i, partial):
-        s = sum((Lf[j, i] * (a[j] - ahat[j]) for j in range(i + 1, n)),
-                Fraction(0))
-        center = ahat[i] - s
-        rem = state["B"] - partial
-        if rem < 0:
-            return
-        radicand = rem / piv[i]
-        lo = ceil_minus_sqrt(center, radicand)
-        hi = floor_plus_sqrt(center, radicand)
-        for ai in range(lo, hi + 1):
-            w = ai - center
-            npart = partial + piv[i] * w * w
-            if npart > state["B"]:
+        nonlocal best, found
+        c = m * p[i] - sum(lji * u[j] for j, lji in cols[i])
+        ei = e[i]
+        r = isqrt((best - partial) // ei)
+        for ai in range(-((r - c) // qm), (c + r) // qm + 1):
+            w = qm * ai - c
+            npart = partial + ei * w * w
+            if npart > best:
+                if w > 0:
+                    break
                 continue
             a[i] = ai
-            if i == 0:
-                if npart < state["B"]:
-                    state["B"] = npart
-                    state["found"] = [(t, N) for (t, N) in state["found"]
-                                      if N <= npart]
-                state["found"].append((tuple(a), npart))
-            else:
+            if i:
+                u[i] = q * ai - p[i]
                 descend(i - 1, npart)
+            else:
+                if npart < best:
+                    best = npart
+                    found = []
+                found.append(tuple(a))
 
-    descend(n - 1, Fraction(0))
-    best = state["B"]
-    # the incumbent start is always re-found: its partial sums never exceed B
-    mins = sorted(set(t for (t, N) in state["found"] if N == best))
-    value = _quadratic(G, h, mins[0])
-    return ArgminResult(tuple(mins), value, len(mins) > 1)
-
-
-def brute_force_argmin(G, h, radius):
-    """Exhaustive oracle for lattice_argmin over the integer box of the given
-    radius around round(ahat).
-
-    The box is certified to contain every minimizer via the component bound
-    (a_i - ahat_i)^2 <= (G^-1)_ii * R^2, valid for any a with
-    |a - ahat|_G^2 <= R^2 (Cauchy-Schwarz in the G inner product), where R^2
-    is the G-distance of the best box point to ahat.  If the bound does not
-    fit inside the box, WindowInsufficient is raised.
-    """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    try:
-        fac = ldlt(G)
-    except SingularPivot:
-        raise NotPolarization("G is not positive definite")
-    if not fac.definite:
-        raise NotPolarization("G is not positive definite")
-    n = G.rows
-    h = to_vector(h)
-    ahat = solve(G, [-x for x in h])
-    center = [round_half_up(t) for t in ahat]
-    best = None
-    mins = []
-    for a in itertools.product(*[range(c - radius, c + radius + 1)
-                                 for c in center]):
-        v = _quadratic(G, h, a)
-        if best is None or v < best:
-            best, mins = v, [a]
-        elif v == best:
-            mins.append(a)
-    R2 = gram_norm(G, vec_sub(mins[0], ahat))
-    Ginv = inverse(G)
-    for i in range(n):
-        frac_i = abs(ahat[i] - center[i])
-        if Ginv[i, i] * R2 > (radius - frac_i) ** 2:
-            raise WindowInsufficient(
-                "radius %d cannot certify coordinate %d" % (radius, i))
-    return ArgminResult(tuple(sorted(mins)), best, len(mins) > 1)
+    descend(n - 1, 0)
+    found.sort()
+    hahat = sum(x * y for x, y in zip(hn, p))
+    value = Fraction(best * hd + hahat * k * q * m * m, 2 * k * qm * qm * hd)
+    return ArgminResult(tuple(found), value, len(found) > 1)
 
 
 class ThetaFunction:
@@ -222,19 +209,24 @@ class ThetaFunction:
 
 def q_ell_constant(datum, b):
     """(1/2) Q(lambda^-1(b) - r, lambda^-1(b) - r), the shift between the
-    two conventions."""
-    beta = solve(datum.L, [Fraction(int(c)) for c in b])
-    diff = vec_sub(beta, ell_point(datum))
-    return gram_norm(datum.G, diff) / 2
+    two conventions.  Computed once per datum and representative."""
+    key = ("q_ell", tuple(b))
+    if key not in datum.memo:
+        beta = solve(datum.L, [Fraction(int(c)) for c in b])
+        diff = vec_sub(beta, ell_point(datum))
+        datum.memo[key] = gram_norm(datum.G, diff) / 2
+    return datum.memo[key]
 
 
 def theta_h_vector(datum, b, x):
-    """The linear part h = L^T.x + Pmat^T.b - ell of the minimand."""
-    x = to_vector(x)
-    bf = [Fraction(int(c)) for c in b]
-    return vec_sub(vec_add(datum.L.transpose().matvec(x),
-                           datum.torus.Pmat.transpose().matvec(bf)),
-                   datum.ellVec)
+    """The linear part h = L^T.x + Pmat^T.b - ell of the minimand; the
+    part Pmat^T.b - ell is computed once per datum and representative."""
+    key = ("h0", tuple(b))
+    if key not in datum.memo:
+        bf = [Fraction(int(c)) for c in b]
+        datum.memo[key] = vec_sub(datum.torus.Pmat.transpose().matvec(bf),
+                                  datum.ellVec)
+    return vec_add(datum.LT.matvec(x), datum.memo[key])
 
 
 def theta_argmin(theta, x):

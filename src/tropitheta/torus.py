@@ -72,10 +72,13 @@ class TropicalDescentDatum:
     (L, ellVec) with the Gram matrix G = L^T.Pmat derived and cached.
 
     `polarized` records whether G is positive definite; evaluation of
-    theta functions requires it, the data model does not.
+    theta functions requires it, the data model does not.  `LT` is L^T, and
+    `memo` holds constants that depend on the datum alone, such as the
+    per-representative theta shifts, filled lazily by the theta layer.
     """
 
-    __slots__ = ("torus", "L", "ellVec", "G", "polarized", "_Ginv")
+    __slots__ = ("torus", "L", "LT", "ellVec", "G", "polarized", "_Ginv",
+                 "memo")
 
     def __init__(self, torus, L, ellVec):
         if L.rows != torus.n or L.cols != torus.n:
@@ -85,15 +88,18 @@ class TropicalDescentDatum:
         ellVec = to_vector(ellVec)
         if len(ellVec) != torus.n:
             raise ValueError("ell vector has wrong length")
-        G = L.transpose() * torus.Pmat
+        LT = L.transpose()
+        G = LT * torus.Pmat
         if not G.is_symmetric():
             raise NonSymmetric("L^T.Pmat is not symmetric")
         object.__setattr__(self, "torus", torus)
         object.__setattr__(self, "L", L)
+        object.__setattr__(self, "LT", LT)
         object.__setattr__(self, "ellVec", ellVec)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "polarized", is_positive_definite(G))
         object.__setattr__(self, "_Ginv", None)
+        object.__setattr__(self, "memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("TropicalDescentDatum is immutable")

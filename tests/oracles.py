@@ -8,7 +8,7 @@ tests use.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 
 def det_expansion(rows):
@@ -88,6 +88,36 @@ def box_argmin(G_rows, h, radius, center=None):
         elif v == best:
             argmins.append(a)
     return best, sorted(argmins)
+
+
+def certified_box_argmin(G_rows, h, radius):
+    """box_argmin over the box of the given radius around the rounded
+    continuous minimizer ahat = -G^-1.h (Cramer's rule), certified to hold
+    every minimizer by the component bound (a_i - ahat_i)^2 <= (G^-1)_ii R^2
+    (Cauchy-Schwarz in the G inner product), with R^2 the G-distance of the
+    best box point to ahat.  Returns (value, sorted minimizers), or None
+    when the bound does not fit inside the box."""
+    n = len(h)
+    D = Fraction(det_expansion(G_rows))
+
+    def with_column(i, col):
+        return [[col[r] if c == i else G_rows[r][c] for c in range(n)]
+                for r in range(n)]
+
+    def without(i):
+        return [[G_rows[r][c] for c in range(n) if c != i]
+                for r in range(n) if r != i]
+
+    minus_h = [-Fraction(x) for x in h]
+    ahat = [det_expansion(with_column(i, minus_h)) / D for i in range(n)]
+    center = [floor(t + Fraction(1, 2)) for t in ahat]
+    value, mins = box_argmin(G_rows, h, radius, center)
+    R2 = gram_norm(G_rows, [mins[0][i] - ahat[i] for i in range(n)])
+    for i in range(n):
+        if det_expansion(without(i)) / D * R2 > (
+                radius - abs(ahat[i] - center[i])) ** 2:
+            return None
+    return value, mins
 
 
 def gram_norm(G_rows, v):

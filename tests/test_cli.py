@@ -186,6 +186,13 @@ class TestCertifyCommand:
         assert out["unimodular"] is True
         assert out["injective"]["witness"] == [["3"], ["9"]]
 
+    def test_unfaithful_datum_at_a_large_period_exits_three(self, tmp_path):
+        path = job(tmp_path, {"datum": elliptic_json(2, "10000000000000")})
+        assert run(tmp_path, "certify", "--input", path) == 3
+        out = read(tmp_path, "certify.json")
+        assert out["faithful"] is False
+        assert out["injective"]["status"] == "refuted"
+
     def test_sampled_mode(self, tmp_path):
         path = job(tmp_path, {"datum": elliptic_json(3)})
         assert run(tmp_path, "certify", "--input", path,

@@ -317,6 +317,20 @@ class TestInjectivity:
             assert verdict.status == "certified"
             assert verdict.witness is None
 
+    @pytest.mark.parametrize("varpi", [12, 10 ** 13, 10 ** 18])
+    def test_verdict_is_scale_invariant(self, varpi):
+        # the verdict depends on the degree alone; large periods once
+        # pushed the collision line out of a fixed parameter window and
+        # certified degree 2
+        for d, status in ((2, "refuted"), (3, "certified")):
+            datum, info = with_type(circle_datum(varpi=varpi, d=d))
+            verdict = check_injective(datum, info, mode="exact")
+            assert verdict.status == status
+            if status == "refuted":
+                x, y = verdict.witness
+                assert phi_eval(datum, info, x) == phi_eval(datum, info, y)
+                assert (Fraction(x[0] - y[0]) / varpi).denominator != 1
+
     def test_grid_refutes_d2(self):
         datum, info = with_type(circle_datum(d=2))
         verdict = check_injective(datum, info, mode="grid", resolution=20)

@@ -3,20 +3,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropitheta.exactlinalg import Matrix, dot, vec_add, vec_scale, vec_sub
-from tropitheta.errors import (
-    NotPolarization, PreconditionViolated, WindowInsufficient,
+from tropitheta.exactlinalg import (
+    Matrix, dot, gram_norm, inverse, solve, vec_add, vec_scale, vec_sub,
 )
+from tropitheta.errors import NotPolarization, PreconditionViolated
 from tropitheta.theta import (
     INF, LAMBDA_GAMMA, Q_ELL, ThetaCombination, ThetaFunction,
-    brute_force_argmin, ceil_minus_sqrt, concavity_check, floor_plus_sqrt,
+    ceil_minus_sqrt, concavity_check, floor_plus_sqrt,
     gamma_rational_check, lattice_argmin, min_plus_eval,
     quasi_periodicity_check, round_half_up, sublattice_identity_check,
     theta_eval, translate_datum,
 )
 from tropitheta.torus import build_torus, validate_datum
 
-from oracles import box_argmin
+from oracles import box_argmin, certified_box_argmin
 
 
 def circle_datum(varpi=12, d=2, ell=None):
@@ -44,6 +44,26 @@ def pd2_datum(a, b, c, ell=(0, 0)):
     return validate_datum(torus, Matrix.from_rows([[a, b], [b, c]]), ell)
 
 
+def assert_matches_box_oracle(G, h):
+    """lattice_argmin(G, h) against exhaustive box enumeration, the box
+    centered on the rounded continuous minimizer and sized by the certified
+    component bound (G^-1)_ii * R^2."""
+    n = G.rows
+    ahat = solve(G, [-t for t in h])
+    center = [round_half_up(t) for t in ahat]
+    R2 = gram_norm(G, vec_sub(center, ahat))
+    Ginv = inverse(G)
+    radius = 1
+    for i in range(n):
+        radius = max(radius, 1 + floor_plus_sqrt(
+            abs(ahat[i] - center[i]), Ginv[i, i] * R2))
+    res = lattice_argmin(G, h)
+    value, mins = box_argmin(G.to_lists(), h, radius, center)
+    assert res.value == value
+    assert list(res.minimizers) == mins
+    assert res.tie == (len(mins) > 1)
+
+
 class TestExactRounding:
     def test_round_half_up(self):
         assert round_half_up(Fraction(1, 2)) == 1
@@ -58,15 +78,40 @@ class TestExactRounding:
         assert ceil_minus_sqrt(Fraction(0), Fraction(2)) == -1
         assert ceil_minus_sqrt(Fraction(5, 2), Fraction(4)) == 1
 
+    @pytest.mark.parametrize("c, r, floor_plus, ceil_minus", [
+        (Fraction(0), Fraction(0), 0, 0),
+        (Fraction(7, 3), Fraction(0), 2, 3),
+        (Fraction(-7, 3), Fraction(0), -3, -2),
+        (Fraction(-3), Fraction(0), -3, -3),
+        (Fraction(0), Fraction(9), 3, -3),
+        (Fraction(1, 2), Fraction(25, 4), 3, -2),
+        (Fraction(-1, 2), Fraction(25, 4), 2, -3),
+        (Fraction(-5, 3), Fraction(4, 9), -1, -2),
+        (Fraction(-5, 3), Fraction(1, 9), -2, -2),
+        (Fraction(-4), Fraction(2), -3, -5),
+    ])
+    def test_closed_forms_at_edges(self, c, r, floor_plus, ceil_minus):
+        # r = 0, perfect squares that land on an integer, negative c
+        assert floor_plus_sqrt(c, r) == floor_plus
+        assert ceil_minus_sqrt(c, r) == ceil_minus
+
     @settings(max_examples=200, deadline=None)
     @given(st.fractions(min_value=-50, max_value=50),
-           st.fractions(min_value=0, max_value=2500))
+           st.one_of(st.fractions(min_value=0, max_value=2500),
+                     st.fractions(min_value=-50, max_value=50).map(
+                         lambda x: x * x)))
     def test_floor_plus_sqrt_is_exact(self, c, r):
         k = floor_plus_sqrt(c, r)
         # k <= c + sqrt(r) < k + 1, checked by squaring
         d = Fraction(k) - c
         assert d <= 0 or d * d <= r
         d1 = Fraction(k + 1) - c
+        assert d1 > 0 and d1 * d1 > r
+        # k - 1 < c - sqrt(r) <= k
+        k = ceil_minus_sqrt(c, r)
+        d = c - k
+        assert d <= 0 or d * d <= r
+        d1 = c - (k - 1)
         assert d1 > 0 and d1 * d1 > r
 
 
@@ -109,46 +154,72 @@ class TestLatticeArgmin:
         num = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
         den = data.draw(st.integers(1, 2))
         h = tuple(Fraction(x, den) for x in num)
-        # center the oracle box on the continuous minimizer and size it by
-        # the certified component bound (G^-1)_ii * R^2
-        from tropitheta.exactlinalg import inverse, solve, gram_norm
-        ahat = solve(G, [-t for t in h])
-        center = [round_half_up(t) for t in ahat]
-        R2 = gram_norm(G, vec_sub(center, ahat))
-        Ginv = inverse(G)
-        radius = 1
-        for i in range(n):
-            radius = max(radius, 1 + floor_plus_sqrt(
-                abs(ahat[i] - center[i]), Ginv[i, i] * R2))
-        res = lattice_argmin(G, h)
-        value, mins = box_argmin(G.to_lists(), h, radius, center)
-        assert res.value == value
-        assert list(res.minimizers) == mins
-        assert res.tie == (len(mins) > 1)
+        assert_matches_box_oracle(G, h)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_matches_box_oracle_on_rational_gram(self, n, data):
+        # non-integral PD Gram B^T B / s + I; h either random or
+        # -G.(half-integer vector), which puts ahat on a half-integer point
+        # where ties are common
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            min_size=n, max_size=n))
+        B = Matrix.from_rows(rows)
+        s = data.draw(st.integers(2, 5))
+        G = (B.transpose() * B).scale(Fraction(1, s)) + Matrix.identity(n)
+        if data.draw(st.booleans()):
+            num = data.draw(st.lists(st.integers(-9, 9), min_size=n,
+                                     max_size=n))
+            den = data.draw(st.integers(1, 6))
+            h = tuple(Fraction(x, den) for x in num)
+        else:
+            halves = data.draw(st.lists(st.integers(-7, 7), min_size=n,
+                                        max_size=n))
+            h = vec_scale(-1, G.matvec([Fraction(x, 2) for x in halves]))
+        assert_matches_box_oracle(G, h)
+
+    def test_tie_at_half_integer_center(self):
+        # ahat = (1/2, 1/2) for the identity: all four corners tie
+        res = lattice_argmin(Matrix.identity(2), (Fraction(-1, 2),) * 2)
+        assert res.minimizers == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert res.value == 0
+        assert res.tie
+
+    def test_interleaved_gram_matrices(self):
+        # alternate Gram matrices of equal and of different size, each
+        # rebuilt every time, so an answer prepared for another G shows
+        grams = [
+            [[1, 0], [0, 10]],
+            [[10, 0], [0, 1]],
+            [[Fraction(5, 2), 1], [1, Fraction(3, 2)]],
+            [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+        ]
+        for rows in grams * 3:
+            n = len(rows)
+            for h in [(Fraction(-7, 3),) * n, tuple(range(n))]:
+                assert_matches_box_oracle(Matrix.from_rows(rows), h)
 
 
 class TestBruteForceArgmin:
     def test_certified_trivial(self):
-        res = brute_force_argmin(Matrix.from_rows([[2]]), (0,), 3)
-        assert res.minimizers == ((0,),)
+        assert certified_box_argmin([[2]], (0,), 3) == (0, [(0,)])
 
     def test_certified_tie_at_boundary_bound(self):
-        G = Matrix.from_rows([[1000, 0], [0, 1]])
-        res = brute_force_argmin(G, (0, Fraction(1, 2)), 1)
-        assert res.minimizers == ((0, -1), (0, 0))
-        assert res.tie
+        _, mins = certified_box_argmin([[1000, 0], [0, 1]],
+                                       (0, Fraction(1, 2)), 1)
+        assert mins == [(0, -1), (0, 0)]
 
     def test_window_insufficient(self):
         # nearly singular Gram: the certified bound (G^-1)_11 R^2 = 5/2
         # exceeds (1 - 1/2)^2, so radius 1 cannot certify; radius 3 can,
         # and reveals a three-way tie the small box also contained
-        G = Matrix.from_rows([[2, 3], [3, 5]])
+        G = [[2, 3], [3, 5]]
         h = (-1, Fraction(-3, 2))
-        with pytest.raises(WindowInsufficient):
-            brute_force_argmin(G, h, 1)
-        res = brute_force_argmin(G, h, 3)
-        assert res.minimizers == ((-1, 1), (0, 0), (1, 0), (2, -1))
-        assert res.value == 0
+        assert certified_box_argmin(G, h, 1) is None
+        value, mins = certified_box_argmin(G, h, 3)
+        assert mins == [(-1, 1), (0, 0), (1, 0), (2, -1)]
+        assert value == 0
 
     def test_agrees_with_lattice_argmin(self):
         for G_rows, h in [
@@ -156,10 +227,9 @@ class TestBruteForceArgmin:
             ([[3]], (Fraction(3, 2),)),
             ([[4, 1], [1, 4]], (0, Fraction(1, 2))),
         ]:
-            G = Matrix.from_rows(G_rows)
-            a = lattice_argmin(G, h)
-            b = brute_force_argmin(G, h, 6)
-            assert a == b
+            res = lattice_argmin(Matrix.from_rows(G_rows), h)
+            value, mins = certified_box_argmin(G_rows, h, 6)
+            assert res == (tuple(mins), value, len(mins) > 1)
 
 
 class TestThetaEval:
