@@ -37,7 +37,6 @@ from .nalift import (
     fourier_lift, fourier_scale, fourier_sum, monomial, surjective_lift,
     t_pair, tropicalize_fourier, verify_na_quasi_periodicity, vs_val,
 )
-from .cli import main as cli_main
 
 __version__ = "0.1.0"
 
@@ -57,5 +56,5 @@ __all__ = [
     "fourier_lift", "fourier_scale", "fourier_sum", "monomial",
     "surjective_lift", "t_pair", "tropicalize_fourier",
     "verify_na_quasi_periodicity", "vs_val",
-    "cli_main", "__version__",
+    "__version__",
 ]

@@ -142,7 +142,7 @@ def cmd_theta(args):
     return 0
 
 
-def _cells_json(datum, info, pam):
+def _cells_json(pam):
     cells = []
     for cm in pam.cells:
         cells.append({
@@ -160,12 +160,12 @@ def cmd_embed(args):
     unimodular, verdicts = check_unimodular(pam)
     out = {"type": [int(d) for d in info.type],
            "reps": [[int(c) for c in b] for b in info.reps],
-           "cells": _cells_json(datum, info, pam),
+           "cells": _cells_json(pam),
            "unimodular": unimodular,
            "cell_verdicts": list(verdicts)}
     figures = []
     if datum.n == 1:
-        img = image_complex_1d(datum, info)
+        img = image_complex_1d(datum, info, pam)
         out["image_complex"] = {
             "breakpoints": jsonio.vector_to_json(img.breakpoints),
             "parameters": jsonio.vector_to_json(img.parameters),
@@ -205,7 +205,7 @@ def cmd_certify(args):
         unimodular, verdicts = check_unimodular(pam)
         mode = "exact" if args.mode == "exact" else "grid"
         inj = check_injective(datum, info, mode=mode,
-                              resolution=args.resolution)
+                              resolution=args.resolution, pam=pam)
         report = FaithfulReport(unimodular, verdicts, inj,
                                 bool(unimodular) and inj.status != "refuted")
     _emit(args, "certify.json", _report_json(report))
@@ -297,7 +297,7 @@ def cmd_example45(args):
     datum = validate_datum(torus, jsonio.Matrix.from_rows([[args.d]]), [0])
     info = polarization_type(datum)
     pam = linearity_cells(datum, info)
-    report = faithful_certificate(datum, info)
+    report = faithful_certificate(datum, info, pam=pam)
     table = []
     for cm in pam.cells:
         lo = cm.cell.vertices[0][0]
@@ -314,7 +314,7 @@ def cmd_example45(args):
             "theta": thetas,
             "A": jsonio.matrix_to_json(cm.A),
             "phi_offset": jsonio.vector_to_json(cm.offset)})
-    img = image_complex_1d(datum, info)
+    img = image_complex_1d(datum, info, pam)
     out = {"d": args.d,
            "varpi": jsonio.rational_to_str(varpi),
            "piecewise_table": table,

@@ -6,7 +6,9 @@ normalized map phi~ = (theta_b - theta_b0)_{b != b0}, which is piecewise
 affine with integer slope differences.  Cells of linearity are computed
 exactly for n <= 2 by probing minimizer sets at polytope vertices and
 splitting along bisectors; unimodularity and injectivity of the result
-are certified (n = 1) or sampled on a grid.
+are certified (n = 1) or sampled on a grid.  Each affine piece of theta_b
+is computed once per datum, L^T.x once per point, and a caller builds the
+cell map once and passes it to the checks that read it.
 """
 
 from fractions import Fraction
@@ -18,16 +20,35 @@ from .errors import (DimensionUnsupported, InternalInvariantViolated,
                      NotPolarization, PreconditionViolated)
 from .exactlinalg import (Matrix, content, dot, gram_norm, integer_vector,
                           is_unimodular_map, vec_add, vec_scale, vec_sub)
-from .theta import (Q_ELL, ThetaFunction, lattice_argmin, q_ell_constant,
-                    theta_eval, theta_h_vector)
+from .theta import lattice_argmin, q_ell_constant, theta_h_vector
 from .voronoi import _clip, _polygon_area2
+
+
+def _h0(datum, b):
+    # Pmat^T.b - ell, which theta_h_vector caches on the datum
+    return (datum.memo.get(("h0", b))
+            or theta_h_vector(datum, b, (0,) * datum.n))
+
+
+def _piece(datum, b, a):
+    """(slope, offset) of theta_b, in the class-invariant convention, where
+    a is its minimizer: theta_b(x) = (b + L.a).x + (1/2) a^T G a
+    + (Pmat^T.b - ell).a + q_ell(b).  Computed once per datum, b and a."""
+    key = ("piece", b, a)
+    if key not in datum.memo:
+        offset = (gram_norm(datum.G, a) / 2 + dot(_h0(datum, b), a)
+                  + q_ell_constant(datum, b))
+        datum.memo[key] = (vec_add(b, datum.L.matvec(a)), offset)
+    return datum.memo[key]
 
 
 def phi_eval(datum, info, x):
     """phi~ at x: (theta_b(x) - theta_b0(x)) over the nonzero class
-    representatives, in the class-invariant convention."""
-    thetas = [theta_eval(ThetaFunction(datum, b, Q_ELL), x)
-              for b in info.reps]
+    representatives, in the class-invariant convention.  L^T.x is formed
+    once for all representatives."""
+    lx = datum.LT.matvec(x)
+    thetas = [lattice_argmin(datum.G, vec_add(lx, _h0(datum, b))).value
+              + dot(b, x) + q_ell_constant(datum, b) for b in info.reps]
     return tuple(t - thetas[0] for t in thetas[1:])
 
 
@@ -93,18 +114,12 @@ def _hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def _zero_vec(n):
-    return (Fraction(0),) * n
-
-
 def _bisector(datum, b, a1, a2):
     # the line where the affine pieces of a1 and a2 for theta_b agree;
     # val(a1) <= val(a2) is the side normal.x <= c
-    d = vec_sub(a1, a2)
-    normal = tuple(datum.L.matvec(d))
-    wb = theta_h_vector(datum, b, _zero_vec(datum.n))
-    c = (gram_norm(datum.G, a2) - gram_norm(datum.G, a1)) / 2 - dot(wb, d)
-    return normal, c
+    s1, o1 = _piece(datum, b, a1)
+    s2, o2 = _piece(datum, b, a2)
+    return vec_sub(s1, s2), o2 - o1
 
 
 def _split_piece(piece, normal, c, n):
@@ -134,14 +149,17 @@ def _refine_pieces(datum, reps, domain, n):
     """Split the domain until every piece has, for each representative, a
     minimizer shared by all its vertices.  Minimizer regions are convex,
     so vertex agreement makes the piece argmin-constant; disagreement
-    yields two vertices strictly separated by an exact bisector."""
-    cache = {}
-    def argmins(b, v):
-        key = (b, v)
-        if key not in cache:
-            h = theta_h_vector(datum, b, v)
-            cache[key] = frozenset(lattice_argmin(datum.G, h).minimizers)
-        return cache[key]
+    yields two vertices strictly separated by an exact bisector.  A vertex
+    record holds L^T.v and the minimizer sets, filled as pieces ask."""
+    h0 = [_h0(datum, b) for b in reps]
+    records = {}
+
+    def argmins(rec, k):
+        lv, sets = rec
+        if sets[k] is None:
+            h = vec_add(lv, h0[k])
+            sets[k] = frozenset(lattice_argmin(datum.G, h).minimizers)
+        return sets[k]
 
     queue = [[tuple(Fraction(c) for c in v) for v in domain]]
     done = []
@@ -151,10 +169,12 @@ def _refine_pieces(datum, reps, domain, n):
         if rounds > 200000:
             raise InternalInvariantViolated("cell refinement does not settle")
         piece = queue.pop()
+        recs = [records.get(v) or records.setdefault(
+            v, (datum.LT.matvec(v), [None] * len(reps))) for v in piece]
         profile = []
         cut = None
-        for b in reps:
-            sets = [argmins(b, v) for v in piece]
+        for k, b in enumerate(reps):
+            sets = [argmins(rec, k) for rec in recs]
             common = frozenset.intersection(*sets)
             if common:
                 if len(common) > 1:
@@ -204,21 +224,12 @@ def _halfspaces(verts, n):
 
 
 def _profile_map(datum, reps, profile, n):
-    # slope of theta_b on the piece of minimizer a is b + L a; the constant
-    # part collects the quadratic term, the ell pairing and the convention
-    # shift
-    slopes = []
-    offs = []
-    for b, a in zip(reps, profile):
-        wb = theta_h_vector(datum, b, _zero_vec(n))
-        slopes.append(vec_add(b, datum.L.matvec(a)))
-        offs.append(gram_norm(datum.G, a) / 2 + dot(wb, a)
-                    + q_ell_constant(datum, b))
-    rows = [integer_vector(vec_sub(s, slopes[0])) for s in slopes[1:]]
-    A = (Matrix.from_rows([list(r) for r in rows]) if rows
-         else Matrix(0, n, []))
-    offset = tuple(k - offs[0] for k in offs[1:])
-    return A, offset
+    # phi~ on the region of a minimizer profile: differences of the pieces
+    pieces = [_piece(datum, b, a) for b, a in zip(reps, profile)]
+    (s0, o0), rest = pieces[0], pieces[1:]
+    rows = [integer_vector(vec_sub(s, s0)) for s, _ in rest]
+    A = Matrix.from_rows(rows) if rows else Matrix(0, n, [])
+    return A, tuple(o - o0 for _, o in rest)
 
 
 def _cell_map(datum, reps, verts, profile, n):
@@ -232,7 +243,7 @@ def linearity_cells(datum, info, domain=None):
     (default: the closed fundamental parallelotope), n <= 2.
 
     On each cell, phi~ equals A.x + offset exactly; the minimizers behind
-    the affine pieces are recorded per cell."""
+    the affine pieces are recorded per cell.  Not cached: pass it on as pam."""
     if not datum.polarized:
         raise NotPolarization("the theta map needs a polarized datum")
     n = datum.n
@@ -263,8 +274,9 @@ def cell_matrices(pam):
 
 def check_unimodular(pam):
     """Per-cell unimodularity of the slope-difference matrices, plus the
-    conjunction."""
-    verdicts = tuple(is_unimodular_map(cm.A) for cm in pam.cells)
+    conjunction.  Each distinct matrix is tested once."""
+    verdict = {A: is_unimodular_map(A) for A in set(cm.A for cm in pam.cells)}
+    verdicts = tuple(verdict[cm.A] for cm in pam.cells)
     return all(verdicts), verdicts
 
 
@@ -376,8 +388,8 @@ def _collision_pair(ci, cj, varpi):
     return None
 
 
-def _injective_exact_1d(datum, info):
-    pam = linearity_cells(datum, info)
+def _injective_exact_1d(datum, info, pam):
+    pam = pam or linearity_cells(datum, info)
     varpi = abs(datum.torus.Pmat[0, 0])
     cells = pam.cells
     for i in range(len(cells)):
@@ -403,17 +415,17 @@ def _injective_grid(datum, info, resolution):
     return InjectivityVerdict("sampled-ok", None)
 
 
-def check_injective(datum, info, mode="exact", resolution=20):
+def check_injective(datum, info, mode="exact", resolution=20, pam=None):
     """Injectivity of the theta map on the torus: "exact" (n = 1)
     certifies or refutes with a witness by comparing affine pieces over
-    all cell pairs; "grid" samples and can only refute or report
-    sampled-ok."""
+    all cell pairs of pam (computed here when not given); "grid" samples
+    and can only refute or report sampled-ok."""
     if not datum.polarized:
         raise NotPolarization("the theta map needs a polarized datum")
     if mode == "exact":
         if datum.n != 1:
             raise DimensionUnsupported("exact injectivity implemented for n = 1")
-        return _injective_exact_1d(datum, info)
+        return _injective_exact_1d(datum, info, pam)
     if mode == "grid":
         return _injective_grid(datum, info, resolution)
     raise ValueError("unknown mode %r" % (mode,))
@@ -439,12 +451,13 @@ def _lattice_length(edge):
     return tuple(x // g for x in ints), Fraction(g, den)
 
 
-def image_complex_1d(datum, info):
+def image_complex_1d(datum, info, pam=None):
     """The image polygon of phi~ over one period (n = 1): vertices in
-    parameter order, primitive edge directions, and lattice lengths."""
+    parameter order, primitive edge directions, and lattice lengths.  pam
+    is the cell map of the datum, computed here when not given."""
     if datum.n != 1:
         raise DimensionUnsupported("image complexes implemented for n = 1")
-    pam = linearity_cells(datum, info)
+    pam = pam or linearity_cells(datum, info)
     cells = pam.cells
     breaks = tuple(cells[k].cell.vertices[-1][0]
                    for k in range(len(cells) - 1)
@@ -472,8 +485,8 @@ def _sampled_unimodular(datum, info, resolution):
     profiles = set()
     for idx in product(range(resolution), repeat=datum.n):
         u = tuple(Fraction(i, resolution) for i in idx)
-        x = tuple(P.matvec(u))
-        mins = [lattice_argmin(datum.G, theta_h_vector(datum, b, x)).minimizers
+        lx = datum.LT.matvec(P.matvec(u))
+        mins = [lattice_argmin(datum.G, vec_add(lx, _h0(datum, b))).minimizers
                 for b in info.reps]
         # a point with a tie sits on a wall; its mixed profile need not
         # come from any single cell, so only unique minimizers count
@@ -482,21 +495,21 @@ def _sampled_unimodular(datum, info, resolution):
         profiles.add(tuple(m[0] for m in mins))
     if not profiles:
         return False, ()
-    verdicts = []
-    for prof in sorted(profiles):
-        A, _ = _profile_map(datum, info.reps, prof, datum.n)
-        verdicts.append(is_unimodular_map(A))
-    return all(verdicts), tuple(verdicts)
+    verdicts = tuple(
+        is_unimodular_map(_profile_map(datum, info.reps, prof, datum.n)[0])
+        for prof in sorted(profiles))
+    return all(verdicts), verdicts
 
 
-def faithful_certificate(datum, info, resolution=20):
+def faithful_certificate(datum, info, resolution=20, pam=None):
     """Unimodularity and injectivity combined: both certified for n = 1,
-    cells exact with sampled injectivity for n = 2, both sampled above."""
+    cells exact with sampled injectivity for n = 2, both sampled above.
+    pam, the cell map for n <= 2, is computed here when not given."""
     if datum.n <= 2:
-        pam = linearity_cells(datum, info)
+        pam = pam or linearity_cells(datum, info)
         unimodular, verdicts = check_unimodular(pam)
         if datum.n == 1:
-            inj = check_injective(datum, info, mode="exact")
+            inj = check_injective(datum, info, mode="exact", pam=pam)
         else:
             inj = check_injective(datum, info, mode="grid",
                                   resolution=resolution)

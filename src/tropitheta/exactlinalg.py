@@ -23,7 +23,7 @@ def _frac(x):
 class Matrix:
     """Immutable dense matrix with exact rational entries, row-major."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_hash")
 
     def __init__(self, rows, cols, entries):
         entries = tuple(_frac(e) for e in entries)
@@ -142,7 +142,10 @@ class Matrix:
                 and self.cols == other.cols and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        if not hasattr(self, "_hash"):
+            object.__setattr__(self, "_hash",
+                               hash((self.rows, self.cols, self.entries)))
+        return self._hash
 
     def __repr__(self):
         return "Matrix(%d, %d, %r)" % (self.rows, self.cols,

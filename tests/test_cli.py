@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tropitheta import cli, jsonio
+from tropitheta import cli, embedding, jsonio
 from tropitheta.theta import Q_ELL, ThetaFunction, theta_eval
 from tropitheta.torus import build_torus, validate_datum
 from tropitheta.exactlinalg import Matrix
@@ -335,3 +339,39 @@ class TestDeterminism:
         raw = (tmp_path / "out" / "type.json").read_text()
         assert raw.endswith("\n")
         assert raw == jsonio.dumps(json.loads(raw))
+
+
+class TestOneCellMapPerJob:
+    @pytest.mark.parametrize("argv", [
+        ["example45", "--d", "6"],
+        ["embed"],
+        ["certify"],
+        ["certify", "--mode", "exact"],
+        ["certify", "--mode", "sampled", "--resolution", "4"],
+    ], ids=" ".join)
+    def test_the_cells_are_refined_once(self, tmp_path, monkeypatch, argv):
+        refinements = []
+        refine = embedding._refine_pieces
+
+        def counted(*args):
+            refinements.append(args)
+            return refine(*args)
+
+        monkeypatch.setattr(embedding, "_refine_pieces", counted)
+        if argv[0] != "example45":
+            argv = [argv[0], "--input",
+                    job(tmp_path, {"datum": elliptic_json(4)})] + argv[1:]
+        assert run(tmp_path, *argv) == 0
+        assert len(refinements) == 1
+
+
+class TestPackageImport:
+    def test_import_loads_neither_the_cli_nor_argparse(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, tropitheta; print(tropitheta.__version__, "
+                "'tropitheta.cli' in sys.modules, 'argparse' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0.1.0", "False", "False"]

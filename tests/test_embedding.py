@@ -493,3 +493,70 @@ class TestFaithfulCertificate:
                                   resolution=8)
         assert ((r0.unimodular, r0.injective.status, r0.faithful)
                 == (r1.unimodular, r1.injective.status, r1.faithful))
+
+
+PLANE_LAMBDAS = ([[1, 1], [-1, 1]], [[2, 1], [1, 2]], [[1, 2], [1, -1]],
+                 [[2, 1], [0, 2]])
+
+
+@st.composite
+def skewed_data(draw):
+    """Circle or plane data with ell != 0; plane data have a non-diagonal
+    L and Pmat = W.L with W symmetric positive definite, so that G is
+    L^T.W.L."""
+    def ell(n):
+        head = Fraction(draw(st.integers(-6, 6).filter(bool)),
+                        draw(st.integers(1, 4)))
+        return [head] + [Fraction(draw(st.integers(-6, 6)),
+                                  draw(st.integers(1, 4)))
+                         for _ in range(n - 1)]
+    if draw(st.booleans()):
+        varpi = Fraction(draw(st.integers(3, 15)), draw(st.integers(1, 2)))
+        return circle_datum(varpi, draw(st.integers(2, 5)), ell(1))
+    L = Matrix.from_rows(draw(st.sampled_from(PLANE_LAMBDAS)))
+    h = Fraction(draw(st.integers(-2, 2)), 5)
+    P = Matrix.from_rows([[1, h], [h, 1]]) * L
+    return validate_datum(build_torus(P), L, ell(2))
+
+
+def interior_points(cm):
+    # the centroid and the points a quarter of the way from it to each
+    # vertex: all strictly inside a full-dimensional cell
+    verts = cm.cell.vertices
+    n = len(verts[0])
+    center = tuple(sum(v[i] for v in verts) / len(verts) for i in range(n))
+    return [center] + [tuple((3 * c + p) / 4 for c, p in zip(center, v))
+                       for v in verts]
+
+
+class TestFastPathsAgainstTheSlowPath:
+    """phi_eval, the cached affine pieces and a passed cell map against
+    per-representative theta_eval and recomputed cell maps."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(datum=skewed_data(),
+           nums=st.lists(st.integers(-40, 40), min_size=2, max_size=2),
+           den=st.integers(1, 7))
+    def test_phi_eval_is_a_difference_of_thetas(self, datum, nums, den):
+        info = polarization_type(datum)
+        x = tuple(Fraction(c, den) for c in nums[:datum.n])
+        thetas = [theta_eval(ThetaFunction(datum, b, Q_ELL), x)
+                  for b in info.reps]
+        assert phi_eval(datum, info, x) == tuple(t - thetas[0]
+                                                 for t in thetas[1:])
+
+    @settings(max_examples=25, deadline=None)
+    @given(datum=skewed_data())
+    def test_cells_are_affine_and_a_passed_map_changes_nothing(self, datum):
+        info = polarization_type(datum)
+        pam = linearity_cells(datum, info)
+        for cm in pam.cells:
+            assert_affine_on_cell(datum, info, cm, interior_points(cm))
+        assert linearity_cells(datum, info) == pam
+        assert (faithful_certificate(datum, info, resolution=4, pam=pam)
+                == faithful_certificate(datum, info, resolution=4))
+        if datum.n == 1:
+            assert image_complex_1d(datum, info, pam) \
+                == image_complex_1d(datum, info)
+            assert check_injective(datum, info, pam=pam) \
+                == check_injective(datum, info)

@@ -9,6 +9,7 @@ from tropitheta.exactlinalg import (
     ldlt, snf, solve,
 )
 from tropitheta.errors import NotSymmetric, SingularMatrix, SingularPivot
+from tropitheta.theta import _prepared, lattice_argmin
 
 from oracles import (
     minor_gcd_invariant_factors, sylvester_is_positive_definite,
@@ -69,6 +70,34 @@ class TestMatrix:
     def test_gram_norm(self):
         g = Matrix.from_rows([[2, 1], [1, 2]])
         assert gram_norm(g, (1, -1)) == 2
+
+    def test_equal_matrices_hash_equal_and_share_one_prepared_entry(self):
+        ints = Matrix.from_rows([[1009, 1], [1, 17]])
+        fracs = Matrix.from_rows([[Fraction(2018, 2), Fraction(3, 3)],
+                                  [Fraction(1), Fraction(17)]])
+        assert ints == fracs and ints is not fracs
+        assert hash(ints) == hash(fracs)
+        before = _prepared.cache_info()
+        lattice_argmin(ints, (0, 0))
+        lattice_argmin(fracs, (1, 0))
+        after = _prepared.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= 1
+        assert _prepared(ints) is _prepared(fracs)
+
+    def test_hash_is_computed_once(self, monkeypatch):
+        m = Matrix.from_rows([[Fraction(1, 3), 2], [5, Fraction(7, 2)]])
+        first = hash(m)
+        calls = []
+        original = Fraction.__hash__
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        assert hash(m) == first
+        assert calls == []
 
     def test_integer_vector_cast(self):
         assert integer_vector((Fraction(2, 1), 3)) == (2, 3)
