@@ -11,7 +11,7 @@ import sys
 
 from . import jsonio, svg
 from .embedding import (
-    FaithfulReport, check_injective, check_unimodular,
+    FaithfulReport, affine_piece, check_injective, check_unimodular,
     faithful_certificate, image_complex_1d, linearity_cells,
 )
 from .errors import (
@@ -22,8 +22,7 @@ from .errors import (
     SingularMatrix, SingularPivot, ValuationMismatch, WindowInsufficient,
 )
 from .nalift import (
-    c_trop, fourier_lift, surjective_lift, tropicalize_fourier,
-    verify_na_quasi_periodicity,
+    fourier_lift, surjective_lift, verify_na_quasi_periodicity,
 )
 from .theta import INF, Q_ELL, LAMBDA_GAMMA, ThetaFunction, theta_eval
 from .torus import build_torus, polarization_type, validate_datum
@@ -116,12 +115,14 @@ def _int_vector(obj, what):
     return tuple(out)
 
 
+def _type_json(info):
+    return {"type": [int(d) for d in info.type],
+            "reps": [[int(c) for c in b] for b in info.reps]}
+
+
 def cmd_type(args):
     datum = _payload_datum(jsonio.load(args.input))
-    info = polarization_type(datum)
-    _emit(args, "type.json", {
-        "type": [int(d) for d in info.type],
-        "reps": [[int(c) for c in b] for b in info.reps]})
+    _emit(args, "type.json", _type_json(polarization_type(datum)))
     return 0
 
 
@@ -153,25 +154,26 @@ def _cells_json(pam):
     return cells
 
 
+def _polygon_json(img):
+    return {"vertices": [jsonio.vector_to_json(v) for v in img.vertices],
+            "directions": [[int(c) for c in d] for d in img.directions],
+            "lattice_lengths": jsonio.vector_to_json(img.lattice_lengths)}
+
+
 def cmd_embed(args):
     datum = _payload_datum(jsonio.load(args.input))
     info = polarization_type(datum)
     pam = linearity_cells(datum, info)
     unimodular, verdicts = check_unimodular(pam)
-    out = {"type": [int(d) for d in info.type],
-           "reps": [[int(c) for c in b] for b in info.reps],
-           "cells": _cells_json(pam),
-           "unimodular": unimodular,
-           "cell_verdicts": list(verdicts)}
+    out = dict(_type_json(info), cells=_cells_json(pam),
+               unimodular=unimodular, cell_verdicts=list(verdicts))
     figures = []
     if datum.n == 1:
         img = image_complex_1d(datum, info, pam)
-        out["image_complex"] = {
-            "breakpoints": jsonio.vector_to_json(img.breakpoints),
-            "parameters": jsonio.vector_to_json(img.parameters),
-            "vertices": [jsonio.vector_to_json(v) for v in img.vertices],
-            "directions": [[int(c) for c in d] for d in img.directions],
-            "lattice_lengths": jsonio.vector_to_json(img.lattice_lengths)}
+        out["image_complex"] = dict(
+            _polygon_json(img),
+            breakpoints=jsonio.vector_to_json(img.breakpoints),
+            parameters=jsonio.vector_to_json(img.parameters))
         figures.append({"points": svg.plane_points(img.vertices),
                         "kind": "polygon"})
     else:
@@ -300,13 +302,10 @@ def cmd_example45(args):
     report = faithful_certificate(datum, info, pam=pam)
     table = []
     for cm in pam.cells:
-        lo = cm.cell.vertices[0][0]
         thetas = []
         for b, a in zip(info.reps, cm.argmins):
-            slope = int(b[0]) + int(datum.L[0, 0]) * int(a[0])
-            value = theta_eval(ThetaFunction(datum, b, Q_ELL), (lo,))
-            offset = value - slope * lo
-            thetas.append({"b": int(b[0]), "slope": slope,
+            slope, offset = affine_piece(datum, b, a)
+            thetas.append({"b": int(b[0]), "slope": int(slope[0]),
                            "offset": jsonio.rational_to_str(offset)})
         table.append({
             "interval": [jsonio.rational_to_str(cm.cell.vertices[0][0]),
@@ -319,11 +318,7 @@ def cmd_example45(args):
            "varpi": jsonio.rational_to_str(varpi),
            "piecewise_table": table,
            "breakpoints": jsonio.vector_to_json(img.breakpoints),
-           "image_polygon": {
-               "vertices": [jsonio.vector_to_json(v) for v in img.vertices],
-               "directions": [[int(c) for c in d] for d in img.directions],
-               "lattice_lengths": jsonio.vector_to_json(
-                   img.lattice_lengths)},
+           "image_polygon": _polygon_json(img),
            "unimodular": report.unimodular,
            "injective": report.injective.status == "certified",
            "injectivity_status": report.injective.status,

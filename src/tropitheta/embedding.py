@@ -19,9 +19,9 @@ from typing import NamedTuple
 from .errors import (DimensionUnsupported, InternalInvariantViolated,
                      NotPolarization, PreconditionViolated)
 from .exactlinalg import (Matrix, content, dot, gram_norm, integer_vector,
-                          is_unimodular_map, vec_add, vec_scale, vec_sub)
+                          is_unimodular_map, vec_add, vec_sub)
 from .theta import lattice_argmin, q_ell_constant, theta_h_vector
-from .voronoi import _clip, _polygon_area2
+from .voronoi import _split_polygon
 
 
 def _h0(datum, b):
@@ -30,7 +30,7 @@ def _h0(datum, b):
             or theta_h_vector(datum, b, (0,) * datum.n))
 
 
-def _piece(datum, b, a):
+def affine_piece(datum, b, a):
     """(slope, offset) of theta_b, in the class-invariant convention, where
     a is its minimizer: theta_b(x) = (b + L.a).x + (1/2) a^T G a
     + (Pmat^T.b - ell).a + q_ell(b).  Computed once per datum, b and a."""
@@ -117,8 +117,8 @@ def _hull(points):
 def _bisector(datum, b, a1, a2):
     # the line where the affine pieces of a1 and a2 for theta_b agree;
     # val(a1) <= val(a2) is the side normal.x <= c
-    s1, o1 = _piece(datum, b, a1)
-    s2, o2 = _piece(datum, b, a2)
+    s1, o1 = affine_piece(datum, b, a1)
+    s2, o2 = affine_piece(datum, b, a2)
     return vec_sub(s1, s2), o2 - o1
 
 
@@ -129,9 +129,7 @@ def _split_piece(piece, normal, c, n):
         if not lo < t < hi:
             raise InternalInvariantViolated("bisector misses the piece")
         return [[(lo,), (t,)], [(t,), (hi,)]]
-    lo = _clip(piece, normal, c)
-    hi = _clip(piece, vec_scale(-1, normal), -c)
-    out = [p for p in (lo, hi) if len(p) >= 3 and _polygon_area2(p) != 0]
+    out = _split_polygon(piece, normal, c)
     if len(out) != 2:
         raise InternalInvariantViolated("bisector fails to split the piece")
     return out
@@ -225,7 +223,8 @@ def _halfspaces(verts, n):
 
 def _profile_map(datum, reps, profile, n):
     # phi~ on the region of a minimizer profile: differences of the pieces
-    pieces = [_piece(datum, b, a) for b, a in zip(reps, profile)]
+    pieces = [affine_piece(datum, b, a)
+              for b, a in zip(reps, profile)]
     (s0, o0), rest = pieces[0], pieces[1:]
     rows = [integer_vector(vec_sub(s, s0)) for s, _ in rest]
     A = Matrix.from_rows(rows) if rows else Matrix(0, n, [])

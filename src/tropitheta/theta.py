@@ -36,7 +36,7 @@ from .exactlinalg import (
     dot, gram_norm, inverse, ldlt, solve, to_vector, vec_add, vec_scale,
     vec_sub,
 )
-from .torus import ell_point, gamma_eval
+from .torus import ell_point
 
 LAMBDA_GAMMA = "lambda_gamma"
 Q_ELL = "q_ell"
@@ -65,11 +65,6 @@ def floor_plus_sqrt(c, r):
     cd = c.denominator
     return (c.numerator
             + isqrt(r.numerator * cd * cd // r.denominator)) // cd
-
-
-def ceil_minus_sqrt(c, r):
-    """ceil(c - sqrt(r)) for rationals c and r >= 0, exact."""
-    return -floor_plus_sqrt(-c, r)
 
 
 @lru_cache(maxsize=128)

@@ -29,8 +29,7 @@ from .errors import (
     NonIntegerLambda, NonSymmetric, NotPolarization, SingularEmbedding,
 )
 from .exactlinalg import (
-    Matrix, det, dot, gram_norm, inverse, is_positive_definite, snf, solve,
-    to_vector,
+    det, dot, gram_norm, inverse, is_positive_definite, snf, solve, to_vector,
 )
 
 
@@ -77,8 +76,7 @@ class TropicalDescentDatum:
     per-representative theta shifts, filled lazily by the theta layer.
     """
 
-    __slots__ = ("torus", "L", "LT", "ellVec", "G", "polarized", "_Ginv",
-                 "memo")
+    __slots__ = ("torus", "L", "LT", "ellVec", "G", "polarized", "memo")
 
     def __init__(self, torus, L, ellVec):
         if L.rows != torus.n or L.cols != torus.n:
@@ -98,7 +96,6 @@ class TropicalDescentDatum:
         object.__setattr__(self, "ellVec", ellVec)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "polarized", is_positive_definite(G))
-        object.__setattr__(self, "_Ginv", None)
         object.__setattr__(self, "memo", {})
 
     def __setattr__(self, name, value):
@@ -107,13 +104,6 @@ class TropicalDescentDatum:
     @property
     def n(self):
         return self.torus.n
-
-    def gram_inverse(self):
-        if self._Ginv is None:
-            if not self.polarized:
-                raise NotPolarization("G is not positive definite")
-            object.__setattr__(self, "_Ginv", inverse(self.G))
-        return self._Ginv
 
     def with_ell(self, ellVec):
         return TropicalDescentDatum(self.torus, self.L, ellVec)

@@ -24,13 +24,11 @@ from .errors import (
     NotPolarization, PreconditionViolated,
 )
 from .exactlinalg import (
-    Matrix, det, dot, gram_norm, integer_vector, inverse,
+    Matrix, det, dot, gram_norm, integer_vector, invariant_factors, inverse,
     is_positive_definite, is_unimodular_map, snf, solve, to_vector, vec_add,
     vec_scale, vec_sub,
 )
-from .theta import (
-    ArgminResult, ceil_minus_sqrt, floor_plus_sqrt, lattice_argmin,
-)
+from .theta import ArgminResult, floor_plus_sqrt, lattice_argmin
 from .torus import polarization_type
 
 
@@ -54,9 +52,6 @@ class GramLattice:
 
     def __setattr__(self, name, value):
         raise AttributeError("GramLattice is immutable")
-
-    def inner(self, u, v):
-        return dot(u, self.G.matvec(v))
 
     def norm(self, v):
         return gram_norm(self.G, v)
@@ -147,37 +142,16 @@ def closest_point(G, x):
     return ArgminResult(res.minimizers, 2 * res.value + lat.norm(x), res.tie)
 
 
-def _rank(rows):
-    # exact rank by fraction-free-enough Gaussian elimination
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    r = 0
-    for j in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][j] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][j]:
-                f = rows[i][j] / rows[r][j]
-                for k in range(j, cols):
-                    rows[i][k] -= f * rows[r][k]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
 def half_period_system(G, x):
     """n independent half-lattice vectors q with q + x still in the cell.
 
     One candidate per two-torsion class t in {0, 1/2}^n: x + t is reduced
     into the cell by subtracting a closest lattice point and the candidate
-    is the difference to x.  A greedy exact-rank scan over the candidates
-    reaches rank n; failing to do so would contradict the construction, so
-    that raises InternalInvariantViolated.
+    is the difference to x.  A greedy scan keeps each candidate that raises
+    the rank, read off the Smith form of the doubled candidates (integer,
+    since each lies in (1/2) Z^n).  It reaches rank n; failing to do so
+    would contradict the construction, so that raises
+    InternalInvariantViolated.
     """
     lat = GramLattice(G)
     x = to_vector(x)
@@ -188,7 +162,8 @@ def half_period_system(G, x):
     for t in product((Fraction(0), Fraction(1, 2)), repeat=lat.n):
         p = closest_point(lat.G, vec_add(x, t)).minimizers[0]
         q = tuple(vec_sub(t, p))
-        if _rank(chosen + [q]) > len(chosen):
+        doubled = Matrix.from_rows([[2 * c for c in r] for r in chosen + [q]])
+        if len(invariant_factors(doubled)) > len(chosen):
             chosen.append(q)
             if len(chosen) == lat.n:
                 return chosen
@@ -284,18 +259,6 @@ def _ellipsoid(G, bound):
     return [v for v in product(*rngs) if gram_norm(G, v) <= bound]
 
 
-def _integer_points_near(G, center, bound):
-    # integer p with (p - center)^T G (p - center) <= bound
-    Ginv = inverse(G)
-    rngs = []
-    for i in range(G.rows):
-        r = Ginv[i, i] * Fraction(bound)
-        c = Fraction(center[i])
-        rngs.append(range(ceil_minus_sqrt(c, r), floor_plus_sqrt(c, r) + 1))
-    return [p for p in product(*rngs)
-            if gram_norm(G, vec_sub(p, center)) <= bound]
-
-
 def _ccw(points):
     # exact counterclockwise order around the centroid
     pts = sorted(points)
@@ -375,29 +338,37 @@ def _clip(poly, a, c):
     return dedup
 
 
-def _split_polygons(polys, a, c):
-    res = []
-    for poly in polys:
-        lo = _clip(poly, a, c)
-        hi = _clip(poly, vec_scale(-1, a), -Fraction(c))
-        kept = [p for p in (lo, hi) if len(p) >= 3 and _polygon_area2(p) != 0]
-        res.extend(kept if kept else [poly])
-    return res
+def _split_polygon(poly, a, c):
+    # the full-dimensional parts of a convex polygon on either side of
+    # a.x = c: two when the line crosses it, else the polygon itself
+    parts = (_clip(poly, a, c), _clip(poly, vec_scale(-1, a), -c))
+    return [p for p in parts if len(p) >= 3 and _polygon_area2(p) != 0]
 
 
-def _split_cell(cell):
-    # refine the cell by every facet hyperplane of every lattice translate
-    # that can meet a half-lattice translate of the cell
+def _cut_lines(cell):
+    # The cell is cut by the facet lines of every lattice translate p + cell
+    # that can meet a half-lattice translate s + cell, s in (1/2) Z^n.  They
+    # meet only when (p - s)^T G (p - s) <= B, with B = n tr G bounding the
+    # squared diameter, and relative to s + cell each such facet line is a
+    # facet line of the cell moved by t = p - s.  Those shifts t are exactly
+    # the t in (1/2) Z^n with t^T G t <= B: every p - s is one, and every
+    # such t arises from s = -t, p = 0.  So one enumeration of the integer
+    # vectors 2t with (2t)^T G (2t) <= 4B gives every cut line.
     lat = cell.lattice
     n = lat.n
     bound = n * sum(lat.G[i, i] for i in range(n))  # diam(cell)^2 <= n tr G
     lines = set()
     for s2 in _ellipsoid(lat.G, 4 * bound):
-        s = vec_scale(Fraction(1, 2), s2)
-        for p in _integer_points_near(lat.G, s, bound):
-            shift = vec_sub(p, s)
-            for a, c in cell.halfspaces:
-                lines.add(_normalize_line(a, c + dot(shift, a)))
+        shift = vec_scale(Fraction(1, 2), s2)
+        for a, c in cell.halfspaces:
+            lines.add(_normalize_line(a, c + dot(shift, a)))
+    return lines
+
+
+def _split_cell(cell):
+    # refine the cell along its cut lines, in sorted order
+    n = cell.lattice.n
+    lines = _cut_lines(cell)
     poly = _cell_polytope(cell)
     if n == 1:
         lo, hi = poly[0][0], poly[1][0]
@@ -407,7 +378,7 @@ def _split_cell(cell):
         return [[(knots[i],), (knots[i + 1],)] for i in range(len(knots) - 1)]
     polys = [poly]
     for a, c in sorted(lines):
-        polys = _split_polygons(polys, a, Fraction(c))
+        polys = [part for p in polys for part in _split_polygon(p, a, c)]
     return polys
 
 

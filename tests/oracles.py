@@ -8,7 +8,7 @@ tests use.
 
 import itertools
 from fractions import Fraction
-from math import floor, gcd
+from math import ceil, floor, gcd, isqrt
 
 
 def det_expansion(rows):
@@ -124,6 +124,61 @@ def gram_norm(G_rows, v):
     n = len(v)
     return sum(Fraction(G_rows[i][j]) * v[i] * v[j]
                for i in range(n) for j in range(n))
+
+
+def _integer_line(a, c):
+    # a.x = c scaled to coprime integers, first nonzero normal entry > 0
+    nums = [Fraction(x) for x in a] + [Fraction(c)]
+    den = 1
+    for x in nums:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in nums]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    ints = [x // g for x in ints]
+    if next(x for x in ints[:-1] if x != 0) < 0:
+        ints = [-x for x in ints]
+    return tuple(ints[:-1]), ints[-1]
+
+
+def nested_cut_lines(G_rows, halfspaces):
+    """Cut lines of a Voronoi cell by the nested translate scan.
+
+    With B = n tr G: for every s in (1/2) Z^n with (2s)^T G (2s) <= 4B,
+    every integer p with (p - s)^T G (p - s) <= B, and every facet
+    a.x <= c of the cell, the line a.x = c + (p - s).a as coprime integers.
+    Both scans run over boxes that hold their ellipsoids, since
+    v^T G v <= R forces v_i^2 <= R (G^-1)_ii, and (G^-1)_ii is a ratio of
+    minors; points outside the ellipsoids are dropped exactly."""
+    n = len(G_rows)
+    G = [[Fraction(x) for x in row] for row in G_rows]
+    bound = n * sum(G[i][i] for i in range(n))
+    detG = Fraction(det_expansion(G))
+    ginv = [Fraction(det_expansion([[G[r][c] for c in range(n) if c != i]
+                                    for r in range(n) if r != i])) / detG
+            for i in range(n)]
+
+    def box(center, R):
+        rngs = []
+        for i in range(n):
+            r = isqrt(ceil(R * ginv[i])) + 1
+            rngs.append(range(floor(center[i]) - r, ceil(center[i]) + r + 1))
+        return itertools.product(*rngs)
+
+    lines = set()
+    for s2 in box([0] * n, 4 * bound):
+        if gram_norm(G, s2) > 4 * bound:
+            continue
+        s = [Fraction(x, 2) for x in s2]
+        for p in box(s, bound):
+            t = [p[i] - s[i] for i in range(n)]
+            if gram_norm(G, t) > bound:
+                continue
+            for a, c in halfspaces:
+                lines.add(_integer_line(
+                    a, Fraction(c) + sum(t[i] * a[i] for i in range(n))))
+    return lines
 
 
 def closest_points_brute(G_rows, target, radius):

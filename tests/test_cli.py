@@ -91,6 +91,26 @@ class TestExample45:
     def test_nonpositive_degree_is_a_precondition(self, tmp_path):
         assert run(tmp_path, "example45", "--d", "0") == 2
 
+    @pytest.mark.parametrize("varpi", ["12", "27/2"])
+    @pytest.mark.parametrize("d", ["3", "8"])
+    def test_table_offsets_match_theta_at_the_left_end(self, tmp_path, d,
+                                                      varpi):
+        # each cell's argmin minimizes at its closed left end lo, so the
+        # cached piece offset is theta_b(lo) - slope.lo
+        assert run(tmp_path, "example45", "--d", d, "--varpi", varpi) == 0
+        out = read(tmp_path, "example45.json")
+        period = jsonio.rational_from_str(varpi)
+        datum = validate_datum(build_torus(Matrix.from_rows([[period]])),
+                               Matrix.from_rows([[int(d)]]), [0])
+        assert out["piecewise_table"]
+        for row in out["piecewise_table"]:
+            lo = jsonio.rational_from_str(row["interval"][0])
+            assert len(row["theta"]) == int(d)
+            for entry in row["theta"]:
+                theta = ThetaFunction(datum, (entry["b"],), Q_ELL)
+                want = theta_eval(theta, (lo,)) - entry["slope"] * lo
+                assert jsonio.rational_from_str(entry["offset"]) == want
+
 
 class TestTypeCommand:
     def test_type_and_reps(self, tmp_path):

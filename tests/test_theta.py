@@ -9,7 +9,7 @@ from tropitheta.exactlinalg import (
 from tropitheta.errors import NotPolarization, PreconditionViolated
 from tropitheta.theta import (
     INF, LAMBDA_GAMMA, Q_ELL, ThetaCombination, ThetaFunction,
-    ceil_minus_sqrt, concavity_check, floor_plus_sqrt,
+    concavity_check, floor_plus_sqrt,
     gamma_rational_check, lattice_argmin, min_plus_eval,
     quasi_periodicity_check, round_half_up, sublattice_identity_check,
     theta_eval, translate_datum,
@@ -75,8 +75,6 @@ class TestExactRounding:
         assert floor_plus_sqrt(Fraction(0), Fraction(2)) == 1
         assert floor_plus_sqrt(Fraction(1, 2), Fraction(9, 4)) == 2
         assert floor_plus_sqrt(Fraction(-5, 2), Fraction(4)) == -1
-        assert ceil_minus_sqrt(Fraction(0), Fraction(2)) == -1
-        assert ceil_minus_sqrt(Fraction(5, 2), Fraction(4)) == 1
 
     @pytest.mark.parametrize("c, r, floor_plus, ceil_minus", [
         (Fraction(0), Fraction(0), 0, 0),
@@ -91,9 +89,10 @@ class TestExactRounding:
         (Fraction(-4), Fraction(2), -3, -5),
     ])
     def test_closed_forms_at_edges(self, c, r, floor_plus, ceil_minus):
-        # r = 0, perfect squares that land on an integer, negative c
+        # r = 0, perfect squares that land on an integer, negative c;
+        # ceil(c - sqrt(r)) = -floor(-c + sqrt(r)) checks it at -c
         assert floor_plus_sqrt(c, r) == floor_plus
-        assert ceil_minus_sqrt(c, r) == ceil_minus
+        assert -floor_plus_sqrt(-c, r) == ceil_minus
 
     @settings(max_examples=200, deadline=None)
     @given(st.fractions(min_value=-50, max_value=50),
@@ -106,12 +105,6 @@ class TestExactRounding:
         d = Fraction(k) - c
         assert d <= 0 or d * d <= r
         d1 = Fraction(k + 1) - c
-        assert d1 > 0 and d1 * d1 > r
-        # k - 1 < c - sqrt(r) <= k
-        k = ceil_minus_sqrt(c, r)
-        d = c - k
-        assert d <= 0 or d * d <= r
-        d1 = c - (k - 1)
         assert d1 > 0 and d1 * d1 > r
 
 

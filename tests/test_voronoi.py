@@ -20,8 +20,11 @@ from tropitheta.voronoi import (
     certified_cells, closest_point, good_decomposition, half_period_system,
     in_cell, relevant_vectors,
 )
+from tropitheta.voronoi import _cut_lines, _polygon_area2, _split_polygon
 
-from oracles import closest_points_brute, relevant_vectors_brute
+from oracles import (
+    closest_points_brute, nested_cut_lines, relevant_vectors_brute,
+)
 
 I2 = Matrix.identity(2)
 HEX = Matrix.from_rows([[2, 1], [1, 2]])
@@ -417,3 +420,58 @@ class TestCellCertificate:
                     direct = lattice_argmin(Ga, Ga.matvec(t))
                     x = ad.torus.lattice_point(y)
                     assert theta_argmin(theta, x).minimizers == direct.minimizers
+
+
+small_entries = st.fractions(min_value=Fraction(1, 3), max_value=2,
+                             max_denominator=3)
+
+
+@st.composite
+def small_grams(draw):
+    # positive definite 1 x 1 and 2 x 2 Gram matrices with small rational
+    # entries; det >= ac/4 keeps the scanned ellipsoids small
+    if draw(st.booleans()):
+        return Matrix.from_rows([[draw(small_entries)]])
+    a, c = draw(small_entries), draw(small_entries)
+    b = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    assume(4 * b * b <= 3 * a * c)
+    return Matrix.from_rows([[a, b], [b, c]])
+
+
+class TestCutLines:
+    @settings(max_examples=25, deadline=None)
+    @given(small_grams())
+    def test_one_half_lattice_ball_matches_the_nested_scan(self, G):
+        cell = VoronoiCell(G)
+        assert _cut_lines(cell) == nested_cut_lines(G.to_lists(),
+                                                    cell.halfspaces)
+
+    def test_square_lattice_lines(self):
+        # x_i = k/2 for |k| <= 5: the facets x_i = +-1/2 moved by
+        # t in (1/2) Z^2 with |t|^2 <= 2 tr I = 4, as coprime integers
+        lines = _cut_lines(VoronoiCell(I2))
+        assert lines == {((2 * e[0], 2 * e[1]), k) if k % 2 else (e, k // 2)
+                         for e in ((1, 0), (0, 1)) for k in range(-5, 6)}
+
+
+class TestSplitPolygon:
+    SQUARE = [frac_vec(0, 0), frac_vec(1, 0), frac_vec(1, 1), frac_vec(0, 1)]
+
+    def test_crossing_line_gives_two_parts(self):
+        half = Fraction(1, 2)
+        parts = _split_polygon(self.SQUARE, (2, 0), 1)
+        assert parts == [
+            [frac_vec(0, 0), (half, 0), (half, 1), frac_vec(0, 1)],
+            [(half, 0), frac_vec(1, 0), frac_vec(1, 1), (half, 1)]]
+        assert [_polygon_area2(p) for p in parts] == [1, 1]
+
+    @pytest.mark.parametrize("a, c", [((1, 0), 1), ((1, 0), 0),
+                                      ((0, -1), 0), ((1, 1), 2)])
+    def test_edge_aligned_line_keeps_the_polygon(self, a, c):
+        # a side or a vertex on the line: the other side has no area
+        assert _split_polygon(self.SQUARE, a, c) == [self.SQUARE]
+
+    @pytest.mark.parametrize("a, c", [((1, 0), 2), ((1, 0), -1),
+                                      ((1, 1), -3)])
+    def test_missing_line_keeps_the_polygon(self, a, c):
+        assert _split_polygon(self.SQUARE, a, c) == [self.SQUARE]
