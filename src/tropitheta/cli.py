@@ -16,7 +16,7 @@ from .embedding import (
 )
 from .errors import (
     AsymmetricPairing, CertificateFailed, DimensionUnsupported,
-    DivisionByZero, NonIntegerLambda, NonSymmetric, NotInvertible,
+    DivisionByZero, NonIntegerLambda, NotInvertible,
     NotPolarization, NotQuadratic, NotSymmetric, PreconditionViolated,
     ResidueCancellation, RootUnavailable, SchemaError, SingularEmbedding,
     SingularMatrix, SingularPivot, ValuationMismatch, WindowInsufficient,
@@ -30,7 +30,7 @@ from .voronoi import VoronoiCell, certified_cells
 
 PRECONDITION_ERRORS = (
     AsymmetricPairing, DimensionUnsupported, DivisionByZero,
-    NonIntegerLambda, NonSymmetric, NotInvertible, NotPolarization,
+    NonIntegerLambda, NotInvertible, NotPolarization,
     NotQuadratic, NotSymmetric, PreconditionViolated, RootUnavailable,
     SingularEmbedding, SingularMatrix, SingularPivot, ValuationMismatch,
     WindowInsufficient,

@@ -5,10 +5,11 @@ representatives of the polarization; everything is studied through the
 normalized map phi~ = (theta_b - theta_b0)_{b != b0}, which is piecewise
 affine with integer slope differences.  Cells of linearity are computed
 exactly for n <= 2 by probing minimizer sets at polytope vertices and
-splitting along bisectors; unimodularity and injectivity of the result
-are certified (n = 1) or sampled on a grid.  Each affine piece of theta_b
-is computed once per datum, L^T.x once per point, and a caller builds the
-cell map once and passes it to the checks that read it.
+splitting along bisectors, with the convex-polygon kernel of voronoi (the
+one-pass split and the hull order); unimodularity and injectivity of the
+result are certified (n = 1) or sampled on a grid.  Each affine piece of
+theta_b is computed once per datum, L^T.x once per point, and a caller
+builds the cell map once and passes it to the checks that read it.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .errors import (DimensionUnsupported, InternalInvariantViolated,
 from .exactlinalg import (Matrix, content, dot, gram_norm, integer_vector,
                           is_unimodular_map, vec_add, vec_sub)
 from .theta import lattice_argmin, q_ell_constant, theta_h_vector
-from .voronoi import _split_polygon
+from .voronoi import _hull, _split_polygon
 
 
 def _h0(datum, b):
@@ -91,27 +92,6 @@ def fundamental_domain(torus):
         corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
         return _hull([tuple(P.matvec(c)) for c in corners])
     raise DimensionUnsupported("exact domains implemented for n <= 2")
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull(points):
-    # convex hull, counterclockwise, collinear points dropped
-    pts = sorted(set(tuple(p) for p in points))
-    if len(pts) <= 2:
-        return pts
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    return lower[:-1] + upper[:-1]
 
 
 def _bisector(datum, b, a1, a2):
@@ -264,11 +244,6 @@ def linearity_cells(datum, info, domain=None):
     cells = tuple(_cell_map(datum, info.reps, verts, profile, n)
                   for verts, profile in merged)
     return PiecewiseAffineMap(tuple(info.reps), cells)
-
-
-def cell_matrices(pam):
-    """The per-cell matrices of slope differences."""
-    return [cm.A for cm in pam.cells]
 
 
 def check_unimodular(pam):

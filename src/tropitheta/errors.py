@@ -13,7 +13,8 @@ class TropithetaError(Exception):
 # -- linear algebra ---------------------------------------------------------
 
 class NotSymmetric(TropithetaError):
-    """A factorization was asked of a matrix that is not symmetric."""
+    """A matrix that must be symmetric is not: the input of a
+    factorization, a Gram matrix, or the derived L^T.Pmat of a datum."""
 
 
 class SingularMatrix(TropithetaError):
@@ -32,10 +33,6 @@ class SingularPivot(TropithetaError):
 
 class SingularEmbedding(TropithetaError):
     """The period matrix is singular, so the lattice is not full rank."""
-
-
-class NonSymmetric(TropithetaError):
-    """The derived Gram matrix L^T.Pmat is not symmetric."""
 
 
 class NonIntegerLambda(TropithetaError):

@@ -4,7 +4,8 @@ Everything in this module is exact: entries are `fractions.Fraction` (plain
 ints are accepted and widened), no floating point is used anywhere, and all
 comparisons are decidable.  The operations provided are the ones the rest of
 the package needs: determinants and solves over the rationals, Smith normal
-form with recorded unimodular row/column transforms, unimodularity tests for
+form with recorded unimodular row/column transforms, invariant factors from
+the same integer elimination without transforms, unimodularity tests for
 integer maps, and a rational LDL^T factorization that doubles as the
 positive-definiteness test.
 """
@@ -253,109 +254,90 @@ class SmithDecomposition(NamedTuple):
     V: Matrix
 
 
-def snf(A):
-    """Smith normal form U*A*V = D with U, V unimodular.
-
-    Works for any integer matrix, including non-square and rank deficient
-    ones; the diagonal of D is nonnegative and satisfies d_i | d_{i+1}.
-    Pivots are chosen by minimal nonzero absolute value.
-    """
+def _smith(A, U, Vt):
+    """The Smith form D of the integer matrix A, as a list of integer rows.
+    U holds one row per row of A and Vt one per column: each row operation
+    is repeated on the rows of U and each column operation on the rows of
+    Vt, so identity rows come out as the transforms U and V^T of
+    U.A.V = D, while empty rows record nothing.  Pivots are chosen by
+    minimal nonzero absolute value."""
     if not A.is_integral():
-        raise ValueError("snf needs integer entries")
+        raise ValueError("Smith form needs integer entries")
     m, n = A.rows, A.cols
     M = [[int(e) for e in A.row(i)] for i in range(m)]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_sub(i, k, q):
-        # row_i -= q * row_k, mirrored in U
-        Mi, Mk = M[i], M[k]
-        for j in range(n):
-            Mi[j] -= q * Mk[j]
-        Ui, Uk = U[i], U[k]
-        for j in range(m):
-            Ui[j] -= q * Uk[j]
+        # row_i -= q * row_k
+        M[i] = [a - q * b for a, b in zip(M[i], M[k])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
 
     def col_sub(j, k, q):
-        # col_j -= q * col_k, mirrored in V
-        for i in range(m):
-            M[i][j] -= q * M[i][k]
-        for i in range(n):
-            V[i][j] -= q * V[i][k]
-
-    def swap_rows(i, k):
-        M[i], M[k] = M[k], M[i]
-        U[i], U[k] = U[k], U[i]
-
-    def swap_cols(j, k):
+        # col_j -= q * col_k
         for row in M:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
+            row[j] -= q * row[k]
+        Vt[j] = [a - q * b for a, b in zip(Vt[j], Vt[k])]
 
-    def negate_row(i):
-        M[i] = [-x for x in M[i]]
-        U[i] = [-x for x in U[i]]
+    def min_pivot(t):
+        # a minimal-|.| nonzero entry of the trailing block, or None
+        nonzero = [(abs(M[i][j]), i, j) for i in range(t, m)
+                   for j in range(t, n) if M[i][j]]
+        return min(nonzero)[1:] if nonzero else None
 
-    t = 0
-    while t < min(m, n):
-        # locate a minimal-|.| nonzero pivot in the trailing block
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = M[i][j]
-                if x != 0 and (pivot is None or abs(x) < abs(M[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+    for t in range(min(m, n)):
+        pivot = min_pivot(t)
         if pivot is None:
             break
         while True:
             pi, pj = pivot
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
+            M[t], M[pi] = M[pi], M[t]
+            U[t], U[pi] = U[pi], U[t]
+            for row in M:
+                row[t], row[pj] = row[pj], row[t]
+            Vt[t], Vt[pj] = Vt[pj], Vt[t]
             if M[t][t] < 0:
-                negate_row(t)
+                M[t] = [-x for x in M[t]]
+                U[t] = [-x for x in U[t]]
             p = M[t][t]
             dirty = False
             for i in range(t + 1, m):
                 if M[i][t]:
                     row_sub(i, t, M[i][t] // p)
-                    if M[i][t]:
-                        dirty = True
+                    dirty = dirty or M[i][t] != 0
             for j in range(t + 1, n):
                 if M[t][j]:
                     col_sub(j, t, M[t][j] // p)
-                    if M[t][j]:
-                        dirty = True
+                    dirty = dirty or M[t][j] != 0
             if not dirty:
                 # pivot divides its row and column; enforce block divisibility
-                bad = next(((i, j) for i in range(t + 1, m)
+                bad = next((i for i in range(t + 1, m)
                             for j in range(t + 1, n) if M[i][j] % p), None)
                 if bad is None:
                     break
-                row_sub(t, bad[0], -1)  # pull the offending row up, redo
-            pivot = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    x = M[i][j]
-                    if x != 0 and (pivot is None or abs(x) < abs(M[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-        t += 1
-    return SmithDecomposition(Matrix.from_rows(U), Matrix.from_rows(M),
-                              Matrix.from_rows(V))
+                row_sub(t, bad, -1)  # pull the offending row up, redo
+            pivot = min_pivot(t)
+    return M
+
+
+def snf(A):
+    """Smith normal form U*A*V = D with U, V unimodular.
+
+    Works for any integer matrix, including non-square and rank deficient
+    ones; the diagonal of D is nonnegative and satisfies d_i | d_{i+1}.
+    """
+    m, n = A.rows, A.cols
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    Vt = [[int(i == j) for j in range(n)] for i in range(n)]
+    D = _smith(A, U, Vt)
+    return SmithDecomposition(Matrix.from_rows(U), Matrix.from_rows(D),
+                              Matrix.from_rows(Vt).transpose())
 
 
 def invariant_factors(A):
-    """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    D = snf(A).D
-    out = []
-    for i in range(min(D.rows, D.cols)):
-        d = int(D[i, i])
-        if d == 0:
-            break
-        out.append(d)
-    return tuple(out)
+    """Nonzero diagonal entries of the Smith form, in divisibility order
+    (the zero entries trail them).  The elimination records no transforms
+    and builds no Matrix."""
+    D = _smith(A, [[] for _ in range(A.rows)], [[] for _ in range(A.cols)])
+    return tuple(D[i][i] for i in range(min(A.rows, A.cols)) if D[i][i])
 
 
 def is_unimodular_map(A):

@@ -287,17 +287,6 @@ def min_plus_eval(comb, x):
     return min(c + theta_eval(th, x) for c, th in finite)
 
 
-def gamma_rational_check(comb):
-    """True when every finite coefficient is an exact rational.  Together
-    with rational input data this makes every affine piece of the
-    combination rational (integer slopes, rational offsets).  Symbolic or
-    floating coefficients fail the check."""
-    finite = comb.finite_terms()
-    if not finite:
-        raise PreconditionViolated("no finite coefficient")
-    return all(isinstance(c, Fraction) for c, _ in finite)
-
-
 def translate_datum(datum, v):
     """Pull a datum back along translation by the point with f'-coordinates
     v: ell' = ell - G.v.  Returns (datum', constant) with
@@ -354,12 +343,3 @@ def sublattice_identity_check(datum, x):
     theta0 = ThetaFunction(datum, (0,) * datum.n, Q_ELL)
     rhs = theta_eval(theta0, vec_scale(d1, x)) / (d1 * d1)
     return lhs == rhs
-
-
-def concavity_check(theta, x, y, t):
-    """theta(t.x + (1-t).y) >= t.theta(x) + (1-t).theta(y), exact."""
-    t = Fraction(t)
-    mid = vec_add(vec_scale(t, to_vector(x)),
-                  vec_scale(1 - t, to_vector(y)))
-    return theta_eval(theta, mid) >= (t * theta_eval(theta, x)
-                                      + (1 - t) * theta_eval(theta, y))

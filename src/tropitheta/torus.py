@@ -23,10 +23,9 @@ and the datum is a polarization when G is positive definite.
 """
 
 import itertools
-from fractions import Fraction
 
 from .errors import (
-    NonIntegerLambda, NonSymmetric, NotPolarization, SingularEmbedding,
+    NonIntegerLambda, NotPolarization, NotSymmetric, SingularEmbedding,
 )
 from .exactlinalg import (
     det, dot, gram_norm, inverse, is_positive_definite, snf, solve, to_vector,
@@ -89,7 +88,7 @@ class TropicalDescentDatum:
         LT = L.transpose()
         G = LT * torus.Pmat
         if not G.is_symmetric():
-            raise NonSymmetric("L^T.Pmat is not symmetric")
+            raise NotSymmetric("L^T.Pmat is not symmetric")
         object.__setattr__(self, "torus", torus)
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "LT", LT)
@@ -126,7 +125,7 @@ def datum_from_Q(torus, G, ellVec):
     L = Pmat^-T.G and requires it to be integral, which is exactly the
     integrality condition Q(M' x N) in Z."""
     if not G.is_symmetric():
-        raise NonSymmetric("Gram matrix must be symmetric")
+        raise NotSymmetric("Gram matrix must be symmetric")
     L = torus.Pinv.transpose() * G
     if not L.is_integral():
         raise NonIntegerLambda("Q does not come from an integral lambda")
@@ -202,16 +201,3 @@ def ell_point(datum):
     if not datum.polarized:
         raise NotPolarization("ell_point needs a polarization")
     return solve(datum.G, datum.ellVec)
-
-
-def rep_class_coords(datum, b1, b2):
-    """f'-coordinates of the difference b1 - b2 pulled back through lambda,
-    or None when b1 and b2 differ by something outside lambda(M').  Used to
-    decide equality of classes in M / lambda(M')."""
-    diff = [Fraction(int(p) - int(q)) for p, q in zip(b1, b2)]
-    if det(datum.L) == 0:
-        raise NotPolarization("lambda is singular")
-    a = solve(datum.L, diff)
-    if all(c.denominator == 1 for c in a):
-        return tuple(int(c) for c in a)
-    return None

@@ -11,10 +11,13 @@ member of a whole basis of a d-scaled sublattice.  Those bases feed the
 per-piece certificates: the basis turns into integer shift vectors whose
 shared-argmin property is verified exactly with the lattice minimizer,
 and whose rows assemble into a unimodular matrix.
+
+The module owns the package's one convex-polygon kernel, a one-pass split
+along a line and one hull order; the refinement of the cell and the
+linearity cells of the theta map (embedding) are both built with it.
 """
 
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import combinations, product
 from math import factorial, gcd
 from typing import NamedTuple
@@ -123,11 +126,6 @@ class VoronoiCell:
     def __repr__(self):
         return "VoronoiCell(n=%d, facets=%d)" % (self.lattice.n,
                                                  len(self.relevant))
-
-
-def in_cell(G, x):
-    """Exact membership of a rational point in the Voronoi cell."""
-    return VoronoiCell(G).contains(x)
 
 
 def closest_point(G, x):
@@ -259,29 +257,53 @@ def _ellipsoid(G, bound):
     return [v for v in product(*rngs) if gram_norm(G, v) <= bound]
 
 
-def _ccw(points):
-    # exact counterclockwise order around the centroid
-    pts = sorted(points)
-    m = len(pts)
-    cx = sum(p[0] for p in pts) / m
-    cy = sum(p[1] for p in pts) / m
+# -- convex polygons: counterclockwise lists of rational points, area > 0 ----
 
-    def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
-        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
 
-    def cmp(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    return [tuple(p) for p in sorted(pts, key=cmp_to_key(cmp))]
+
+def _hull(points):
+    # convex hull by Andrew's monotone chain: counterclockwise from the
+    # least point in lexicographic order, collinear points dropped
+    pts = sorted(set(tuple(p) for p in points))
+    if len(pts) <= 2:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+    return chain(pts)[:-1] + chain(reversed(pts))[:-1]
+
+
+def _split_polygon(poly, a, c):
+    # The parts of a convex polygon on either side of the line a.x = c, in
+    # one cyclic walk over the signs s_i = a.p_i - c: s <= 0 puts a vertex
+    # in the low part, s >= 0 in the high part, and a strict sign change
+    # along an edge puts the crossing point in both.  The input being a
+    # nondegenerate convex polygon, a part is full-dimensional exactly when
+    # some vertex lies strictly on its side; unless both parts are, the
+    # polygon is returned whole.
+    s = [a[0] * p[0] + a[1] * p[1] - c for p in poly]
+    if min(s) >= 0 or max(s) <= 0:
+        return [poly]
+    low, high = [], []
+    for p, q, sp, sq in zip(poly, poly[1:] + poly[:1], s, s[1:] + s[:1]):
+        if sp <= 0:
+            low.append(p)
+        if sp >= 0:
+            high.append(p)
+        if sp < 0 < sq or sq < 0 < sp:
+            t = Fraction(sp, sp - sq)
+            x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            low.append(x)
+            high.append(x)
+    return [low, high]
 
 
 def _cell_polytope(cell):
@@ -301,48 +323,12 @@ def _cell_polytope(cell):
         x = ((c1 * a2[1] - c2 * a1[1]) / dt, (a1[0] * c2 - a2[0] * c1) / dt)
         if cell.contains(x):
             pts.add(x)
-    return _ccw(pts)
-
-
-def _polygon_area2(poly):
-    acc = Fraction(0)
-    for i in range(len(poly)):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % len(poly)]
-        acc += x1 * y2 - x2 * y1
-    return acc
-
-
-def _clip(poly, a, c):
-    # part of a convex polygon with a.x <= c, vertices kept in cyclic order
-    out = []
-    m = len(poly)
-    for i in range(m):
-        p, q = poly[i], poly[(i + 1) % m]
-        fp = dot(a, p) - c
-        fq = dot(a, q) - c
-        if fp <= 0:
-            out.append(tuple(p))
-            if fq > 0:
-                t = fp / (fp - fq)
-                out.append(tuple(p[k] + t * (q[k] - p[k]) for k in range(2)))
-        elif fq < 0:
-            t = fp / (fp - fq)
-            out.append(tuple(p[k] + t * (q[k] - p[k]) for k in range(2)))
-    dedup = []
-    for v in out:
-        if not dedup or v != dedup[-1]:
-            dedup.append(v)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
-
-
-def _split_polygon(poly, a, c):
-    # the full-dimensional parts of a convex polygon on either side of
-    # a.x = c: two when the line crosses it, else the polygon itself
-    parts = (_clip(poly, a, c), _clip(poly, vec_scale(-1, a), -c))
-    return [p for p in parts if len(p) >= 3 and _polygon_area2(p) != 0]
+    # counterclockwise from the first vertex at or past the centroid's +x ray
+    hull = _hull(pts)
+    cx, cy = _barycenter(hull)
+    below = [y < cy or (y == cy and x < cx) for x, y in hull]
+    k = next(i for i in range(len(hull)) if below[i - 1] and not below[i])
+    return hull[k:] + hull[:k]
 
 
 def _cut_lines(cell):

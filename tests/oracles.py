@@ -1,14 +1,22 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and test-only helpers used by the test suite.
 
-Everything here is deliberately written from first principles, without
+The oracles are deliberately written from first principles, without
 importing the package under test: naive minor expansions, exhaustive box
-enumeration, Sylvester minors.  Slow but obviously correct at the sizes the
-tests use.
+enumeration, Sylvester minors, and the two-pass polygon clipping and
+centroid ordering that the polygon kernel replaced.  Slow but obviously
+correct at the sizes the tests use.  The last section holds small helpers
+that only tests call; they compose public package functions.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
+
+from tropitheta.errors import NotPolarization, PreconditionViolated
+from tropitheta.exactlinalg import det, solve, to_vector, vec_add, vec_scale
+from tropitheta.theta import theta_eval
+from tropitheta.voronoi import VoronoiCell
 
 
 def det_expansion(rows):
@@ -287,3 +295,138 @@ def c_extend_recursive(cB_dicts, T_dicts, L_rows, a):
             step = series_mul(cB_dicts[k], t_basis(k, lam(w)))
             c = series_mul(c, series_pow(step, -1))
     return c
+
+
+# -- convex polygons ----------------------------------------------------------
+
+def polygon_area2(poly):
+    """Twice the signed area of a polygon (shoelace formula); positive for
+    counterclockwise vertex order."""
+    acc = Fraction(0)
+    for i in range(len(poly)):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % len(poly)]
+        acc += x1 * y2 - x2 * y1
+    return acc
+
+
+def clip_polygon(poly, a, c):
+    """The part of a convex polygon with a.x <= c, by one Sutherland-Hodgman
+    pass, vertices kept in cyclic order and repeated points dropped."""
+    out = []
+    m = len(poly)
+    for i in range(m):
+        p, q = poly[i], poly[(i + 1) % m]
+        fp = Fraction(a[0]) * p[0] + Fraction(a[1]) * p[1] - c
+        fq = Fraction(a[0]) * q[0] + Fraction(a[1]) * q[1] - c
+        if fp <= 0:
+            out.append(tuple(p))
+            if fq > 0:
+                t = fp / (fp - fq)
+                out.append(tuple(p[k] + t * (q[k] - p[k]) for k in range(2)))
+        elif fq < 0:
+            t = fp / (fp - fq)
+            out.append(tuple(p[k] + t * (q[k] - p[k]) for k in range(2)))
+    dedup = []
+    for v in out:
+        if not dedup or v != dedup[-1]:
+            dedup.append(v)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def clip_split(poly, a, c):
+    """The parts of a convex polygon on either side of a.x = c with
+    positive area: one clip per side, then a shoelace filter."""
+    parts = (clip_polygon(poly, a, c),
+             clip_polygon(poly, [-x for x in a], -c))
+    return [p for p in parts if len(p) >= 3 and polygon_area2(p) != 0]
+
+
+def polygon_vertices(halfspaces):
+    """Vertices of the bounded polygon { x : a.x <= c for (a, c) in
+    halfspaces }: every intersection point of two boundary lines that
+    satisfies all the halfspaces, by Cramer's rule."""
+    pts = set()
+    for (a1, c1), (a2, c2) in itertools.combinations(halfspaces, 2):
+        dt = Fraction(a1[0] * a2[1] - a1[1] * a2[0])
+        if dt == 0:
+            continue
+        x = ((c1 * a2[1] - c2 * a1[1]) / dt, (a1[0] * c2 - a2[0] * c1) / dt)
+        if all(a[0] * x[0] + a[1] * x[1] <= c for a, c in halfspaces):
+            pts.add(x)
+    return pts
+
+
+def centroid_ccw(points):
+    """Counterclockwise order around the centroid of the points, starting
+    at the first point at or past the centroid's +x ray: points are ranked
+    by half-plane (upper half with the +x ray first) and then by the sign
+    of their cross product."""
+    pts = sorted(points)
+    m = len(pts)
+    cx = sum(p[0] for p in pts) / m
+    cy = sum(p[1] for p in pts) / m
+
+    def half(p):
+        dx, dy = p[0] - cx, p[1] - cy
+        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+
+    def cmp(p, q):
+        hp, hq = half(p), half(q)
+        if hp != hq:
+            return -1 if hp < hq else 1
+        cross = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
+        if cross > 0:
+            return -1
+        if cross < 0:
+            return 1
+        return 0
+
+    return [tuple(p) for p in sorted(pts, key=functools.cmp_to_key(cmp))]
+
+
+# -- test-only helpers over the package ---------------------------------------
+
+def in_cell(G, x):
+    """Exact membership of a rational point in the Voronoi cell."""
+    return VoronoiCell(G).contains(x)
+
+
+def cell_matrices(pam):
+    """The per-cell matrices of slope differences."""
+    return [cm.A for cm in pam.cells]
+
+
+def rep_class_coords(datum, b1, b2):
+    """f'-coordinates of the difference b1 - b2 pulled back through lambda,
+    or None when b1 and b2 differ by something outside lambda(M').  Used to
+    decide equality of classes in M / lambda(M')."""
+    diff = [Fraction(int(p) - int(q)) for p, q in zip(b1, b2)]
+    if det(datum.L) == 0:
+        raise NotPolarization("lambda is singular")
+    a = solve(datum.L, diff)
+    if all(c.denominator == 1 for c in a):
+        return tuple(int(c) for c in a)
+    return None
+
+
+def gamma_rational_check(comb):
+    """True when every finite coefficient of a min-plus combination is an
+    exact rational.  Together with rational input data this makes every
+    affine piece of the combination rational (integer slopes, rational
+    offsets).  Symbolic or floating coefficients fail the check."""
+    finite = comb.finite_terms()
+    if not finite:
+        raise PreconditionViolated("no finite coefficient")
+    return all(isinstance(c, Fraction) for c, _ in finite)
+
+
+def concavity_check(theta, x, y, t):
+    """theta(t.x + (1-t).y) >= t.theta(x) + (1-t).theta(y), exact."""
+    t = Fraction(t)
+    mid = vec_add(vec_scale(t, to_vector(x)),
+                  vec_scale(1 - t, to_vector(y)))
+    return theta_eval(theta, mid) >= (t * theta_eval(theta, x)
+                                      + (1 - t) * theta_eval(theta, y))

@@ -1,0 +1,97 @@
+"""Byte-identity guard: a few CLI jobs, run in-process, must write artifacts
+whose SHA-256 digests equal the recorded ones.
+
+A change that claims byte-identical artifacts keeps this test passing
+unchanged; a change that means to alter an artifact updates its digest here
+and says why.  The jobs cover the Voronoi decomposition (piece vertex
+order), the linearity cells (hull order), the certificates, the elliptic
+example and a Fourier lift.  The plane data are the first four
+acceptance-test-04 draws (random.Random(7)), copied literally.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from tropitheta import cli
+
+
+def _mat(rows):
+    return {"rows": len(rows), "cols": len(rows[0]),
+            "entries": [str(x) for row in rows for x in row]}
+
+
+def _plane(P, L):
+    return {"datum": {"Pmat": _mat(P), "L": _mat(L), "ell": ["0", "0"]}}
+
+
+# types (3,6) with 4 Voronoi pieces and 42 cells, (3,3) with 100 cells and
+# 84 pieces, (3,3) with 136 cells, (3,6) with 48 pieces
+PLANE_4 = _plane([[6, 0], [-18, 21]], [[6, -3], [-6, 6]])
+PLANE_100 = _plane([[15, -6], [-9, 12]], [[6, -3], [-3, 3]])
+PLANE_136 = _plane([[-18, 51], [-12, 27]], [[-3, 9], [-3, 6]])
+PLANE_48 = _plane([[0, 12], [-12, 6]], [[0, 3], [-6, 3]])
+
+NA_ELLIPTIC_3 = {"na_datum": {
+    "Pmat": {"rows": 1, "cols": 1, "entries": ["12"]},
+    "L": {"rows": 1, "cols": 1, "entries": ["3"]},
+    "Tmat": [[[["12", "1"]]]],
+    "cBasis": [[["18", "1"]]]}, "b": [1]}
+
+# (name, argv, payload written to --input or None, exit code,
+#  {artifact: sha256})
+JOBS = [
+    ("voronoi-4", ["voronoi"], PLANE_4, 0, {
+        "voronoi.json":
+            "b260b5d43f2e9238bce00efaa034b2f79965ef703da654fabc146b1569b8bbed"}),
+    ("voronoi-48", ["voronoi"], PLANE_48, 0, {
+        "voronoi.json":
+            "7b7b1015c646b7a84fee4065600ed27bab2aa29913af63a70c58eae0b02a0f42"}),
+    ("certify-100", ["certify", "--resolution", "4"], PLANE_100, 0, {
+        "certify.json":
+            "f8bb3a157410486ff2f0399266e8b5fc167dbf77d5a83426ed17bc2277a1732c"}),
+    ("certify-136", ["certify", "--resolution", "4"], PLANE_136, 0, {
+        "certify.json":
+            "bf9ea024b5095100d4a62abcc323e44fd038972abe93e3b9e95112e376f77577"}),
+    ("embed-42", ["embed"], PLANE_4, 0, {
+        "embed.json":
+            "b50daa482ac7e99c1fa7348deac72c756e85c5a85862659d6a48f63f5bb82a56",
+        "embed.svg":
+            "90af9f0793e41452ebf0900afcbc7a68790efbfbf5f855bc4ecf1bd461bee2f1"}),
+    ("example45-3", ["example45", "--d", "3"], None, 0, {
+        "example45.json":
+            "a539f164918c16cc8549d55f5b4200c8efe8e2ff9cb8ddf930093a0256a7f8ca",
+        "example45.svg":
+            "3ab69ea7647078b50c6da5900a211fd4d98966c78f7765d719f379b645bc74d6"}),
+    ("example45-8", ["example45", "--d", "8", "--varpi", "27/2"], None, 0, {
+        "example45.json":
+            "2ecc4a2daa29b98fe89ae405739242e4101c88df45ca8f80364383def534fa32",
+        "example45.svg":
+            "a79979b913685db4b50ce3f3de57dabe6f634499f71ca68df3f7b3f2566a8210"}),
+    ("lift", ["lift"], NA_ELLIPTIC_3, 0, {
+        "lift.json":
+            "12489577bf861446abdd60a89d55a24257c3d4f1ce970922df99e6d20c847bb4"}),
+]
+
+
+def _digests(out_dir):
+    out = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as handle:
+            out[name] = hashlib.sha256(handle.read()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("argv, payload, code, digests",
+                         [j[1:] for j in JOBS], ids=[j[0] for j in JOBS])
+def test_artifact_digests(tmp_path, argv, payload, code, digests):
+    argv = list(argv)
+    if payload is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(payload))
+        argv[1:1] = ["--input", str(path)]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--output", str(out)]) == code
+    assert _digests(out) == digests

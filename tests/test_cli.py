@@ -132,6 +132,20 @@ class TestTypeCommand:
         assert out["type"] == [2, 6]
         assert len(out["reps"]) == 12
 
+    @pytest.mark.parametrize("command", ["type", "embed", "certify"])
+    def test_asymmetric_gram_is_a_precondition(self, tmp_path, capsys,
+                                               command):
+        # L^T.Pmat = [[1, 1/2], [0, 1]] is not symmetric: exit 2, no artifact
+        payload = {"datum": {
+            "Pmat": {"rows": 2, "cols": 2,
+                     "entries": ["1", "1/2", "0", "1"]},
+            "L": {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]},
+            "ell": ["0", "0"]}}
+        path = job(tmp_path, payload)
+        assert run(tmp_path, command, "--input", path) == 2
+        assert "not symmetric" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestThetaCommand:
     def test_values_match_direct_evaluation(self, tmp_path):

@@ -156,6 +156,22 @@ class TestSmithNormalForm:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             snf(Matrix.from_rows([[Fraction(1, 2)]]))
+        with pytest.raises(ValueError):
+            invariant_factors(Matrix.from_rows([[Fraction(1, 2)]]))
+
+    def test_invariant_factors_build_no_matrix(self, monkeypatch):
+        # the transform-free elimination records no U or V and returns
+        # plain integers, so no Matrix is constructed at all
+        a = Matrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        built = []
+        init = Matrix.__init__
+
+        def counting_init(self, *args):
+            built.append(args[:2])
+            init(self, *args)
+        monkeypatch.setattr(Matrix, "__init__", counting_init)
+        assert invariant_factors(a) == (2, 6, 12)
+        assert built == []
 
     @settings(max_examples=150, deadline=None)
     @given(int_matrix_strategy())

@@ -9,14 +9,15 @@ from tropitheta.exactlinalg import (
 from tropitheta.errors import NotPolarization, PreconditionViolated
 from tropitheta.theta import (
     INF, LAMBDA_GAMMA, Q_ELL, ThetaCombination, ThetaFunction,
-    concavity_check, floor_plus_sqrt,
-    gamma_rational_check, lattice_argmin, min_plus_eval,
+    floor_plus_sqrt, lattice_argmin, min_plus_eval,
     quasi_periodicity_check, round_half_up, sublattice_identity_check,
     theta_eval, translate_datum,
 )
 from tropitheta.torus import build_torus, validate_datum
 
-from oracles import box_argmin, certified_box_argmin
+from oracles import (
+    box_argmin, certified_box_argmin, concavity_check, gamma_rational_check,
+)
 
 
 def circle_datum(varpi=12, d=2, ell=None):

@@ -18,12 +18,15 @@ from tropitheta.torus import adapted_datum, build_torus, polarization_type, vali
 from tropitheta.voronoi import (
     Piece, VoronoiCell, adapted_gram, basis_in_simplex, cell_certificate,
     certified_cells, closest_point, good_decomposition, half_period_system,
-    in_cell, relevant_vectors,
+    relevant_vectors,
 )
-from tropitheta.voronoi import _cut_lines, _polygon_area2, _split_polygon
+from tropitheta.voronoi import (
+    _cell_polytope, _cross, _cut_lines, _hull, _split_polygon,
+)
 
 from oracles import (
-    closest_points_brute, nested_cut_lines, relevant_vectors_brute,
+    centroid_ccw, clip_split, closest_points_brute, in_cell, nested_cut_lines,
+    polygon_area2, polygon_vertices, relevant_vectors_brute,
 )
 
 I2 = Matrix.identity(2)
@@ -284,16 +287,6 @@ class TestBasisInSimplex:
         assert all(self.in_simplex(qs, p) for p in ps)
 
 
-def piece_area2(piece):
-    acc = Fraction(0)
-    vs = piece.vertices
-    for i in range(len(vs)):
-        x1, y1 = vs[i]
-        x2, y2 = vs[(i + 1) % len(vs)]
-        acc += x1 * y2 - x2 * y1
-    return abs(acc)
-
-
 class TestGoodDecomposition:
     def test_one_dimensional(self):
         gd = good_decomposition(Matrix.from_rows([[1]]), (2,))
@@ -311,7 +304,7 @@ class TestGoodDecomposition:
         n = gd.cell.lattice.n
         total = Fraction(0)
         for piece in gd.pieces:
-            total += piece_area2(piece)
+            total += abs(polygon_area2(piece.vertices))
             rows = [integer_vector([d[i] * b[i] for i in range(n)])
                     for b in piece.basis]
             assert is_unimodular_map(Matrix.from_rows([list(r) for r in rows]))
@@ -463,7 +456,13 @@ class TestSplitPolygon:
         assert parts == [
             [frac_vec(0, 0), (half, 0), (half, 1), frac_vec(0, 1)],
             [(half, 0), frac_vec(1, 0), frac_vec(1, 1), (half, 1)]]
-        assert [_polygon_area2(p) for p in parts] == [1, 1]
+        assert [polygon_area2(p) for p in parts] == [1, 1]
+
+    def test_integer_vertices_give_exact_crossings(self):
+        parts = _split_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], (2, 1), 1)
+        assert parts[0] == [(0, 0), (Fraction(1, 2), 0), (0, 1)]
+        assert all(isinstance(c, (int, Fraction))
+                   for part in parts for v in part for c in v)
 
     @pytest.mark.parametrize("a, c", [((1, 0), 1), ((1, 0), 0),
                                       ((0, -1), 0), ((1, 1), 2)])
@@ -475,3 +474,99 @@ class TestSplitPolygon:
                                       ((1, 1), -3)])
     def test_missing_line_keeps_the_polygon(self, a, c):
         assert _split_polygon(self.SQUARE, a, c) == [self.SQUARE]
+
+
+coords = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+normals = st.tuples(st.one_of(st.integers(-3, 3), coords),
+                    st.one_of(st.integers(-3, 3), coords)).filter(any)
+
+
+@st.composite
+def convex_polygons(draw):
+    # the hull of a few rational points, with positive area
+    pts = draw(st.lists(st.tuples(coords, coords), min_size=3, max_size=8))
+    poly = _hull(pts)
+    assume(len(poly) >= 3)
+    return poly
+
+
+def dot2(a, x):
+    return a[0] * x[0] + a[1] * x[1]
+
+
+class TestPolygonKernelAgainstTheClipOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(convex_polygons(), normals, st.integers(1, 5))
+    def test_crossing_lines(self, poly, a, k):
+        # a.x = c with c strictly between the extreme values of a.x
+        vals = sorted(dot2(a, p) for p in poly)
+        assume(vals[0] < vals[-1])
+        c = vals[0] + Fraction(k, 6) * (vals[-1] - vals[0])
+        parts = _split_polygon(poly, a, c)
+        assert len(parts) == 2
+        assert parts == clip_split(poly, a, c)
+
+    @settings(max_examples=50, deadline=None)
+    @given(convex_polygons(), normals, st.data())
+    def test_lines_through_a_vertex(self, poly, a, data):
+        p = data.draw(st.sampled_from(poly))
+        assert _split_polygon(poly, a, dot2(a, p)) == clip_split(
+            poly, a, dot2(a, p))
+
+    @settings(max_examples=50, deadline=None)
+    @given(convex_polygons(), st.data(), st.sampled_from([1, -1]))
+    def test_lines_along_an_edge(self, poly, data, sign):
+        k = data.draw(st.integers(0, len(poly) - 1))
+        p, q = poly[k], poly[(k + 1) % len(poly)]
+        a = (sign * (q[1] - p[1]), sign * (p[0] - q[0]))
+        assert _split_polygon(poly, a, dot2(a, p)) == [poly]
+        assert clip_split(poly, a, dot2(a, p)) == [poly]
+
+    @settings(max_examples=50, deadline=None)
+    @given(convex_polygons(), normals, st.integers(1, 3), st.booleans())
+    def test_missing_lines(self, poly, a, gap, above):
+        vals = [dot2(a, p) for p in poly]
+        c = max(vals) + gap if above else min(vals) - gap
+        assert _split_polygon(poly, a, c) == [poly]
+        assert clip_split(poly, a, c) == [poly]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(coords, coords), min_size=3, max_size=10))
+    def test_hull_is_strictly_convex_and_holds_every_point(self, pts):
+        hull = _hull(pts)
+        assume(len(hull) >= 3)
+        m = len(hull)
+        assert hull[0] == min(pts)
+        for i in range(m):
+            p, q = hull[i], hull[(i + 1) % m]
+            assert _cross(p, q, hull[(i + 2) % m]) > 0
+            assert all(_cross(p, q, x) >= 0 for x in pts)
+        assert polygon_area2(hull) > 0
+
+
+@st.composite
+def grams_2d(draw):
+    # positive definite 2 x 2 Gram matrices with small rational entries
+    entry = st.fractions(min_value=Fraction(1, 4), max_value=4,
+                         max_denominator=4)
+    a, c = draw(entry), draw(entry)
+    b = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    assume(b * b < a * c)
+    return Matrix.from_rows([[a, b], [b, c]])
+
+
+class TestCellPolytopeOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(grams_2d())
+    def test_matches_the_centroid_order(self, G):
+        # the vertex order of every decomposition piece in voronoi.json
+        # starts from this order
+        cell = VoronoiCell(G)
+        assert _cell_polytope(cell) == centroid_ccw(
+            polygon_vertices(cell.halfspaces))
+
+    @pytest.mark.parametrize("G", [I2, HEX])
+    def test_fixed_lattices(self, G):
+        cell = VoronoiCell(G)
+        assert _cell_polytope(cell) == centroid_ccw(
+            polygon_vertices(cell.halfspaces))
