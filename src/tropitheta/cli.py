@@ -18,8 +18,8 @@ from .errors import (
     AsymmetricPairing, CertificateFailed, DimensionUnsupported,
     DivisionByZero, NonIntegerLambda, NotInvertible,
     NotPolarization, NotQuadratic, NotSymmetric, PreconditionViolated,
-    ResidueCancellation, RootUnavailable, SchemaError, SingularEmbedding,
-    SingularMatrix, SingularPivot, ValuationMismatch, WindowInsufficient,
+    RootUnavailable, SchemaError, SingularEmbedding, SingularMatrix,
+    SingularPivot, ValuationMismatch, WindowInsufficient,
 )
 from .nalift import (
     fourier_lift, surjective_lift, verify_na_quasi_periodicity,
@@ -35,7 +35,6 @@ PRECONDITION_ERRORS = (
     SingularEmbedding, SingularMatrix, SingularPivot, ValuationMismatch,
     WindowInsufficient,
 )
-CERTIFICATE_ERRORS = (CertificateFailed, ResidueCancellation)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -349,7 +348,7 @@ def main(argv=None):
     except PRECONDITION_ERRORS as exc:
         print("precondition failed: %s" % exc, file=sys.stderr)
         return 2
-    except CERTIFICATE_ERRORS as exc:
+    except CertificateFailed as exc:
         print("certificate failed: %s" % exc, file=sys.stderr)
         return 3
 

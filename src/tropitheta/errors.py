@@ -98,10 +98,6 @@ class RootUnavailable(TropithetaError):
     """A required d-th root does not exist in the scalar model."""
 
 
-class ResidueCancellation(TropithetaError):
-    """No unit combination avoided leading-term cancellation."""
-
-
 # -- CLI --------------------------------------------------------------------
 
 class SchemaError(TropithetaError):

@@ -8,8 +8,11 @@ basis values c(f'_j); its valuations recover a tropical datum (c_trop), its
 Fourier coefficients lift the tropical theta functions coefficient by
 coefficient (fourier_lift / tropicalize_fourier), and surjectivity of
 tropicalization is realized by explicit min-plus combinations of lifts
-(surjective_lift).  divide_datum extracts d1-th roots of a datum when the
-scalar model contains them.
+(surjective_lift).  The lifts combined there live on pairwise disjoint
+cosets b + L.Z^n, so every character u carries exactly one nonzero
+coefficient: no two leading terms can cancel, and every residue multiplier
+is 1.  divide_datum extracts d1-th roots of a datum when the scalar model
+contains them.
 """
 
 from fractions import Fraction
@@ -20,8 +23,7 @@ from typing import NamedTuple
 from .errors import (
     AsymmetricPairing, DivisionByZero, InternalInvariantViolated,
     NotInvertible, NotPolarization, NotQuadratic, PreconditionViolated,
-    ResidueCancellation, RootUnavailable, ValuationMismatch,
-    WindowInsufficient,
+    RootUnavailable, ValuationMismatch, WindowInsufficient,
 )
 from .exactlinalg import Matrix, dot, is_integer_vector, solve, to_vector
 from .theta import (
@@ -198,18 +200,24 @@ class NADescentDatumTD:
         raise AttributeError("NADescentDatumTD is immutable")
 
 
+def _prod_pows(pairs):
+    """prod base^e over the (base, e) pairs.  The arithmetic is exact and
+    every product is canonical, so the order of the factors is free."""
+    out = ONE
+    for base, e in pairs:
+        if e:
+            out = vs_mul(out, vs_pow(base, e))
+    return out
+
+
 def t_pair(datum, w, u):
     """The bilinear pairing t(w, u) = prod_{ij} Tmat_{ij}^(u_i w_j) for
     w in M' and u in M (integer coordinate vectors)."""
     w = [int(c) for c in w]
     u = [int(c) for c in u]
-    out = ONE
-    for i in range(datum.n):
-        for j in range(datum.n):
-            e = u[i] * w[j]
-            if e:
-                out = vs_mul(out, vs_pow(datum.Tmat[i][j], e))
-    return out
+    n = datum.n
+    return _prod_pows((datum.Tmat[i][j], u[i] * w[j])
+                      for i in range(n) for j in range(n))
 
 
 def build_na_datum(torus, L, Tmat, cBasis):
@@ -250,12 +258,7 @@ def build_na_datum(torus, L, Tmat, cBasis):
 
 def _s_entry(T, L, i, j):
     # S_ij = t(f'_i, lambda(f'_j)) = prod_p Tmat[p][i]^L[p, j]
-    out = ONE
-    for p in range(L.rows):
-        e = int(L[p, j])
-        if e:
-            out = vs_mul(out, vs_pow(T[p][i], e))
-    return out
+    return _prod_pows((T[p][i], int(L[p, j])) for p in range(L.rows))
 
 
 def c_extend(datum, a):
@@ -268,19 +271,11 @@ def c_extend(datum, a):
     """
     a = [int(c) for c in a]
     n = datum.n
-    out = ONE
+    pairs = list(zip(datum.cBasis, a))
     for i in range(n):
-        if a[i]:
-            out = vs_mul(out, vs_pow(datum.cBasis[i], a[i]))
-        e = a[i] * (a[i] - 1) // 2
-        if e:
-            out = vs_mul(out, vs_pow(datum.S[i][i], e))
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = a[i] * a[j]
-            if e:
-                out = vs_mul(out, vs_pow(datum.S[i][j], e))
-    return out
+        pairs.append((datum.S[i][i], a[i] * (a[i] - 1) // 2))
+        pairs += [(datum.S[i][j], a[i] * a[j]) for j in range(i + 1, n)]
+    return _prod_pows(pairs)
 
 
 def c_trop(datum):
@@ -311,6 +306,26 @@ class FourierData(NamedTuple):
     window: LiftWindow
 
 
+def _polarized_trop(datum):
+    trop = c_trop(datum)
+    if not trop.polarized:
+        raise NotPolarization("lifting needs a positive definite valuation "
+                              "Gram matrix")
+    return trop
+
+
+def _window_minimum(trop, b, v, radius):
+    """The lattice minimum over a of the valuation growth of part b at v,
+    certified to be attained inside the window |a_i| <= radius."""
+    if radius < 0:
+        raise PreconditionViolated("window radius must be nonnegative")
+    res = lattice_argmin(trop.G, theta_h_vector(trop, b, v))
+    if any(abs(c) > radius for a in res.minimizers for c in a):
+        raise WindowInsufficient("window radius %d misses the valuation "
+                                 "minimum at %r" % (radius, tuple(v)))
+    return res.value
+
+
 def _part_coeffs(datum, b, multiplier, radius):
     n = datum.n
     out = {}
@@ -328,18 +343,10 @@ def fourier_lift(datum, b, radius):
     coefficient at u = b + L.a is c(a) * t(a, b), over the window
     |a_i| <= radius.  The window must contain the valuation minimum so
     that downstream evaluation can start from a certified support."""
-    trop = c_trop(datum)
-    if not trop.polarized:
-        raise NotPolarization("lifting needs a positive definite valuation "
-                              "Gram matrix")
+    trop = _polarized_trop(datum)
     b = tuple(int(c) for c in to_vector(b))
     radius = int(radius)
-    if radius < 0:
-        raise PreconditionViolated("window radius must be nonnegative")
-    res = lattice_argmin(trop.G, theta_h_vector(trop, b, [0] * datum.n))
-    if any(abs(c) > radius for a in res.minimizers for c in a):
-        raise WindowInsufficient("window radius %d misses the valuation "
-                                 "minimum of the lift" % radius)
+    _window_minimum(trop, b, [0] * datum.n, radius)
     coeffs = _part_coeffs(datum, b, ONE, radius)
     return FourierData(coeffs, LiftWindow(datum, ((b, ONE, radius),)))
 
@@ -398,12 +405,8 @@ def tropicalize_fourier(fd, v):
     trop = c_trop(fd.window.datum)
     best = None
     for b, mult, radius in fd.window.parts:
-        res = lattice_argmin(trop.G, theta_h_vector(trop, b, v))
-        if any(abs(c) > radius for a in res.minimizers for c in a):
-            raise WindowInsufficient(
-                "window radius %d does not certify the evaluation at %r"
-                % (radius, tuple(v)))
-        part = vs_val(mult) + dot([Fraction(int(c)) for c in b], v) + res.value
+        part = (vs_val(mult) + dot([Fraction(int(c)) for c in b], v)
+                + _window_minimum(trop, b, v, radius))
         if best is None or part < best:
             best = part
     if best != finite:
@@ -437,7 +440,7 @@ def verify_na_quasi_periodicity(fd, datum, wprime):
 # -- surjectivity of tropicalization ----------------------------------------
 
 class LiftReport(NamedTuple):
-    lambdas: tuple    # residue multipliers per finite target slot
+    lambdas: tuple    # 1 per finite slot: no leading terms can cancel
     samples: tuple    # sample points where equality was checked
     verified: bool
 
@@ -460,64 +463,39 @@ def _combination_samples(trop, info):
             for idx in product(range(3), repeat=trop.n)]
 
 
-def _residues_cancel(fd, v):
-    # leading coefficients of the minimal terms, summed per character u;
-    # the min formula fails only when every sum vanishes
-    vals = {u: dot([Fraction(c) for c in u], v) + vs_val(g)
-            for u, g in fd.coeffs.items()}
-    m = min(vals.values())
-    sums = {}
-    for u, g in fd.coeffs.items():
-        if vals[u] == m:
-            sums[u] = sums.get(u, Fraction(0)) + vs_leading(g)
-    return all(s == 0 for s in sums.values())
-
-
 def surjective_lift(datum, targets, radius):
     """A Fourier datum whose tropicalization is the min-plus combination
-    min_b { targets_b + theta_b } (coefficients in Q or INF): scale the
-    canonical lift of each finite slot by lambda_b * t^(c_b) and verify
-    exact agreement at interior samples of every linearity cell of the
-    combination.  Residue multipliers lambda_b are searched
-    deterministically (1, 2, 3, ...) to avoid leading-term cancellation;
-    distinct cosets have disjoint supports, so the first candidate
-    verifies."""
-    trop = c_trop(datum)
-    if not trop.polarized:
-        raise NotPolarization("lifting needs a positive definite valuation "
-                              "Gram matrix")
+    min_b { targets_b + theta_b } (coefficients in Q or INF): the canonical
+    lift of each finite slot b, scaled by t^(c_b), becomes one part
+    (b, t^(c_b), radius), and exact agreement is verified at interior
+    samples of every linearity cell of the combination.  The
+    representatives b lie in distinct cosets of L.Z^n, so the parts have
+    disjoint supports and no leading terms cancel: every residue
+    multiplier is 1."""
+    trop = _polarized_trop(datum)
     info = polarization_type(trop)
     targets = list(targets)
     if len(targets) != len(info.reps):
         raise PreconditionViolated("expected %d targets, got %d"
                                    % (len(info.reps), len(targets)))
-    slots = [(i, info.reps[i], Fraction(c))
-             for i, c in enumerate(targets) if c is not INF]
+    slots = [(b, Fraction(c)) for b, c in zip(info.reps, targets)
+             if c is not INF]
     if not slots:
         raise PreconditionViolated("at least one finite target is needed")
     comb = ThetaCombination(
         [(c if c is INF else Fraction(c), ThetaFunction(trop, b, LAMBDA_GAMMA))
          for b, c in zip(info.reps, targets)])
     samples = _combination_samples(trop, info)
-    lambdas = {i: 1 for i, _, _ in slots}
-    for _ in range(32):
-        fd = None
-        for i, b, c in slots:
-            piece = fourier_scale(fourier_lift(datum, b, radius),
-                                  monomial(c, lambdas[i]))
-            fd = piece if fd is None else fourier_sum(fd, piece)
-        bad = next((v for v in samples if _residues_cancel(fd, v)), None)
-        if bad is None:
-            break
-        lambdas[slots[0][0]] += 1
-    else:
-        raise ResidueCancellation("no residue multipliers avoided "
-                                  "cancellation at the samples")
+    radius = int(radius)
+    parts = tuple((b, monomial(c), radius) for b, c in sorted(slots))
+    coeffs = {}
+    for b, mult, _ in parts:
+        _window_minimum(trop, b, [0] * datum.n, radius)
+        coeffs.update(_part_coeffs(datum, b, mult, radius))
+    fd = FourierData(coeffs, LiftWindow(datum, parts))
     verified = all(tropicalize_fourier(fd, v) == min_plus_eval(comb, v)
                    for v in samples)
-    report = LiftReport(tuple(lambdas[i] for i, _, _ in slots),
-                        tuple(samples), verified)
-    return fd, report
+    return fd, LiftReport((1,) * len(parts), tuple(samples), verified)
 
 
 # -- divisibility ------------------------------------------------------------

@@ -151,19 +151,27 @@ def half_period_system(G, x):
     would contradict the construction, so that raises
     InternalInvariantViolated.
     """
-    lat = GramLattice(G)
     x = to_vector(x)
-    cell = VoronoiCell(lat.G)
+    cell = VoronoiCell(G)
     if not cell.contains(x):
         raise PreconditionViolated("base point must lie in the Voronoi cell")
+    return _half_periods(cell, x)
+
+
+def _half_periods(cell, x):
+    # half_period_system for a point x already known to lie in the cell
+    G = cell.lattice.G
+    n = cell.lattice.n
     chosen = []
-    for t in product((Fraction(0), Fraction(1, 2)), repeat=lat.n):
-        p = closest_point(lat.G, vec_add(x, t)).minimizers[0]
+    for t in product((Fraction(0), Fraction(1, 2)), repeat=n):
+        # a closest lattice point to y = x + t, as in closest_point
+        y = vec_add(x, t)
+        p = lattice_argmin(G, vec_scale(-1, G.matvec(y))).minimizers[0]
         q = tuple(vec_sub(t, p))
         doubled = Matrix.from_rows([[2 * c for c in r] for r in chosen + [q]])
         if len(invariant_factors(doubled)) > len(chosen):
             chosen.append(q)
-            if len(chosen) == lat.n:
+            if len(chosen) == n:
                 return chosen
     raise InternalInvariantViolated("no independent half-period system")
 
@@ -409,7 +417,7 @@ def good_decomposition(G, d):
     delta = [x // d[0] for x in d]
     pieces = []
     for poly in _split_cell(cell):
-        qs = half_period_system(lat.G, _barycenter(poly))
+        qs = _half_periods(cell, _barycenter(poly))
         for q in qs:
             if not all(cell.contains(vec_add(q, y)) for y in poly):
                 raise InternalInvariantViolated("half period escapes the cell")

@@ -5,8 +5,9 @@ A change that claims byte-identical artifacts keeps this test passing
 unchanged; a change that means to alter an artifact updates its digest here
 and says why.  The jobs cover the Voronoi decomposition (piece vertex
 order), the linearity cells (hull order), the certificates, the elliptic
-example and a Fourier lift.  The plane data are the first four
-acceptance-test-04 draws (random.Random(7)), copied literally.
+example and Fourier lifts, with a 'b' and with a 'targets' payload.  The
+plane data are the first four acceptance-test-04 draws (random.Random(7)),
+copied literally.
 """
 
 import hashlib
@@ -39,6 +40,8 @@ NA_ELLIPTIC_3 = {"na_datum": {
     "L": {"rows": 1, "cols": 1, "entries": ["3"]},
     "Tmat": [[[["12", "1"]]]],
     "cBasis": [[["18", "1"]]]}, "b": [1]}
+NA_ELLIPTIC_3_TARGETS = {"na_datum": NA_ELLIPTIC_3["na_datum"],
+                         "targets": ["1/2", "inf", "0"]}
 
 # (name, argv, payload written to --input or None, exit code,
 #  {artifact: sha256})
@@ -73,6 +76,9 @@ JOBS = [
     ("lift", ["lift"], NA_ELLIPTIC_3, 0, {
         "lift.json":
             "12489577bf861446abdd60a89d55a24257c3d4f1ce970922df99e6d20c847bb4"}),
+    ("lift-targets", ["lift"], NA_ELLIPTIC_3_TARGETS, 0, {
+        "lift.json":
+            "329c2d5cd0e4752199ae67ecac5633bfa8b305ef505c85ef2975a55c0ebf5095"}),
 ]
 
 

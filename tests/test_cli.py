@@ -316,6 +316,13 @@ class TestLiftCommand:
         assert out["report"]["verified"] is True
         assert out["report"]["lambdas"] == [1, 1]
 
+    @pytest.mark.parametrize("payload", [{"b": [0]},
+                                         {"targets": ["0", "1/2", "inf"]}],
+                             ids=["b", "targets"])
+    def test_negative_window_exits_two(self, tmp_path, payload):
+        path = job(tmp_path, dict(payload, na_datum=na_elliptic_json()))
+        assert run(tmp_path, "lift", "--input", path, "--window", "-1") == 2
+
     def test_valuation_mismatch_exits_two(self, tmp_path):
         bad = na_elliptic_json()
         bad["Tmat"] = [[[["11", "1"]]]]  # val 11 != Pmat entry 12

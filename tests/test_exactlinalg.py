@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropitheta.exactlinalg import (
-    LDLT, Matrix, SmithDecomposition, det, dot, gram_norm, integer_vector,
-    invariant_factors, inverse, is_positive_definite, is_unimodular_map,
-    ldlt, snf, solve,
+    Matrix, det, dot, gram_norm, integer_vector, invariant_factors, inverse,
+    is_positive_definite, is_unimodular_map, ldlt, snf, solve,
 )
 from tropitheta.errors import NotSymmetric, SingularMatrix, SingularPivot
 from tropitheta.theta import _prepared, lattice_argmin

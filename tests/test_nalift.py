@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropitheta import nalift
 from tropitheta.exactlinalg import Matrix, dot, gram_norm
 from tropitheta.errors import (
     AsymmetricPairing, DivisionByZero, NotInvertible, NotPolarization,
-    NotQuadratic, PreconditionViolated, ResidueCancellation, RootUnavailable,
-    ValuationMismatch, WindowInsufficient,
+    NotQuadratic, PreconditionViolated, RootUnavailable, ValuationMismatch,
+    WindowInsufficient,
 )
 from tropitheta.nalift import (
     FourierData, ONE, ValuedScalar, build_na_datum, c_extend, c_trop,
@@ -15,12 +16,10 @@ from tropitheta.nalift import (
     surjective_lift, t_pair, tropicalize_fourier, verify_na_quasi_periodicity,
     vs_add, vs_inv, vs_leading, vs_mul, vs_pow, vs_root, vs_val,
 )
-from tropitheta.theta import (
-    INF, LAMBDA_GAMMA, ThetaFunction, min_plus_eval, theta_eval,
-)
+from tropitheta.theta import INF, LAMBDA_GAMMA, ThetaFunction, theta_eval
 from tropitheta.torus import build_torus, polarization_type
 
-from oracles import c_extend_recursive, series_mul, series_pow
+from oracles import c_extend_recursive, series_pow
 
 
 def circle_na(d=3, varpi=12, cexp=None):
@@ -40,6 +39,16 @@ def plane_na(cexps=(1, 1)):
     L = Matrix.from_rows([[2, 0], [0, 2]])
     T = [[monomial(1), monomial(0)], [monomial(0), monomial(1)]]
     return build_na_datum(torus, L, T, [monomial(c) for c in cexps])
+
+
+def circle_na_series(cterms=((18, 1), (19, 2))):
+    """Circle datum with the non-monomial pairing Tmat = [t^12 + t^13] and
+    cBasis = [sum of the (exponent, coefficient) terms]; ell = 0 as for
+    circle_na()."""
+    torus = build_torus(Matrix.from_rows([[12]]))
+    T = [[ValuedScalar([(12, 1), (13, 1)])]]
+    return build_na_datum(torus, Matrix.from_rows([[3]]), T,
+                          [ValuedScalar(cterms)])
 
 
 def scalar_dict(s):
@@ -265,6 +274,10 @@ class TestFourierLift:
         fd = fourier_lift(nad, [0], 2)
         assert min(vs_val(g) for g in fd.coeffs.values()) < 0
 
+    def test_negative_window_radius(self):
+        with pytest.raises(PreconditionViolated):
+            fourier_lift(circle_na(d=3), [0], -1)
+
     def test_needs_positive_definite_valuations(self):
         torus = build_torus(Matrix.from_rows([[12]]))
         nad = build_na_datum(torus, Matrix.from_rows([[-3]]),
@@ -416,6 +429,20 @@ class TestQuasiPeriodicity:
             verify_na_quasi_periodicity(fd, nad, [10])
 
 
+# name -> (datum, smallest radius whose windows certify every sample, number
+# of leading slots that may carry a finite target).  The scalar model
+# inverts monomials only, and a window reaches negative powers: with the
+# non-monomial Tmat only slot b = 0 (where t(a, b) = 1) lifts, and with a
+# non-monomial cBasis as well no slot does, so both paths must raise
+# NotInvertible alike.
+LIFT_CASES = {
+    "circle": (circle_na(d=3), 2, 3),
+    "circle-series-pairing": (circle_na_series(((18, 1),)), 2, 1),
+    "circle-series": (circle_na_series(), 1, 3),
+    "plane": (plane_na(), 1, 4),
+}
+
+
 class TestSurjectiveLift:
     def test_single_target(self):
         nad = circle_na(d=3)
@@ -466,6 +493,54 @@ class TestSurjectiveLift:
         nad = circle_na(d=3)
         with pytest.raises(WindowInsufficient):
             surjective_lift(nad, [0, 0, 0], 0)
+
+    def test_negative_window_radius(self):
+        with pytest.raises(PreconditionViolated):
+            surjective_lift(circle_na(d=3), [0, 0, INF], -1)
+
+    def test_one_expansion_per_finite_slot(self, monkeypatch):
+        expanded = []
+        part_coeffs = nalift._part_coeffs
+
+        def counted(datum, b, multiplier, radius):
+            expanded.append(b)
+            return part_coeffs(datum, b, multiplier, radius)
+        monkeypatch.setattr(nalift, "_part_coeffs", counted)
+        _, report = surjective_lift(circle_na(d=3),
+                                    [0, Fraction(1, 2), INF], 4)
+        assert report.verified
+        assert expanded == [(0,), (1,)]
+
+    @pytest.mark.parametrize("case", sorted(LIFT_CASES))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_composed_public_lifts(self, case, data):
+        # the one-pass lift equals fourier_sum over the fourier_scale'd
+        # fourier_lift of every finite slot, parts and coefficients alike
+        nad, min_radius, free = LIFT_CASES[case]
+        reps = polarization_type(c_trop(nad)).reps
+        targets = data.draw(
+            st.lists(st.one_of(st.just(INF), small_fraction),
+                     min_size=free, max_size=free)
+            .filter(lambda ts: any(t is not INF for t in ts)))
+        targets += [INF] * (len(reps) - free)
+        radius = data.draw(st.integers(min_radius, min_radius + 2))
+        try:
+            want = None
+            for b, c in zip(reps, targets):
+                if c is not INF:
+                    piece = fourier_scale(fourier_lift(nad, b, radius),
+                                          monomial(c))
+                    want = piece if want is None else fourier_sum(want, piece)
+        except NotInvertible:
+            with pytest.raises(NotInvertible):
+                surjective_lift(nad, targets, radius)
+            return
+        fd, report = surjective_lift(nad, targets, radius)
+        assert fd.coeffs == want.coeffs
+        assert fd.window.parts == want.window.parts
+        assert report.verified
+        assert report.lambdas == (1,) * len(fd.window.parts)
 
 
 class TestDivideDatum:

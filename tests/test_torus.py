@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropitheta.exactlinalg import Matrix, dot, gram_norm
+from tropitheta.exactlinalg import Matrix, dot
 from tropitheta.errors import (
     NonIntegerLambda, NotPolarization, NotSymmetric, SingularEmbedding,
 )

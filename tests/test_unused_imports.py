@@ -1,8 +1,10 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package, every test file and every demo uses every
+name it imports.
 
 The check is a stdlib ast walk: a name bound by an import at any level of a
-module must appear as a Name somewhere else in that module.  __init__.py
-re-exports names on purpose and is left out.
+file must appear as a Name somewhere else in that file.  The package's
+__init__.py re-exports names on purpose and is left out, and so is bench/,
+whose files change only together with the benchmark's recorded baseline.
 """
 
 import ast
@@ -10,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tropitheta"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tropitheta"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(p for d in ("tests", "demos") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source):
@@ -29,6 +33,12 @@ def unused_imports(source):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_script_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
