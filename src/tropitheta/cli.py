@@ -11,8 +11,8 @@ import sys
 
 from . import jsonio, svg
 from .embedding import (
-    FaithfulReport, affine_piece, check_injective, check_unimodular,
-    faithful_certificate, image_complex_1d, linearity_cells,
+    affine_piece, check_unimodular, faithful_certificate, image_complex_1d,
+    linearity_cells,
 )
 from .errors import (
     AsymmetricPairing, CertificateFailed, DimensionUnsupported,
@@ -81,18 +81,13 @@ def build_parser():
 
 
 def _emit(args, name, payload):
+    # write one artifact atomically: a JSON object, or the text of an SVG
     os.makedirs(args.output, exist_ok=True)
     path = os.path.join(args.output, name)
-    jsonio.dump(payload, path)
-    print("wrote %s" % path)
-    return path
-
-
-def _emit_svg(args, name, text):
-    os.makedirs(args.output, exist_ok=True)
-    path = os.path.join(args.output, name)
-    with open(path, "w") as handle:
-        handle.write(text)
+    if isinstance(payload, str):
+        jsonio._write_atomic(payload, path)
+    else:
+        jsonio.dump(payload, path)
     print("wrote %s" % path)
     return path
 
@@ -180,7 +175,7 @@ def cmd_embed(args):
             figures.append({"points": svg.plane_points(cm.cell.vertices),
                             "kind": "polygon"})
     _emit(args, "embed.json", out)
-    _emit_svg(args, "embed.svg", svg.render(figures, title="theta image"))
+    _emit(args, "embed.svg", svg.render(figures, title="theta image"))
     return 0
 
 
@@ -197,18 +192,9 @@ def _report_json(report):
 
 def cmd_certify(args):
     datum = _payload_datum(jsonio.load(args.input))
-    info = polarization_type(datum)
-    if args.mode is None or datum.n > 2:
-        report = faithful_certificate(datum, info,
-                                      resolution=args.resolution)
-    else:
-        pam = linearity_cells(datum, info)
-        unimodular, verdicts = check_unimodular(pam)
-        mode = "exact" if args.mode == "exact" else "grid"
-        inj = check_injective(datum, info, mode=mode,
-                              resolution=args.resolution, pam=pam)
-        report = FaithfulReport(unimodular, verdicts, inj,
-                                bool(unimodular) and inj.status != "refuted")
+    report = faithful_certificate(
+        datum, polarization_type(datum), resolution=args.resolution,
+        mode="grid" if args.mode == "sampled" else args.mode)
     _emit(args, "certify.json", _report_json(report))
     if not report.faithful:
         print("certificate failed: the theta map is not faithful",
@@ -327,9 +313,9 @@ def cmd_example45(args):
            "faithful": report.faithful}
     _emit(args, "example45.json", out)
     fig = {"points": svg.plane_points(img.vertices), "kind": "polygon"}
-    _emit_svg(args, "example45.svg",
-              svg.render([fig], title="image of the degree %d theta map"
-                         % args.d))
+    _emit(args, "example45.svg",
+          svg.render([fig], title="image of the degree %d theta map"
+                     % args.d))
     return 0
 
 

@@ -14,21 +14,15 @@ builds the cell map once and passes it to the checks that read it.
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, gcd
+from math import ceil, floor, lcm
 from typing import NamedTuple
 
 from .errors import (DimensionUnsupported, InternalInvariantViolated,
                      NotPolarization, PreconditionViolated)
 from .exactlinalg import (Matrix, content, dot, gram_norm, integer_vector,
                           is_unimodular_map, vec_add, vec_sub)
-from .theta import lattice_argmin, q_ell_constant, theta_h_vector
+from .theta import _h_constant, lattice_argmin, q_ell_constant
 from .voronoi import _hull, _split_polygon
-
-
-def _h0(datum, b):
-    # Pmat^T.b - ell, which theta_h_vector caches on the datum
-    return (datum.memo.get(("h0", b))
-            or theta_h_vector(datum, b, (0,) * datum.n))
 
 
 def affine_piece(datum, b, a):
@@ -37,8 +31,8 @@ def affine_piece(datum, b, a):
     + (Pmat^T.b - ell).a + q_ell(b).  Computed once per datum, b and a."""
     key = ("piece", b, a)
     if key not in datum.memo:
-        offset = (gram_norm(datum.G, a) / 2 + dot(_h0(datum, b), a)
-                  + q_ell_constant(datum, b))
+        offset = (gram_norm(datum.G, a) / 2
+                  + dot(_h_constant(datum, b), a) + q_ell_constant(datum, b))
         datum.memo[key] = (vec_add(b, datum.L.matvec(a)), offset)
     return datum.memo[key]
 
@@ -48,7 +42,8 @@ def phi_eval(datum, info, x):
     representatives, in the class-invariant convention.  L^T.x is formed
     once for all representatives."""
     lx = datum.LT.matvec(x)
-    thetas = [lattice_argmin(datum.G, vec_add(lx, _h0(datum, b))).value
+    thetas = [lattice_argmin(datum.G,
+                             vec_add(lx, _h_constant(datum, b))).value
               + dot(b, x) + q_ell_constant(datum, b) for b in info.reps]
     return tuple(t - thetas[0] for t in thetas[1:])
 
@@ -129,7 +124,7 @@ def _refine_pieces(datum, reps, domain, n):
     so vertex agreement makes the piece argmin-constant; disagreement
     yields two vertices strictly separated by an exact bisector.  A vertex
     record holds L^T.v and the minimizer sets, filled as pieces ask."""
-    h0 = [_h0(datum, b) for b in reps]
+    h0 = [_h_constant(datum, b) for b in reps]
     records = {}
 
     def argmins(rec, k):
@@ -415,9 +410,7 @@ class ImageComplex(NamedTuple):
 
 
 def _lattice_length(edge):
-    den = 1
-    for c in edge:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in edge))
     ints = [int(c * den) for c in edge]
     g = content(ints)
     if g == 0:
@@ -460,7 +453,8 @@ def _sampled_unimodular(datum, info, resolution):
     for idx in product(range(resolution), repeat=datum.n):
         u = tuple(Fraction(i, resolution) for i in idx)
         lx = datum.LT.matvec(P.matvec(u))
-        mins = [lattice_argmin(datum.G, vec_add(lx, _h0(datum, b))).minimizers
+        mins = [lattice_argmin(datum.G,
+                               vec_add(lx, _h_constant(datum, b))).minimizers
                 for b in info.reps]
         # a point with a tie sits on a wall; its mixed profile need not
         # come from any single cell, so only unique minimizers count
@@ -475,18 +469,20 @@ def _sampled_unimodular(datum, info, resolution):
     return all(verdicts), verdicts
 
 
-def faithful_certificate(datum, info, resolution=20, pam=None):
+def faithful_certificate(datum, info, resolution=20, pam=None, mode=None):
     """Unimodularity and injectivity combined: both certified for n = 1,
     cells exact with sampled injectivity for n = 2, both sampled above.
-    pam, the cell map for n <= 2, is computed here when not given."""
+    For n <= 2, mode ("exact" or "grid", as in check_injective) forces the
+    injectivity check, and None chooses it by dimension; above, mode is
+    ignored.  pam, the cell map for n <= 2, is computed here when not
+    given."""
     if datum.n <= 2:
         pam = pam or linearity_cells(datum, info)
         unimodular, verdicts = check_unimodular(pam)
-        if datum.n == 1:
-            inj = check_injective(datum, info, mode="exact", pam=pam)
-        else:
-            inj = check_injective(datum, info, mode="grid",
-                                  resolution=resolution)
+        if mode is None:
+            mode = "exact" if datum.n == 1 else "grid"
+        inj = check_injective(datum, info, mode=mode, resolution=resolution,
+                              pam=pam)
     else:
         unimodular, verdicts = _sampled_unimodular(datum, info,
                                                    min(resolution, 6))

@@ -3,15 +3,16 @@
 Everything in this module is exact: entries are `fractions.Fraction` (plain
 ints are accepted and widened), no floating point is used anywhere, and all
 comparisons are decidable.  The operations provided are the ones the rest of
-the package needs: determinants and solves over the rationals, Smith normal
-form with recorded unimodular row/column transforms, invariant factors from
-the same integer elimination without transforms, unimodularity tests for
-integer maps, and a rational LDL^T factorization that doubles as the
-positive-definiteness test.
+the package needs.  One rational Gaussian elimination serves determinants,
+solves, inverses (one elimination beside the identity) and the LDL^T
+factorization that doubles as the positive-definiteness test.  The integer
+Smith elimination is kept apart: it gives the Smith normal form with
+recorded unimodular row/column transforms, and invariant factors and
+unimodularity tests for integer maps without transforms.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from .errors import NotSymmetric, SingularMatrix, SingularPivot
@@ -184,66 +185,68 @@ def is_integer_vector(v):
 
 # -- Gaussian elimination over Q --------------------------------------------
 
-def det(M):
+def _eliminate(M, extra=None):
+    """Gaussian elimination of the square matrix M beside the n rows of
+    right-hand columns in extra.  Rows are swapped only at a zero pivot,
+    and a column that is zero from the diagonal down keeps the pivot 0.
+    Returns (a, swaps): the reduced rows, holding each multiplier in place
+    of the entry it eliminated, and the columns where rows were swapped."""
     if not M.is_square:
-        raise ValueError("determinant of a non-square matrix")
+        raise ValueError("elimination needs a square matrix")
     n = M.rows
-    a = M.to_lists()
-    result = Fraction(1)
+    a = [list(M.row(i)) + (list(extra[i]) if extra else []) for i in range(n)]
+    swaps = []
     for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            result = -result
-        result *= a[k][k]
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if i is None:
+                continue
+            a[k], a[i] = a[i], a[k]
+            swaps.append(k)
         inv = 1 / a[k][k]
         for i in range(k + 1, n):
             f = a[i][k] * inv
             if f:
-                for j in range(k, n):
+                a[i][k] = f
+                for j in range(k + 1, len(a[i])):
                     a[i][j] -= f * a[k][j]
-    return result
+    return a, swaps
+
+
+def _back_substitute(a):
+    # the solution X of U X = C, row by row, for the upper triangle U of an
+    # elimination and its right-hand columns C
+    n = len(a)
+    if any(a[k][k] == 0 for k in range(n)):
+        raise SingularMatrix("matrix is singular")
+    X = [None] * n
+    for i in range(n - 1, -1, -1):
+        X[i] = [(a[i][c] - sum((a[i][j] * X[j][c - n]
+                                for j in range(i + 1, n)), Fraction(0)))
+                / a[i][i] for c in range(n, len(a[i]))]
+    return X
+
+
+def det(M):
+    a, swaps = _eliminate(M)
+    return prod((a[k][k] for k in range(M.rows)),
+                start=Fraction((-1) ** len(swaps)))
 
 
 def solve(M, v):
     """Solve M x = v exactly; raises SingularMatrix if M is not invertible."""
-    if not M.is_square:
-        raise ValueError("solve needs a square matrix")
-    n = M.rows
-    a = M.to_lists()
-    b = list(to_vector(v))
-    if len(b) != n:
+    v = to_vector(v)
+    if len(v) != M.rows:
         raise ValueError("length mismatch")
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrix("matrix is singular")
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            b[k], b[pivot_row] = b[pivot_row], b[k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-                b[i] -= f * b[k]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = b[i] - sum((a[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        x[i] = s / a[i][i]
-    return tuple(x)
+    a, _ = _eliminate(M, [[x] for x in v])
+    return tuple(x for x, in _back_substitute(a))
 
 
 def inverse(M):
-    if not M.is_square:
-        raise ValueError("inverse of a non-square matrix")
-    n = M.rows
-    cols = [solve(M, [Fraction(int(i == j)) for i in range(n)])
-            for j in range(n)]
-    return Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
+    """M^-1 from one elimination of M beside the identity."""
+    a, _ = _eliminate(M, Matrix.identity(M.rows).to_lists())
+    return Matrix(M.rows, M.rows, [x for row in _back_substitute(a)
+                                   for x in row])
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -363,31 +366,22 @@ def ldlt(G):
 
     Returns (L, D, definite) with G = L.diag(D).L^T and definite true iff
     all pivots are positive, which by Sylvester's criterion is equivalent to
-    positive definiteness.  A zero pivot above nonzero column entries means
-    no LDL^T exists; that raises SingularPivot (such G is never positive
-    definite, a leading principal minor vanishes).
+    positive definiteness.  L and D are the multipliers and pivots of the
+    one elimination.  A zero pivot above nonzero column entries, where the
+    elimination swaps rows, means no LDL^T exists; that raises
+    SingularPivot (such G is never positive definite, a leading principal
+    minor vanishes).
     """
-    if not isinstance(G, Matrix) or not G.is_square or not G.is_symmetric():
+    if not isinstance(G, Matrix) or not G.is_symmetric():
         raise NotSymmetric("ldlt needs a symmetric matrix")
+    a, swaps = _eliminate(G)
+    if swaps:
+        raise SingularPivot("zero pivot with nonzero column at %d" % swaps[0])
     n = G.rows
-    S = G.to_lists()
-    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    d = []
-    for k in range(n):
-        p = S[k][k]
-        if p == 0:
-            if any(S[i][k] != 0 for i in range(k + 1, n)):
-                raise SingularPivot("zero pivot with nonzero column at %d" % k)
-            d.append(Fraction(0))
-            continue
-        d.append(p)
-        for i in range(k + 1, n):
-            f = S[i][k] / p
-            L[i][k] = f
-            if f:
-                for j in range(k, n):
-                    S[i][j] -= f * S[k][j]
-    return LDLT(Matrix.from_rows(L), tuple(d), all(x > 0 for x in d))
+    L = Matrix(n, n, [a[i][j] if j < i else int(i == j)
+                      for i in range(n) for j in range(n)])
+    d = tuple(a[k][k] for k in range(n))
+    return LDLT(L, d, all(x > 0 for x in d))
 
 
 def is_positive_definite(G):
@@ -412,7 +406,4 @@ def integer_vector(v):
 
 def content(v):
     """gcd of an integer vector, 0 for the zero vector."""
-    g = 0
-    for x in v:
-        g = gcd(g, int(x))
-    return g
+    return gcd(*(int(x) for x in v))

@@ -152,7 +152,11 @@ def dumps(obj):
 
 def dump(obj, path):
     """Serialize deterministically and write atomically."""
-    text = dumps(obj)
+    return _write_atomic(dumps(obj), path)
+
+
+def _write_atomic(text, path):
+    # write into a temporary file beside path, then move it into place
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

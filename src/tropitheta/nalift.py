@@ -342,7 +342,10 @@ def fourier_lift(datum, b, radius):
     """The Fourier coefficients of the canonical lift of theta_b: the
     coefficient at u = b + L.a is c(a) * t(a, b), over the window
     |a_i| <= radius.  The window must contain the valuation minimum so
-    that downstream evaluation can start from a certified support."""
+    that downstream evaluation can start from a certified support.  A
+    radius >= 1 reaches negative a_i, which raise cBasis and Tmat entries
+    to negative powers: the scalar model inverts monomials only, so those
+    entries must be monomials, or the lift raises NotInvertible."""
     trop = _polarized_trop(datum)
     b = tuple(int(c) for c in to_vector(b))
     radius = int(radius)
@@ -397,12 +400,16 @@ def tropicalize_fourier(fd, v):
     """min over the support of <u, v> + val(coeff_u), certified against
     the infinite tail: per part the full lattice minimum of the quadratic
     valuation growth must be attained inside the window."""
+    return _tropicalize(fd, c_trop(fd.window.datum), v)
+
+
+def _tropicalize(fd, trop, v):
+    # tropicalize_fourier, given the tropical datum trop of the window datum
     v = to_vector(v)
     if not fd.coeffs:
         return INF
     finite = min(dot([Fraction(c) for c in u], v) + vs_val(g)
                  for u, g in fd.coeffs.items())
-    trop = c_trop(fd.window.datum)
     best = None
     for b, mult, radius in fd.window.parts:
         part = (vs_val(mult) + dot([Fraction(int(c)) for c in b], v)
@@ -493,7 +500,7 @@ def surjective_lift(datum, targets, radius):
         _window_minimum(trop, b, [0] * datum.n, radius)
         coeffs.update(_part_coeffs(datum, b, mult, radius))
     fd = FourierData(coeffs, LiftWindow(datum, parts))
-    verified = all(tropicalize_fourier(fd, v) == min_plus_eval(comb, v)
+    verified = all(_tropicalize(fd, trop, v) == min_plus_eval(comb, v)
                    for v in samples)
     return fd, LiftReport((1,) * len(parts), tuple(samples), verified)
 
@@ -510,12 +517,7 @@ def divide_datum(datum, d1):
         raise PreconditionViolated("d1 must be a positive integer")
     if d1 == 1:
         return datum
-    entries = [int(datum.L[i, j]) for i in range(datum.n)
-               for j in range(datum.n)]
-    g = 0
-    for e in entries:
-        g = gcd(g, e)
-    if g % d1 != 0:
+    if gcd(*(int(x) for x in datum.L.entries)) % d1 != 0:
         raise PreconditionViolated(
             "%d does not divide the type of the polarization" % d1)
     L1 = Matrix.from_rows([[datum.L[i, j] / d1 for j in range(datum.n)]

@@ -16,19 +16,21 @@ with lb = lambda^-1(b) and r the ell point; with that shift theta_b depends
 only on the class of b modulo lambda(M'), whereas the (lambda, gamma)
 normalization depends on the chosen representative.
 
-The minimizer search is an exact Fincke-Pohst enumeration over the LDL^T of
-G, scaled to integers.  The factorization, the definiteness check and G^-1
-are prepared once per Gram matrix, in a bounded cache keyed by the
-immutable Matrix value.  Per call the continuous minimizer is one
-matrix-vector product, every partial sum of the G-norm is an integer over
-one common denominator, and every interval end is a closed form in integer
-square roots, so ties are found exactly and no floating point is involved.
+The minimizer search is an exact Fincke-Pohst walk over the LDL^T of G,
+scaled to integers; the same walk, under a fixed bound around the origin,
+enumerates the lattice ball that gives the Voronoi cut lines.  The
+factorization, the definiteness check and G^-1 are prepared once per Gram
+matrix, in a bounded cache keyed by the immutable Matrix value.  Per call
+the continuous minimizer is one matrix-vector product, every partial sum of
+the G-norm is an integer over one common denominator, and every interval
+end is a closed form in integer square roots, so ties are found exactly and
+no floating point is involved.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .errors import NotPolarization, PreconditionViolated, SingularPivot
@@ -47,24 +49,6 @@ class ArgminResult(NamedTuple):
     minimizers: tuple   # all integer minimizers, sorted
     value: Fraction     # the attained minimum
     tie: bool           # more than one minimizer
-
-
-def round_half_up(t):
-    """Nearest integer, halves rounded up: floor(t + 1/2)."""
-    t = Fraction(t) + Fraction(1, 2)
-    return t.numerator // t.denominator
-
-
-def floor_plus_sqrt(c, r):
-    """floor(c + sqrt(r)) for rationals c and r >= 0, exact.
-
-    With c = cn/cd (cd > 0), c + sqrt(r) = (cn + sqrt(r.cd^2))/cd, and
-    floor((cn + y)/cd) = floor((cn + floor(y))/cd) for integers cn, cd."""
-    if r < 0:
-        raise ValueError("negative radicand")
-    cd = c.denominator
-    return (c.numerator
-            + isqrt(r.numerator * cd * cd // r.denominator)) // cd
 
 
 @lru_cache(maxsize=128)
@@ -133,26 +117,49 @@ def lattice_argmin(G, h):
     p = [x // t for x in p]
     q //= t
     qm = q * m
-    a = [(2 * x + q) // (2 * q) for x in p]
-    u = [0] * n
     best = 0
+    u = [0] * n
     for i in range(n - 1, -1, -1):
-        u[i] = q * a[i] - p[i]
+        u[i] = q * ((2 * p[i] + q) // (2 * q)) - p[i]
         w = m * u[i] + sum(lji * u[j] for j, lji in cols[i])
         best += e[i] * w * w
     # the rounded start is always re-found: its partial sums never exceed
     # the bound it set, so found is never empty
     found = []
 
+    def keep(a, norm):
+        nonlocal best
+        if norm < best:
+            best = norm
+            found.clear()
+        found.append(a)
+        return best
+    _walk(cols, e, m, p, q, best, keep)
+    found.sort()
+    hahat = sum(x * y for x, y in zip(hn, p))
+    value = Fraction(best * hd + hahat * k * q * m * m, 2 * k * qm * qm * hd)
+    return ArgminResult(tuple(found), value, len(found) > 1)
+
+
+def _walk(cols, e, m, p, q, bound, leaf):
+    # The Fincke-Pohst walk of lattice_argmin over every integer a with
+    # sum_i e_i W_i^2 <= bound around the center p/q.  At each such a, in
+    # lexicographic order from the last coordinate, leaf(a, norm) returns
+    # the bound for the rest of the walk.
+    n = len(e)
+    qm = q * m
+    a = [0] * n
+    u = [0] * n
+
     def descend(i, partial):
-        nonlocal best, found
+        nonlocal bound
         c = m * p[i] - sum(lji * u[j] for j, lji in cols[i])
         ei = e[i]
-        r = isqrt((best - partial) // ei)
+        r = isqrt((bound - partial) // ei)
         for ai in range(-((r - c) // qm), (c + r) // qm + 1):
             w = qm * ai - c
             npart = partial + ei * w * w
-            if npart > best:
+            if npart > bound:
                 if w > 0:
                     break
                 continue
@@ -161,16 +168,24 @@ def lattice_argmin(G, h):
                 u[i] = q * ai - p[i]
                 descend(i - 1, npart)
             else:
-                if npart < best:
-                    best = npart
-                    found = []
-                found.append(tuple(a))
+                bound = leaf(tuple(a), npart)
 
     descend(n - 1, 0)
-    found.sort()
-    hahat = sum(x * y for x, y in zip(hn, p))
-    value = Fraction(best * hd + hahat * k * q * m * m, 2 * k * qm * qm * hd)
-    return ArgminResult(tuple(found), value, len(found) > 1)
+
+
+def _ball(G, bound):
+    # the integer v with v^T G v <= bound for positive definite G: the walk
+    # around the origin (p = 0, q = 1, so K = k m^2) under a fixed bound
+    n, m, k, cols, e, _, _ = _prepared(G)
+    limit = floor(Fraction(bound) * k * m * m)
+    out = []
+
+    def keep(v, norm):
+        out.append(v)
+        return limit
+    if limit >= 0:
+        _walk(cols, e, m, [0] * n, 1, limit, keep)
+    return out
 
 
 class ThetaFunction:
@@ -213,15 +228,20 @@ def q_ell_constant(datum, b):
     return datum.memo[key]
 
 
-def theta_h_vector(datum, b, x):
-    """The linear part h = L^T.x + Pmat^T.b - ell of the minimand; the
-    part Pmat^T.b - ell is computed once per datum and representative."""
+def _h_constant(datum, b):
+    # Pmat^T.b - ell, the part of h that depends on the representative b
+    # but not on x; computed once per datum and representative
     key = ("h0", tuple(b))
     if key not in datum.memo:
         bf = [Fraction(int(c)) for c in b]
         datum.memo[key] = vec_sub(datum.torus.Pmat.transpose().matvec(bf),
                                   datum.ellVec)
-    return vec_add(datum.LT.matvec(x), datum.memo[key])
+    return datum.memo[key]
+
+
+def theta_h_vector(datum, b, x):
+    """The linear part h = L^T.x + Pmat^T.b - ell of the minimand."""
+    return vec_add(datum.LT.matvec(x), _h_constant(datum, b))
 
 
 def theta_argmin(theta, x):

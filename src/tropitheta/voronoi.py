@@ -19,7 +19,7 @@ linearity cells of the theta map (embedding) are both built with it.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -31,7 +31,7 @@ from .exactlinalg import (
     is_positive_definite, is_unimodular_map, snf, solve, to_vector, vec_add,
     vec_scale, vec_sub,
 )
-from .theta import ArgminResult, floor_plus_sqrt, lattice_argmin
+from .theta import ArgminResult, _ball, lattice_argmin
 from .torus import polarization_type
 
 
@@ -242,27 +242,14 @@ def _simplex_basis(qs):
 def _normalize_line(a, c):
     # integer, content-one, sign-fixed representative of the line a.x = c
     nums = [Fraction(x) for x in a] + [Fraction(c)]
-    den = 1
-    for x in nums:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in nums))
     ints = [int(x * den) for x in nums]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints[:-1] if x != 0)
     if lead < 0:
         ints = [-x for x in ints]
     return tuple(ints[:-1]), ints[-1]
-
-
-def _ellipsoid(G, bound):
-    # integer v with v^T G v <= bound
-    Ginv = inverse(G)
-    rngs = [range(-floor_plus_sqrt(Fraction(0), Ginv[i, i] * Fraction(bound)),
-                  floor_plus_sqrt(Fraction(0), Ginv[i, i] * Fraction(bound)) + 1)
-            for i in range(G.rows)]
-    return [v for v in product(*rngs) if gram_norm(G, v) <= bound]
 
 
 # -- convex polygons: counterclockwise lists of rational points, area > 0 ----
@@ -347,12 +334,13 @@ def _cut_lines(cell):
     # facet line of the cell moved by t = p - s.  Those shifts t are exactly
     # the t in (1/2) Z^n with t^T G t <= B: every p - s is one, and every
     # such t arises from s = -t, p = 0.  So one enumeration of the integer
-    # vectors 2t with (2t)^T G (2t) <= 4B gives every cut line.
+    # vectors 2t with (2t)^T G (2t) <= 4B, the Fincke-Pohst walk of theta
+    # over the ball of G around the origin, gives every cut line.
     lat = cell.lattice
     n = lat.n
     bound = n * sum(lat.G[i, i] for i in range(n))  # diam(cell)^2 <= n tr G
     lines = set()
-    for s2 in _ellipsoid(lat.G, 4 * bound):
+    for s2 in _ball(lat.G, 4 * bound):
         shift = vec_scale(Fraction(1, 2), s2)
         for a, c in cell.halfspaces:
             lines.add(_normalize_line(a, c + dot(shift, a)))

@@ -2,10 +2,11 @@
 
 The oracles are deliberately written from first principles, without
 importing the package under test: naive minor expansions, exhaustive box
-enumeration, Sylvester minors, and the two-pass polygon clipping and
-centroid ordering that the polygon kernel replaced.  Slow but obviously
-correct at the sizes the tests use.  The last section holds small helpers
-that only tests call; they compose public package functions.
+enumeration (around a center, and over the box of an ellipsoid), exact
+rounding and square-root floors, Sylvester minors, and the two-pass polygon
+clipping and centroid ordering that the polygon kernel replaced.  Slow but
+obviously correct at the sizes the tests use.  The last section holds small
+helpers that only tests call; they compose public package functions.
 """
 
 import functools
@@ -126,6 +127,43 @@ def certified_box_argmin(G_rows, h, radius):
                 radius - abs(ahat[i] - center[i])) ** 2:
             return None
     return value, mins
+
+
+def round_half_up(t):
+    """Nearest integer, halves rounded up: floor(t + 1/2)."""
+    t = Fraction(t) + Fraction(1, 2)
+    return t.numerator // t.denominator
+
+
+def floor_plus_sqrt(c, r):
+    """floor(c + sqrt(r)) for rationals c and r >= 0, exact.
+
+    With c = cn/cd (cd > 0), c + sqrt(r) = (cn + sqrt(r.cd^2))/cd, and
+    floor((cn + y)/cd) = floor((cn + floor(y))/cd) for integers cn, cd."""
+    if r < 0:
+        raise ValueError("negative radicand")
+    cd = c.denominator
+    return (c.numerator
+            + isqrt(r.numerator * cd * cd // r.denominator)) // cd
+
+
+def ellipsoid_box_scan(G_rows, bound):
+    """The integer v with v^T G v <= bound (G positive definite), sorted,
+    by scanning the box |v_i| <= sqrt((G^-1)_ii max(bound, 0)) point by
+    point, with (G^-1)_ii = det G_ii / det G from minor expansions: the box
+    scan that the Fincke-Pohst ball enumeration replaced."""
+    n = len(G_rows)
+    D = Fraction(det_expansion(G_rows))
+    bound = Fraction(bound)
+    ranges = []
+    for i in range(n):
+        minor = [[G_rows[r][c] for c in range(n) if c != i]
+                 for r in range(n) if r != i]
+        k = floor_plus_sqrt(Fraction(0),
+                            det_expansion(minor) / D * max(bound, 0))
+        ranges.append(range(-k, k + 1))
+    return sorted(v for v in itertools.product(*ranges)
+                  if gram_norm(G_rows, v) <= bound)
 
 
 def gram_norm(G_rows, v):

@@ -4,10 +4,10 @@ whose SHA-256 digests equal the recorded ones.
 A change that claims byte-identical artifacts keeps this test passing
 unchanged; a change that means to alter an artifact updates its digest here
 and says why.  The jobs cover the Voronoi decomposition (piece vertex
-order), the linearity cells (hull order), the certificates, the elliptic
-example and Fourier lifts, with a 'b' and with a 'targets' payload.  The
-plane data are the first four acceptance-test-04 draws (random.Random(7)),
-copied literally.
+order), the linearity cells (hull order), the certificates (by dimension
+and with a forced injectivity mode), the elliptic example and Fourier
+lifts, with a 'b' and with a 'targets' payload.  The plane data are the
+first four acceptance-test-04 draws (random.Random(7)), copied literally.
 """
 
 import hashlib
@@ -35,6 +35,9 @@ PLANE_100 = _plane([[15, -6], [-9, 12]], [[6, -3], [-3, 3]])
 PLANE_136 = _plane([[-18, 51], [-12, 27]], [[-3, 9], [-3, 6]])
 PLANE_48 = _plane([[0, 12], [-12, 6]], [[0, 3], [-6, 3]])
 
+ELLIPTIC_2 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[2]]), "ell": ["0"]}}
+ELLIPTIC_3 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[3]]), "ell": ["0"]}}
+
 NA_ELLIPTIC_3 = {"na_datum": {
     "Pmat": {"rows": 1, "cols": 1, "entries": ["12"]},
     "L": {"rows": 1, "cols": 1, "entries": ["3"]},
@@ -58,6 +61,16 @@ JOBS = [
     ("certify-136", ["certify", "--resolution", "4"], PLANE_136, 0, {
         "certify.json":
             "bf9ea024b5095100d4a62abcc323e44fd038972abe93e3b9e95112e376f77577"}),
+    ("certify-exact-3", ["certify", "--mode", "exact"], ELLIPTIC_3, 0, {
+        "certify.json":
+            "3b556b1b3c9780e51eae35b7be8d7600ee3b804d2cb1c1c7e72829655e923906"}),
+    ("certify-exact-2", ["certify", "--mode", "exact"], ELLIPTIC_2, 3, {
+        "certify.json":
+            "e1476e89a818fa9becde448cba3d74930a0281b99c0f330199f6522904c84215"}),
+    ("certify-sampled-4",
+     ["certify", "--mode", "sampled", "--resolution", "4"], PLANE_4, 0, {
+        "certify.json":
+            "567493b2baa4cf2441308a46314a23bca0534d437d1de5a97bd1bc919a9c3e19"}),
     ("embed-42", ["embed"], PLANE_4, 0, {
         "embed.json":
             "b50daa482ac7e99c1fa7348deac72c756e85c5a85862659d6a48f63f5bb82a56",

@@ -382,6 +382,29 @@ class TestDeterminism:
         assert raw == jsonio.dumps(json.loads(raw))
 
 
+class TestAtomicArtifacts:
+    @pytest.mark.parametrize("argv, svg", [
+        (["embed"], "embed.svg"),
+        (["example45", "--d", "3"], "example45.svg"),
+    ], ids=["embed", "example45"])
+    def test_svg_is_moved_into_place(self, tmp_path, monkeypatch, argv, svg):
+        placed = []
+        replace = os.replace
+
+        def recorded(src, dst):
+            placed.append(os.path.basename(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recorded)
+        if argv[0] == "embed":
+            argv = argv + ["--input",
+                           job(tmp_path, {"datum": elliptic_json(3)})]
+        assert run(tmp_path, *argv) == 0
+        assert svg in placed
+        assert not [f for f in os.listdir(tmp_path / "out")
+                    if f.endswith(".tmp")]
+
+
 class TestOneCellMapPerJob:
     @pytest.mark.parametrize("argv", [
         ["example45", "--d", "6"],

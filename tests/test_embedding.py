@@ -472,6 +472,23 @@ class TestFaithfulCertificate:
             assert rep.injective.status == status
             assert rep.faithful is faith
 
+    def test_mode_forces_the_injectivity_check(self):
+        datum, info = with_type(circle_datum(d=3))
+        assert faithful_certificate(datum, info, resolution=8, mode="grid") \
+            .injective.status == "sampled-ok"
+        assert faithful_certificate(datum, info, mode="exact") \
+            .injective.status == "certified"
+        plane, plane_info = with_type(plane_datum([[3, 0], [0, 3]]))
+        with pytest.raises(DimensionUnsupported):
+            faithful_certificate(plane, plane_info, mode="exact")
+        # above n = 2 both halves are sampled whatever the mode
+        L = Matrix.from_rows([[3, 0, 0], [0, 3, 0], [0, 0, 3]])
+        space = validate_datum(build_torus(Matrix.identity(3)), L, [0, 0, 0])
+        space_info = polarization_type(space)
+        assert faithful_certificate(space, space_info, resolution=4,
+                                    mode="exact") \
+            == faithful_certificate(space, space_info, resolution=4)
+
     def test_translation_preserves_the_verdict(self):
         # replacing ell by ell - G.v translates phi, so the report
         # must not change

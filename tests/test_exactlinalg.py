@@ -11,7 +11,7 @@ from tropitheta.errors import NotSymmetric, SingularMatrix, SingularPivot
 from tropitheta.theta import _prepared, lattice_argmin
 
 from oracles import (
-    minor_gcd_invariant_factors, sylvester_is_positive_definite,
+    det_expansion, minor_gcd_invariant_factors, sylvester_is_positive_definite,
 )
 
 
@@ -31,6 +31,23 @@ def symmetric_matrix_strategy(max_dim=4, bound=9):
                 lambda rows: [[rows[i][j] + rows[j][i] for j in range(n)]
                               for i in range(n)])
     return st.integers(1, max_dim).flatmap(build)
+
+
+@st.composite
+def rational_square_matrices(draw, max_dim=4):
+    # small rational entries; half the draws zero the leading entry, so the
+    # elimination must swap rows, and half put a combination of two rows in
+    # the last row, so the matrix is singular
+    n = draw(st.integers(1, max_dim))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows[0][0] = Fraction(0)
+    if n > 1 and draw(st.booleans()):
+        c = draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
+        rows[-1] = [x + c * y for x, y in zip(rows[0], rows[n // 2 - 1])]
+    v = [draw(entry) for _ in range(n)]
+    return rows, v
 
 
 class TestMatrix:
@@ -122,6 +139,22 @@ class TestSolve:
             solve(m, (1, 0))
         with pytest.raises(SingularMatrix):
             inverse(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_square_matrices())
+    def test_one_elimination_matches_the_expansion(self, case):
+        rows, v = case
+        m = Matrix.from_rows(rows)
+        d = det(m)
+        assert d == det_expansion(rows)
+        if d == 0:
+            with pytest.raises(SingularMatrix):
+                solve(m, v)
+            with pytest.raises(SingularMatrix):
+                inverse(m)
+            return
+        assert m.matvec(solve(m, v)) == tuple(v)
+        assert m * inverse(m) == Matrix.identity(m.rows)
 
 
 class TestSmithNormalForm:

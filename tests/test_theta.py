@@ -7,16 +7,17 @@ from tropitheta.exactlinalg import (
     Matrix, dot, gram_norm, inverse, solve, vec_add, vec_scale, vec_sub,
 )
 from tropitheta.errors import NotPolarization, PreconditionViolated
+from tropitheta.theta import _ball
 from tropitheta.theta import (
     INF, LAMBDA_GAMMA, Q_ELL, ThetaCombination, ThetaFunction,
-    floor_plus_sqrt, lattice_argmin, min_plus_eval,
-    quasi_periodicity_check, round_half_up, sublattice_identity_check,
-    theta_eval, translate_datum,
+    lattice_argmin, min_plus_eval, quasi_periodicity_check,
+    sublattice_identity_check, theta_eval, translate_datum,
 )
 from tropitheta.torus import build_torus, validate_datum
 
 from oracles import (
-    box_argmin, certified_box_argmin, concavity_check, gamma_rational_check,
+    box_argmin, certified_box_argmin, concavity_check, ellipsoid_box_scan,
+    floor_plus_sqrt, gamma_rational_check, round_half_up,
 )
 
 
@@ -224,6 +225,49 @@ class TestBruteForceArgmin:
             res = lattice_argmin(Matrix.from_rows(G_rows), h)
             value, mins = certified_box_argmin(G_rows, h, 6)
             assert res == (tuple(mins), value, len(mins) > 1)
+
+
+@st.composite
+def pd_rational_grams(draw):
+    # A^T A + diag(s) with small rational A and s >= 1/2, n = 1..3: positive
+    # definite, with (G^-1)_ii <= 2 keeping the scanned boxes small
+    n = draw(st.integers(1, 3))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    A = [[draw(small) for _ in range(n)] for _ in range(n)]
+    s = [draw(st.fractions(min_value=Fraction(1, 2), max_value=3,
+                           max_denominator=4)) for _ in range(n)]
+    return [[sum(A[k][i] * A[k][j] for k in range(n))
+             + (s[i] if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+class TestBallEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(pd_rational_grams(),
+           st.fractions(min_value=0, max_value=10, max_denominator=5))
+    def test_matches_the_box_scan(self, rows, bound):
+        G = Matrix.from_rows(rows)
+        assert sorted(_ball(G, bound)) == ellipsoid_box_scan(rows, bound)
+
+    @settings(max_examples=30, deadline=None)
+    @given(pd_rational_grams())
+    def test_below_the_shortest_vector_only_the_origin(self, rows):
+        # each unit vector e_i has norm G_ii, so the scan up to min G_ii
+        # holds a shortest nonzero vector
+        n = len(rows)
+        G = Matrix.from_rows(rows)
+        shortest = min(gram_norm(G, v) for v in ellipsoid_box_scan(
+            rows, min(rows[i][i] for i in range(n))) if any(v))
+        assert _ball(G, shortest / 2) == [(0,) * n]
+        assert ellipsoid_box_scan(rows, shortest / 2) == [(0,) * n]
+        assert len(_ball(G, shortest)) >= 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(pd_rational_grams(),
+           st.fractions(min_value=-5, max_value=0, max_denominator=5).filter(
+               lambda x: x < 0))
+    def test_negative_bound_is_empty(self, rows, bound):
+        assert _ball(Matrix.from_rows(rows), bound) == []
+        assert ellipsoid_box_scan(rows, bound) == []
 
 
 class TestThetaEval:
