@@ -37,7 +37,7 @@ def describe(d):
           % (d, info.type, [b[0] for b in info.reps]))
     pam = linearity_cells(datum, info)
     for cm in pam.cells:
-        lo, hi = cm.cell.vertices[0][0], cm.cell.vertices[-1][0]
+        lo, hi = cm.vertices[0][0], cm.vertices[-1][0]
         pieces = []
         for b, a in zip(info.reps, cm.argmins):
             slope = b[0] + d * a[0]

@@ -27,7 +27,7 @@ def main():
 
     areas = {}
     for cm in pam.cells:
-        areas[len(cm.cell.vertices)] = areas.get(len(cm.cell.vertices), 0) + 1
+        areas[len(cm.vertices)] = areas.get(len(cm.vertices), 0) + 1
     for k in sorted(areas):
         print("  %d cells with %d vertices" % (areas[k], k))
 

@@ -15,11 +15,7 @@ from .embedding import (
     linearity_cells,
 )
 from .errors import (
-    AsymmetricPairing, CertificateFailed, DimensionUnsupported,
-    DivisionByZero, NonIntegerLambda, NotInvertible,
-    NotPolarization, NotQuadratic, NotSymmetric, PreconditionViolated,
-    RootUnavailable, SchemaError, SingularEmbedding, SingularMatrix,
-    SingularPivot, ValuationMismatch, WindowInsufficient,
+    CertificateFailed, PreconditionFailure, PreconditionViolated, SchemaError,
 )
 from .nalift import (
     fourier_lift, surjective_lift, verify_na_quasi_periodicity,
@@ -27,14 +23,6 @@ from .nalift import (
 from .theta import INF, Q_ELL, LAMBDA_GAMMA, ThetaFunction, theta_eval
 from .torus import build_torus, polarization_type, validate_datum
 from .voronoi import VoronoiCell, certified_cells
-
-PRECONDITION_ERRORS = (
-    AsymmetricPairing, DimensionUnsupported, DivisionByZero,
-    NonIntegerLambda, NotInvertible, NotPolarization,
-    NotQuadratic, NotSymmetric, PreconditionViolated, RootUnavailable,
-    SingularEmbedding, SingularMatrix, SingularPivot, ValuationMismatch,
-    WindowInsufficient,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,15 +86,13 @@ def _payload_datum(payload):
     return jsonio.datum_from_json(payload["datum"])
 
 
-def _int_vector(obj, what):
-    if not isinstance(obj, list):
+def _int_vector(obj, what, n):
+    # a list of n integers, n being the dimension of the job's datum
+    if not isinstance(obj, list) or not all(isinstance(c, int) for c in obj):
         raise SchemaError("%s must be a list of integers" % what)
-    out = []
-    for c in obj:
-        if not isinstance(c, int):
-            raise SchemaError("%s must be a list of integers" % what)
-        out.append(c)
-    return tuple(out)
+    if len(obj) != n:
+        raise SchemaError("%s must have %d entries" % (what, n))
+    return tuple(obj)
 
 
 def _type_json(info):
@@ -125,10 +111,12 @@ def cmd_theta(args):
     datum = _payload_datum(payload)
     if "b" not in payload or "points" not in payload:
         raise SchemaError("theta payload needs 'b' and 'points'")
-    b = _int_vector(payload["b"], "b")
+    b = _int_vector(payload["b"], "b", datum.n)
     convention = Q_ELL if args.mode == "q_ell" else LAMBDA_GAMMA
     theta = ThetaFunction(datum, b, convention)
     points = [jsonio.vector_from_json(p) for p in payload["points"]]
+    if any(len(p) != datum.n for p in points):
+        raise SchemaError("each point must have %d entries" % datum.n)
     values = [jsonio.rational_to_str(theta_eval(theta, p)) for p in points]
     _emit(args, "theta.json", {
         "b": list(b), "convention": args.mode,
@@ -141,7 +129,7 @@ def _cells_json(pam):
     cells = []
     for cm in pam.cells:
         cells.append({
-            "vertices": [jsonio.vector_to_json(v) for v in cm.cell.vertices],
+            "vertices": [jsonio.vector_to_json(v) for v in cm.vertices],
             "A": jsonio.matrix_to_json(cm.A),
             "offset": jsonio.vector_to_json(cm.offset),
             "argmins": [[int(c) for c in a] for a in cm.argmins]})
@@ -172,7 +160,7 @@ def cmd_embed(args):
                         "kind": "polygon"})
     else:
         for cm in pam.cells:
-            figures.append({"points": svg.plane_points(cm.cell.vertices),
+            figures.append({"points": svg.plane_points(cm.vertices),
                             "kind": "polygon"})
     _emit(args, "embed.json", out)
     _emit(args, "embed.svg", svg.render(figures, title="theta image"))
@@ -209,7 +197,7 @@ def cmd_voronoi(args):
         datum = _payload_datum(payload)
         translates = None
         if "translates" in payload:
-            translates = [_int_vector(t, "translate")
+            translates = [_int_vector(t, "translate", datum.n)
                           for t in payload["translates"]]
         info, dec, certs = certified_cells(datum, translates)
         _emit(args, "voronoi.json", {
@@ -261,7 +249,7 @@ def cmd_lift(args):
         return 0 if report.verified else 3
     if "b" not in payload:
         raise SchemaError("lift payload needs 'b' or 'targets'")
-    b = _int_vector(payload["b"], "b")
+    b = _int_vector(payload["b"], "b", nad.n)
     fd = fourier_lift(nad, b, args.window)
     shifts = {}
     ok = True
@@ -293,8 +281,8 @@ def cmd_example45(args):
             thetas.append({"b": int(b[0]), "slope": int(slope[0]),
                            "offset": jsonio.rational_to_str(offset)})
         table.append({
-            "interval": [jsonio.rational_to_str(cm.cell.vertices[0][0]),
-                         jsonio.rational_to_str(cm.cell.vertices[-1][0])],
+            "interval": [jsonio.rational_to_str(cm.vertices[0][0]),
+                         jsonio.rational_to_str(cm.vertices[-1][0])],
             "theta": thetas,
             "A": jsonio.matrix_to_json(cm.A),
             "phi_offset": jsonio.vector_to_json(cm.offset)})
@@ -331,7 +319,7 @@ def main(argv=None):
     except SchemaError as exc:
         print("schema error: %s" % exc, file=sys.stderr)
         return 1
-    except PRECONDITION_ERRORS as exc:
+    except PreconditionFailure as exc:
         print("precondition failed: %s" % exc, file=sys.stderr)
         return 2
     except CertificateFailed as exc:

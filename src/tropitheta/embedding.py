@@ -5,11 +5,13 @@ representatives of the polarization; everything is studied through the
 normalized map phi~ = (theta_b - theta_b0)_{b != b0}, which is piecewise
 affine with integer slope differences.  Cells of linearity are computed
 exactly for n <= 2 by probing minimizer sets at polytope vertices and
-splitting along bisectors, with the convex-polygon kernel of voronoi (the
-one-pass split and the hull order); unimodularity and injectivity of the
-result are certified (n = 1) or sampled on a grid.  Each affine piece of
-theta_b is computed once per datum, L^T.x once per point, and a caller
-builds the cell map once and passes it to the checks that read it.
+splitting along bisectors.  One convex-polytope kernel of voronoi, for
+intervals and polygons alike (the one-pass split and the hull order),
+builds every cell, and a cell keeps only its vertices.  Unimodularity and
+injectivity of the result are certified (n = 1) or sampled on a grid.
+Each affine piece of theta_b is computed once per datum, L^T.x once per
+point, and a caller builds the cell map once and passes it to the checks
+that read it; the image complex reads its vertices off that map.
 """
 
 from fractions import Fraction
@@ -48,14 +50,9 @@ def phi_eval(datum, info, x):
     return tuple(t - thetas[0] for t in thetas[1:])
 
 
-class Cell(NamedTuple):
-    vertices: tuple     # e^v-coordinates; counterclockwise for n = 2
-    halfspaces: tuple   # (normal, offset) pairs meaning normal.x <= offset
-    dim: int
-
-
 class CellMap(NamedTuple):
-    cell: Cell
+    vertices: tuple     # e^v-coordinates: [lo, hi] for n = 1, else
+                        # counterclockwise
     argmins: tuple      # per representative, the constant minimizer
     A: Matrix           # (D-1) x n integer slope differences
     offset: tuple       # phi~ = A.x + offset on the cell
@@ -81,12 +78,9 @@ class FaithfulReport(NamedTuple):
 def fundamental_domain(torus):
     """Closure of Pmat.[0,1)^n as a vertex list (n <= 2)."""
     P = torus.Pmat
-    if P.rows == 1:
-        return sorted([(Fraction(0),), tuple(P.matvec((1,)))])
-    if P.rows == 2:
-        corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
-        return _hull([tuple(P.matvec(c)) for c in corners])
-    raise DimensionUnsupported("exact domains implemented for n <= 2")
+    if P.rows > 2:
+        raise DimensionUnsupported("exact domains implemented for n <= 2")
+    return _hull(tuple(P.matvec(c)) for c in product((0, 1), repeat=P.rows))
 
 
 def _bisector(datum, b, a1, a2):
@@ -97,13 +91,7 @@ def _bisector(datum, b, a1, a2):
     return vec_sub(s1, s2), o2 - o1
 
 
-def _split_piece(piece, normal, c, n):
-    if n == 1:
-        lo, hi = piece[0][0], piece[-1][0]
-        t = c / normal[0]
-        if not lo < t < hi:
-            raise InternalInvariantViolated("bisector misses the piece")
-        return [[(lo,), (t,)], [(t,), (hi,)]]
+def _split_piece(piece, normal, c):
     out = _split_polygon(piece, normal, c)
     if len(out) != 2:
         raise InternalInvariantViolated("bisector fails to split the piece")
@@ -118,7 +106,7 @@ def _incomparable(sets):
     raise InternalInvariantViolated("no separating pair in a mixed piece")
 
 
-def _refine_pieces(datum, reps, domain, n):
+def _refine_pieces(datum, reps, domain):
     """Split the domain until every piece has, for each representative, a
     minimizer shared by all its vertices.  Minimizer regions are convex,
     so vertex agreement makes the piece argmin-constant; disagreement
@@ -134,7 +122,7 @@ def _refine_pieces(datum, reps, domain, n):
             sets[k] = frozenset(lattice_argmin(datum.G, h).minimizers)
         return sets[k]
 
-    queue = [[tuple(Fraction(c) for c in v) for v in domain]]
+    queue = [list(domain)]
     done = []
     rounds = 0
     while queue:
@@ -162,38 +150,17 @@ def _refine_pieces(datum, reps, domain, n):
         if cut is None:
             done.append((tuple(piece), tuple(profile)))
         else:
-            queue.extend(_split_piece(piece, cut[0], cut[1], n))
+            queue.extend(_split_piece(piece, cut[0], cut[1]))
     return done
 
 
-def _merge_pieces(done, n):
+def _merge_pieces(done):
     # pieces with the same minimizer profile partition one convex region
     groups = {}
     for piece, profile in done:
         groups.setdefault(profile, []).extend(piece)
-    cells = []
-    for profile, pts in groups.items():
-        if n == 1:
-            xs = sorted(p[0] for p in pts)
-            verts = ((xs[0],), (xs[-1],))
-        else:
-            verts = tuple(_hull(pts))
-        cells.append((verts, profile))
-    cells.sort(key=lambda t: t[0])
-    return cells
-
-
-def _halfspaces(verts, n):
-    if n == 1:
-        lo, hi = verts[0][0], verts[-1][0]
-        return (((Fraction(-1),), -lo), ((Fraction(1),), hi))
-    out = []
-    m = len(verts)
-    for i in range(m):
-        p, q = verts[i], verts[(i + 1) % m]
-        normal = (q[1] - p[1], p[0] - q[0])
-        out.append((normal, dot(normal, p)))
-    return tuple(out)
+    return sorted((tuple(_hull(pts)), profile)
+                  for profile, pts in groups.items())
 
 
 def _profile_map(datum, reps, profile, n):
@@ -208,8 +175,7 @@ def _profile_map(datum, reps, profile, n):
 
 def _cell_map(datum, reps, verts, profile, n):
     A, offset = _profile_map(datum, reps, profile, n)
-    return CellMap(Cell(tuple(verts), _halfspaces(verts, n), n),
-                   tuple(profile), A, offset)
+    return CellMap(verts, tuple(profile), A, offset)
 
 
 def linearity_cells(datum, info, domain=None):
@@ -225,17 +191,12 @@ def linearity_cells(datum, info, domain=None):
         raise DimensionUnsupported("exact cells implemented for n <= 2")
     if domain is None:
         domain = fundamental_domain(datum.torus)
-    dom = [tuple(Fraction(c) for c in v) for v in domain]
-    if n == 1:
-        dom = sorted(dom)
-        if len(dom) != 2 or dom[0] == dom[1]:
-            raise PreconditionViolated("domain must be a nondegenerate interval")
-    else:
-        dom = _hull(dom)
-        if len(dom) < 3:
-            raise PreconditionViolated("domain must be a full polygon")
-    done = _refine_pieces(datum, info.reps, dom, n)
-    merged = _merge_pieces(done, n)
+    dom = _hull(tuple(Fraction(c) for c in v) for v in domain)
+    if len(dom) <= n:
+        raise PreconditionViolated(
+            "domain must be a full-dimensional polytope")
+    done = _refine_pieces(datum, info.reps, dom)
+    merged = _merge_pieces(done)
     cells = tuple(_cell_map(datum, info.reps, verts, profile, n)
                   for verts, profile in merged)
     return PiecewiseAffineMap(tuple(info.reps), cells)
@@ -319,8 +280,8 @@ def _segment_witness(p0, direction, trange, varpi):
 def _collision_pair(ci, cj, varpi):
     """A pair (x, y) in ci x cj with phi~(x) = phi~(y) and x - y not a
     period, or None."""
-    xlo, xhi = ci.cell.vertices[0][0], ci.cell.vertices[-1][0]
-    ylo, yhi = cj.cell.vertices[0][0], cj.cell.vertices[-1][0]
+    (xlo,), (xhi,) = ci.vertices
+    (ylo,), (yhi,) = cj.vertices
     rows = [(ci.A[k, 0], -cj.A[k, 0], cj.offset[k] - ci.offset[k])
             for k in range(ci.A.rows)]
     sol = _solve_two_unknowns(rows)
@@ -426,14 +387,15 @@ def image_complex_1d(datum, info, pam=None):
         raise DimensionUnsupported("image complexes implemented for n = 1")
     pam = pam or linearity_cells(datum, info)
     cells = pam.cells
-    breaks = tuple(cells[k].cell.vertices[-1][0]
-                   for k in range(len(cells) - 1)
-                   if (cells[k].A, cells[k].offset)
-                   != (cells[k + 1].A, cells[k + 1].offset))
-    params = list(breaks)
+    # phi~ = A.x + offset holds on each closed cell, so each vertex is read
+    # off a cell that its parameter bounds
+    ends = [(cm, cm.vertices[-1]) for cm, nxt in zip(cells, cells[1:])
+            if (cm.A, cm.offset) != (nxt.A, nxt.offset)]
+    breaks = tuple(x for _, (x,) in ends)
     if cells[0].A != cells[-1].A:
-        params = [cells[0].cell.vertices[0][0]] + params
-    vertices = tuple(phi_eval(datum, info, (p,)) for p in params)
+        ends.insert(0, (cells[0], cells[0].vertices[0]))
+    params = tuple(x for _, (x,) in ends)
+    vertices = tuple(vec_add(cm.A.matvec(p), cm.offset) for cm, p in ends)
     directions = []
     lengths = []
     m = len(vertices)
@@ -443,7 +405,7 @@ def image_complex_1d(datum, info, pam=None):
             prim, ln = _lattice_length(edge)
             directions.append(prim)
             lengths.append(ln)
-    return ImageComplex(tuple(breaks), tuple(params), vertices,
+    return ImageComplex(breaks, params, vertices,
                         tuple(directions), tuple(lengths))
 
 

@@ -2,7 +2,8 @@
 
 Every failure mode that a caller can sensibly react to gets its own class.
 The CLI maps these onto exit codes: schema problems exit 1, mathematical
-precondition failures exit 2, failed certificates exit 3.
+precondition failures (every subclass of PreconditionFailure) exit 2,
+failed certificates exit 3.
 """
 
 
@@ -10,18 +11,23 @@ class TropithetaError(Exception):
     """Base class for all package errors."""
 
 
+class PreconditionFailure(TropithetaError):
+    """Base class for the mathematical preconditions that an input can
+    fail; the CLI exits 2 on each."""
+
+
 # -- linear algebra ---------------------------------------------------------
 
-class NotSymmetric(TropithetaError):
+class NotSymmetric(PreconditionFailure):
     """A matrix that must be symmetric is not: the input of a
     factorization, a Gram matrix, or the derived L^T.Pmat of a datum."""
 
 
-class SingularMatrix(TropithetaError):
+class SingularMatrix(PreconditionFailure):
     """Inversion or solving was asked of a singular matrix."""
 
 
-class SingularPivot(TropithetaError):
+class SingularPivot(PreconditionFailure):
     """LDL^T hit a zero pivot with nonzero entries below it.
 
     No LDL^T factorization exists in that case.  A positive definite matrix
@@ -31,31 +37,31 @@ class SingularPivot(TropithetaError):
 
 # -- torus / descent data ---------------------------------------------------
 
-class SingularEmbedding(TropithetaError):
+class SingularEmbedding(PreconditionFailure):
     """The period matrix is singular, so the lattice is not full rank."""
 
 
-class NonIntegerLambda(TropithetaError):
+class NonIntegerLambda(PreconditionFailure):
     """A bilinear form was given that does not come from an integral map."""
 
 
-class NotPolarization(TropithetaError):
+class NotPolarization(PreconditionFailure):
     """The Gram matrix is not positive definite."""
 
 
 # -- theta engine -----------------------------------------------------------
 
-class WindowInsufficient(TropithetaError):
+class WindowInsufficient(PreconditionFailure):
     """A search box could not be certified to contain all minimizers."""
 
 
-class PreconditionViolated(TropithetaError):
+class PreconditionViolated(PreconditionFailure):
     """An identity was invoked outside its hypotheses."""
 
 
 # -- embedding analysis -----------------------------------------------------
 
-class DimensionUnsupported(TropithetaError):
+class DimensionUnsupported(PreconditionFailure):
     """Exact cell decompositions are implemented for n <= 2 only."""
 
 
@@ -71,30 +77,30 @@ class CertificateFailed(TropithetaError):
 
 # -- valued series / nonarchimedean lifts -----------------------------------
 
-class DivisionByZero(TropithetaError):
+class DivisionByZero(PreconditionFailure):
     """Division by the zero valued scalar."""
 
 
-class NotInvertible(TropithetaError):
+class NotInvertible(PreconditionFailure):
     """Only monomial valued scalars are invertible in this model."""
 
 
-class ValuationMismatch(TropithetaError):
+class ValuationMismatch(PreconditionFailure):
     """Valuations of the pairing data disagree with the tropical datum."""
 
 
-class AsymmetricPairing(TropithetaError):
+class AsymmetricPairing(PreconditionFailure):
     """The multiplicative pairing t(., lambda(.)) is not symmetric."""
 
 
-class NotQuadratic(TropithetaError):
+class NotQuadratic(PreconditionFailure):
     """The valuation of the cocycle is not a quadratic form.
 
     Unreachable through validated data; guards directly constructed or
     corrupted datum objects."""
 
 
-class RootUnavailable(TropithetaError):
+class RootUnavailable(PreconditionFailure):
     """A required d-th root does not exist in the scalar model."""
 
 

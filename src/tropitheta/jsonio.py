@@ -10,7 +10,6 @@ files.
 
 import json
 import os
-import tempfile
 from fractions import Fraction
 
 from .errors import SchemaError
@@ -72,8 +71,13 @@ def datum_from_json(obj):
         if key not in obj:
             raise SchemaError("datum needs %r" % key)
     torus = build_torus(matrix_from_json(obj["Pmat"]))
-    return validate_datum(torus, matrix_from_json(obj["L"]),
-                          vector_from_json(obj["ell"]))
+    L, ell = matrix_from_json(obj["L"]), vector_from_json(obj["ell"])
+    n = torus.n
+    if (L.rows, L.cols) != (n, n):
+        raise SchemaError("L must be %d x %d, as Pmat is" % (n, n))
+    if len(ell) != n:
+        raise SchemaError("ell must have %d entries, as Pmat has rows" % n)
+    return validate_datum(torus, L, ell)
 
 
 def scalar_to_json(s):
@@ -156,9 +160,11 @@ def dump(obj, path):
 
 
 def _write_atomic(text, path):
-    # write into a temporary file beside path, then move it into place
+    # write into a fresh file beside path, then move it into place; the file
+    # is created with mode 0o666 less the umask, as open(path, "w") creates
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, "tmp%s.tmp" % os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -458,7 +458,7 @@ def _combination_samples(trop, info):
         pam = linearity_cells(trop, info)
         samples = []
         for cm in pam.cells:
-            verts = cm.cell.vertices
+            verts = cm.vertices
             bary = tuple(sum(p[i] for p in verts) / len(verts)
                          for i in range(trop.n))
             samples.append(bary)

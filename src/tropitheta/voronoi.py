@@ -12,9 +12,10 @@ per-piece certificates: the basis turns into integer shift vectors whose
 shared-argmin property is verified exactly with the lattice minimizer,
 and whose rows assemble into a unimodular matrix.
 
-The module owns the package's one convex-polygon kernel, a one-pass split
-along a line and one hull order; the refinement of the cell and the
-linearity cells of the theta map (embedding) are both built with it.
+The module owns the package's one convex-polytope kernel, for intervals
+and polygons alike: a one-pass split along a line (a point, for n = 1) and
+one hull order.  Every cell is built with it, the pieces of the Voronoi
+cell here and the linearity cells of the theta map in embedding.
 """
 
 from fractions import Fraction
@@ -252,7 +253,7 @@ def _normalize_line(a, c):
     return tuple(ints[:-1]), ints[-1]
 
 
-# -- convex polygons: counterclockwise lists of rational points, area > 0 ----
+# -- convex polytopes: intervals [lo, hi], counterclockwise polygons --------
 
 
 def _cross(o, a, b):
@@ -260,11 +261,14 @@ def _cross(o, a, b):
 
 
 def _hull(points):
-    # convex hull by Andrew's monotone chain: counterclockwise from the
-    # least point in lexicographic order, collinear points dropped
+    # convex hull: the two end points of 1-D points; in the plane Andrew's
+    # monotone chain, counterclockwise from the least point in lexicographic
+    # order, collinear points dropped
     pts = sorted(set(tuple(p) for p in points))
     if len(pts) <= 2:
         return pts
+    if len(pts[0]) == 1:
+        return [pts[0], pts[-1]]
 
     def chain(seq):
         out = []
@@ -277,13 +281,20 @@ def _hull(points):
 
 
 def _split_polygon(poly, a, c):
-    # The parts of a convex polygon on either side of the line a.x = c, in
-    # one cyclic walk over the signs s_i = a.p_i - c: s <= 0 puts a vertex
-    # in the low part, s >= 0 in the high part, and a strict sign change
-    # along an edge puts the crossing point in both.  The input being a
-    # nondegenerate convex polygon, a part is full-dimensional exactly when
-    # some vertex lies strictly on its side; unless both parts are, the
-    # polygon is returned whole.
+    # The parts [low, high] of a convex polygon or an interval on the sides
+    # a.x <= c and a.x >= c, or [poly] when one side has no interior.  An
+    # interval [lo, hi] is cut at the point t = c / a when lo < t < hi.  A
+    # polygon is cut in one cyclic walk over the signs s_i = a.p_i - c:
+    # s <= 0 puts a vertex in the low part, s >= 0 in the high part, and a
+    # strict sign change along an edge puts the crossing point in both.  The
+    # input being a nondegenerate convex polygon, a part is full-dimensional
+    # exactly when some vertex lies strictly on its side.
+    if len(poly[0]) == 1:
+        lo, hi = poly
+        t = (Fraction(c) / a[0],)
+        if not lo < t < hi:
+            return [poly]
+        return [[lo, t], [t, hi]] if a[0] > 0 else [[t, hi], [lo, t]]
     s = [a[0] * p[0] + a[1] * p[1] - c for p in poly]
     if min(s) >= 0 or max(s) <= 0:
         return [poly]
@@ -348,18 +359,11 @@ def _cut_lines(cell):
 
 
 def _split_cell(cell):
-    # refine the cell along its cut lines, in sorted order
-    n = cell.lattice.n
-    lines = _cut_lines(cell)
-    poly = _cell_polytope(cell)
-    if n == 1:
-        lo, hi = poly[0][0], poly[1][0]
-        cuts = sorted({Fraction(c, a[0]) for a, c in lines
-                       if lo < Fraction(c, a[0]) < hi})
-        knots = [lo] + cuts + [hi]
-        return [[(knots[i],), (knots[i + 1],)] for i in range(len(knots) - 1)]
-    polys = [poly]
-    for a, c in sorted(lines):
+    # refine the cell along its cut lines, in sorted order, each piece split
+    # in place; a normalized 1-D line has a > 0, so intervals stay ordered
+    # left to right
+    polys = [_cell_polytope(cell)]
+    for a, c in sorted(_cut_lines(cell)):
         polys = [part for p in polys for part in _split_polygon(p, a, c)]
     return polys
 

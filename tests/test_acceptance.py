@@ -84,7 +84,7 @@ def test_01_degree_two_elliptic_pieces_and_refutation():
         assert theta_eval(theta0, (x,)) == want0
         assert theta_eval(theta1, (x,)) == -x + 3
     pam = linearity_cells(datum, info)
-    intervals = [(cm.cell.vertices[0][0], cm.cell.vertices[-1][0])
+    intervals = [(cm.vertices[0][0], cm.vertices[-1][0])
                  for cm in pam.cells]
     assert intervals == [(0, 6), (6, 12)]
     slopes = [cm.A[0, 0] for cm in pam.cells]

@@ -6,7 +6,9 @@ unchanged; a change that means to alter an artifact updates its digest here
 and says why.  The jobs cover the Voronoi decomposition (piece vertex
 order), the linearity cells (hull order), the certificates (by dimension
 and with a forced injectivity mode), the elliptic example and Fourier
-lifts, with a 'b' and with a 'targets' payload.  The plane data are the
+lifts, with a 'b' and with a 'targets' payload.  The n = 1 jobs (embed,
+voronoi with a datum, sampled certify) pin the interval cells that the
+convex-polytope kernel builds.  The plane data are the
 first four acceptance-test-04 draws (random.Random(7)), copied literally.
 """
 
@@ -37,6 +39,8 @@ PLANE_48 = _plane([[0, 12], [-12, 6]], [[0, 3], [-6, 3]])
 
 ELLIPTIC_2 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[2]]), "ell": ["0"]}}
 ELLIPTIC_3 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[3]]), "ell": ["0"]}}
+# a degree-5 circle with a nonzero ell, so the cells do not start at 0
+CIRCLE_5 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[5]]), "ell": ["7/3"]}}
 
 NA_ELLIPTIC_3 = {"na_datum": {
     "Pmat": {"rows": 1, "cols": 1, "entries": ["12"]},
@@ -61,6 +65,18 @@ JOBS = [
     ("certify-136", ["certify", "--resolution", "4"], PLANE_136, 0, {
         "certify.json":
             "bf9ea024b5095100d4a62abcc323e44fd038972abe93e3b9e95112e376f77577"}),
+    ("embed-circle-5", ["embed"], CIRCLE_5, 0, {
+        "embed.json":
+            "266a93a38fc8f7d57a948d2495cbfba6abe778c916414edea549159bb533fe37",
+        "embed.svg":
+            "fb32024797556d93e036f95e1c3f124b52ddd257f120b6523f4834618a2a1ffa"}),
+    ("voronoi-elliptic-3", ["voronoi"], ELLIPTIC_3, 0, {
+        "voronoi.json":
+            "fc2c115d69712be9d3ba93b75572745ba11c12660d9e686d493d691775a2a780"}),
+    ("certify-sampled-circle-5",
+     ["certify", "--mode", "sampled", "--resolution", "10"], CIRCLE_5, 0, {
+        "certify.json":
+            "fdd71c705cd3885ed4af124f0c8afdf4c373ebb994dca6e77b22f95158d84f41"}),
     ("certify-exact-3", ["certify", "--mode", "exact"], ELLIPTIC_3, 0, {
         "certify.json":
             "3b556b1b3c9780e51eae35b7be8d7600ee3b804d2cb1c1c7e72829655e923906"}),

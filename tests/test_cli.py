@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tropitheta import cli, embedding, jsonio
+from tropitheta import cli, embedding, errors, jsonio
 from tropitheta.theta import Q_ELL, ThetaFunction, theta_eval
 from tropitheta.torus import build_torus, validate_datum
 from tropitheta.exactlinalg import Matrix
@@ -362,6 +362,48 @@ class TestSchemaErrors:
             "ell": ["0"]}})
         assert run(tmp_path, "certify", "--input", path) == 1
 
+    @pytest.mark.parametrize("command, payload", [
+        ("type", {"datum": dict(elliptic_json(3), L={
+            "rows": 2, "cols": 2, "entries": ["3", "0", "0", "3"]})}),
+        ("type", {"datum": dict(elliptic_json(3), ell=["0", "0"])}),
+        ("theta", {"datum": elliptic_json(3), "b": [0, 0],
+                   "points": [["1"]]}),
+        ("theta", {"datum": elliptic_json(3), "b": [0],
+                   "points": [["1"], ["1", "2"]]}),
+        ("lift", {"na_datum": na_elliptic_json(), "b": [1, 0]}),
+        ("voronoi", {"datum": elliptic_json(3), "translates": [[0], [0, 1]]}),
+    ], ids=["datum-L", "datum-ell", "theta-b", "theta-point", "lift-b",
+            "voronoi-translate"])
+    def test_shape_mismatch_exits_one(self, tmp_path, capsys, command,
+                                      payload):
+        path = job(tmp_path, payload)
+        assert run(tmp_path, command, "--input", path) == 1
+        assert capsys.readouterr().err.startswith("schema error: ")
+
+    def test_nonpolarized_theta_still_exits_two(self, tmp_path):
+        bad = elliptic_json(3)
+        bad["Pmat"]["entries"] = ["-12"]
+        path = job(tmp_path, {"datum": bad, "b": [0], "points": [["1"]]})
+        assert run(tmp_path, "theta", "--input", path) == 2
+
+
+class TestExitTwo:
+    # the errors that exit 2 are exactly the subclasses of one base class
+    def test_the_precondition_classes_are_pinned(self):
+        def subclasses(cls):
+            return {s for c in cls.__subclasses__()
+                    for s in {c} | subclasses(c)}
+        names = {c.__name__ for c in subclasses(errors.PreconditionFailure)}
+        assert names == {
+            "AsymmetricPairing", "DimensionUnsupported", "DivisionByZero",
+            "NonIntegerLambda", "NotInvertible", "NotPolarization",
+            "NotQuadratic", "NotSymmetric", "PreconditionViolated",
+            "RootUnavailable", "SingularEmbedding", "SingularMatrix",
+            "SingularPivot", "ValuationMismatch", "WindowInsufficient"}
+        for other in (errors.InternalInvariantViolated,
+                      errors.CertificateFailed, errors.SchemaError):
+            assert not issubclass(other, errors.PreconditionFailure)
+
 
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path):
@@ -403,6 +445,17 @@ class TestAtomicArtifacts:
         assert svg in placed
         assert not [f for f in os.listdir(tmp_path / "out")
                     if f.endswith(".tmp")]
+
+
+    def test_artifacts_honour_the_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            assert run(tmp_path, "example45", "--d", "3") == 0
+        finally:
+            os.umask(old)
+        for name in ("example45.json", "example45.svg"):
+            mode = os.stat(tmp_path / "out" / name).st_mode & 0o777
+            assert mode == 0o644, (name, oct(mode))
 
 
 class TestOneCellMapPerJob:

@@ -36,7 +36,7 @@ def with_type(datum):
 
 
 def cell_interval(cm):
-    return (cm.cell.vertices[0][0], cm.cell.vertices[-1][0])
+    return (cm.vertices[0][0], cm.vertices[-1][0])
 
 
 def row_tuples(m):
@@ -202,26 +202,15 @@ class TestPlaneCells:
         datum, info = with_type(plane_datum([[3, 0], [0, 3]]))
         pam = linearity_cells(datum, info)
         assert len(pam.cells) == 16
-        assert sum(abs(polygon_area2(c.cell.vertices))
+        assert sum(abs(polygon_area2(c.vertices))
                    for c in pam.cells) == 2
         for cm in pam.cells:
-            assert cm.cell.dim == 2
-            assert len(cm.cell.vertices) >= 3
-            bary = tuple(sum(v[i] for v in cm.cell.vertices)
-                         / len(cm.cell.vertices) for i in range(2))
+            assert len(cm.vertices[0]) == 2
+            assert len(cm.vertices) >= 3
+            bary = tuple(sum(v[i] for v in cm.vertices)
+                         / len(cm.vertices) for i in range(2))
             assert_affine_on_cell(datum, info, cm,
-                                  list(cm.cell.vertices) + [bary])
-
-    def test_halfspaces_contain_their_cell(self):
-        datum, info = with_type(plane_datum([[3, 0], [0, 3]]))
-        pam = linearity_cells(datum, info)
-        for cm in pam.cells:
-            bary = tuple(sum(v[i] for v in cm.cell.vertices)
-                         / len(cm.cell.vertices) for i in range(2))
-            for normal, offset in cm.cell.halfspaces:
-                for v in cm.cell.vertices:
-                    assert sum(a * b for a, b in zip(normal, v)) <= offset
-                assert sum(a * b for a, b in zip(normal, bary)) < offset
+                                  list(cm.vertices) + [bary])
 
     def test_sheared_datum_with_offsets(self):
         h = Fraction(1, 3)
@@ -233,11 +222,11 @@ class TestPlaneCells:
         info = polarization_type(datum)
         assert info.type == (1, 9)
         pam = linearity_cells(datum, info)
-        assert (sum(abs(polygon_area2(c.cell.vertices)) for c in pam.cells)
+        assert (sum(abs(polygon_area2(c.vertices)) for c in pam.cells)
                 == 2 * det(P))
         assert check_unimodular(pam)[0]
         for cm in pam.cells:
-            assert_affine_on_cell(datum, info, cm, list(cm.cell.vertices))
+            assert_affine_on_cell(datum, info, cm, list(cm.vertices))
 
     def test_not_polarized_rejected(self):
         t = build_torus(Matrix.identity(2))
@@ -431,6 +420,23 @@ class TestImageComplex:
         for p, v in zip(img.parameters, img.vertices):
             assert phi_eval(datum, info, (p,)) == v
 
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 9),
+           ell=st.fractions(min_value=-7, max_value=7,
+                            max_denominator=5).filter(bool),
+           varpi=st.fractions(min_value=1, max_value=30, max_denominator=4),
+           flip=st.booleans())
+    def test_vertices_read_off_the_cells_match_phi_eval(self, d, ell, varpi,
+                                                         flip):
+        # a negative period with a negative lambda is still polarized; its
+        # domain [varpi, 0] is ordered by the hull
+        sign = -1 if flip else 1
+        datum, info = with_type(circle_datum(varpi=sign * varpi,
+                                             d=sign * d, ell=[ell]))
+        img = image_complex_1d(datum, info)
+        assert img.vertices == tuple(phi_eval(datum, info, (p,))
+                                     for p in img.parameters)
+
     def test_plane_unsupported(self):
         datum, info = with_type(plane_datum([[3, 0], [0, 3]]))
         with pytest.raises(DimensionUnsupported):
@@ -540,7 +546,7 @@ def skewed_data(draw):
 def interior_points(cm):
     # the centroid and the points a quarter of the way from it to each
     # vertex: all strictly inside a full-dimensional cell
-    verts = cm.cell.vertices
+    verts = cm.vertices
     n = len(verts[0])
     center = tuple(sum(v[i] for v in verts) / len(verts) for i in range(n))
     return [center] + [tuple((3 * c + p) / 4 for c, p in zip(center, v))

@@ -1,13 +1,17 @@
 """Every module of the package, every test file and every demo uses every
-name it imports.
+name it imports, and the package imports nothing outside the standard
+library.
 
-The check is a stdlib ast walk: a name bound by an import at any level of a
-file must appear as a Name somewhere else in that file.  The package's
-__init__.py re-exports names on purpose and is left out, and so is bench/,
-whose files change only together with the benchmark's recorded baseline.
+The checks are stdlib ast walks.  A name bound by an import at any level of
+a file must appear as a Name somewhere else in that file; the package's
+__init__.py re-exports names on purpose and is left out of that check, and
+so is bench/, whose files change only together with the benchmark's
+recorded baseline.  Every absolute import of every package module,
+__init__.py included, must name a module in sys.stdlib_module_names.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,29 @@ def test_script_uses_its_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "import os\nfrom math import gcd, lcm\nprint(gcd(4, 6))\n"
     assert unused_imports(source) == [(1, "os"), (2, "lcm")]
+
+
+def non_stdlib_imports(source):
+    # top-level names of absolute imports; relative ones have level > 0
+    tree = ast.parse(source)
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append((node.lineno, node.module))
+    return sorted((line, name) for line, name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text()) == []
+
+
+def test_the_check_sees_a_third_party_import():
+    source = ("import os.path\nimport numpy as np\n"
+              "from sympy.core import S\nfrom . import theta\n"
+              "from .errors import SchemaError\n")
+    assert non_stdlib_imports(source) == [(2, "numpy"), (3, "sympy.core")]

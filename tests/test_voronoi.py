@@ -476,8 +476,36 @@ class TestSplitPolygon:
         assert _split_polygon(self.SQUARE, a, c) == [self.SQUARE]
 
 
+class TestIntervalKernel:
+    # the same kernel on 1-D points: intervals are [low end, high end]
+    INTERVAL = [frac_vec(1), frac_vec(4)]
+
+    def test_hull_keeps_the_end_points(self):
+        pts = [(Fraction(3),), (Fraction(-2),), (Fraction(7, 2),),
+               (Fraction(0),), (Fraction(-2),)]
+        assert _hull(pts) == [frac_vec(-2), frac_vec("7/2")]
+
+    def test_hull_of_one_point(self):
+        assert _hull([frac_vec(5), frac_vec(5)]) == [frac_vec(5)]
+
+    def test_positive_normal_puts_the_left_part_first(self):
+        # 2x <= 5 is the side x <= 5/2
+        assert _split_polygon(self.INTERVAL, (2,), 5) == [
+            [frac_vec(1), frac_vec("5/2")], [frac_vec("5/2"), frac_vec(4)]]
+
+    def test_negative_normal_puts_the_right_part_first(self):
+        # -2x <= -5 is the side x >= 5/2
+        assert _split_polygon(self.INTERVAL, (-2,), -5) == [
+            [frac_vec("5/2"), frac_vec(4)], [frac_vec(1), frac_vec("5/2")]]
+
+    @pytest.mark.parametrize("a, c", [((1,), 1), ((1,), 4), ((-3,), -12),
+                                      ((1,), 0), ((1,), 9), ((-1,), 2)])
+    def test_cut_at_an_end_or_outside_keeps_the_interval(self, a, c):
+        assert _split_polygon(self.INTERVAL, a, c) == [self.INTERVAL]
+
+
 coords = st.fractions(min_value=-4, max_value=4, max_denominator=4)
-normals = st.tuples(st.one_of(st.integers(-3, 3), coords),
+normals =st.tuples(st.one_of(st.integers(-3, 3), coords),
                     st.one_of(st.integers(-3, 3), coords)).filter(any)
 
 
