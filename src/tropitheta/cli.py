@@ -6,6 +6,7 @@ precondition failure, 3 failed certificate or verification (the JSON
 report, including any witness, is still written)."""
 
 import argparse
+import functools
 import os
 import sys
 
@@ -66,6 +67,13 @@ def build_parser():
     ex.add_argument("--varpi", default="12",
                     help="period (rational, e.g. 12 or 27/2)")
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser():
+    # built on the first job, not at import, and reused: parse_args fills a
+    # fresh namespace on every call, so no value carries over between jobs
+    return build_parser()
 
 
 def _emit(args, name, payload):
@@ -314,7 +322,7 @@ HANDLERS = {"type": cmd_type, "theta": cmd_theta, "embed": cmd_embed,
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return HANDLERS[args.command](args)
     except SchemaError as exc:
         print("schema error: %s" % exc, file=sys.stderr)

@@ -71,13 +71,18 @@ def datum_from_json(obj):
         if key not in obj:
             raise SchemaError("datum needs %r" % key)
     torus = build_torus(matrix_from_json(obj["Pmat"]))
-    L, ell = matrix_from_json(obj["L"]), vector_from_json(obj["ell"])
     n = torus.n
-    if (L.rows, L.cols) != (n, n):
-        raise SchemaError("L must be %d x %d, as Pmat is" % (n, n))
+    L, ell = _square_L(obj, n), vector_from_json(obj["ell"])
     if len(ell) != n:
         raise SchemaError("ell must have %d entries, as Pmat has rows" % n)
     return validate_datum(torus, L, ell)
+
+
+def _square_L(obj, n):
+    L = matrix_from_json(obj["L"])
+    if (L.rows, L.cols) != (n, n):
+        raise SchemaError("L must be %d x %d, as Pmat is" % (n, n))
+    return L
 
 
 def scalar_to_json(s):
@@ -109,9 +114,17 @@ def na_datum_from_json(obj):
         if key not in obj:
             raise SchemaError("descent datum needs %r" % key)
     torus = build_torus(matrix_from_json(obj["Pmat"]))
-    Tmat = [[scalar_from_json(x) for x in row] for row in obj["Tmat"]]
-    cBasis = [scalar_from_json(c) for c in obj["cBasis"]]
-    return build_na_datum(torus, matrix_from_json(obj["L"]), Tmat, cBasis)
+    n = torus.n
+    L = _square_L(obj, n)
+    rows, cBasis = obj["Tmat"], obj["cBasis"]
+    if not isinstance(rows, list) or len(rows) != n or any(
+            not isinstance(row, list) or len(row) != n for row in rows):
+        raise SchemaError("Tmat must be %d x %d, as Pmat is" % (n, n))
+    if not isinstance(cBasis, list) or len(cBasis) != n:
+        raise SchemaError("cBasis must have %d entries, as Pmat has rows" % n)
+    Tmat = [[scalar_from_json(x) for x in row] for row in rows]
+    return build_na_datum(torus, L, Tmat,
+                          [scalar_from_json(c) for c in cBasis])
 
 
 def _ukey(u):

@@ -13,11 +13,20 @@ cosets b + L.Z^n, so every character u carries exactly one nonzero
 coefficient: no two leading terms can cancel, and every residue multiplier
 is 1.  divide_datum extracts d1-th roots of a datum when the scalar model
 contains them.
+
+The coefficients are products of powers of the datum's entries, which are
+monomials in the common case: _prod_pows folds monomial factors in closed
+form (exponents add over one common denominator, coefficients multiply)
+and sends only the other factors through vs_pow and vs_mul, and vs_mul of
+a monomial and a series shifts and scales the terms without renormalizing.
+Tropicalization puts the sample and the valuations over one common
+denominator, so each <u, v> + val(g_u) is an integer dot product.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -25,7 +34,7 @@ from .errors import (
     NotInvertible, NotPolarization, NotQuadratic, PreconditionViolated,
     RootUnavailable, ValuationMismatch, WindowInsufficient,
 )
-from .exactlinalg import Matrix, dot, is_integer_vector, solve, to_vector
+from .exactlinalg import Matrix, is_integer_vector, solve, to_vector
 from .theta import (
     INF, LAMBDA_GAMMA, ThetaCombination, ThetaFunction, lattice_argmin,
     min_plus_eval, theta_h_vector,
@@ -57,6 +66,14 @@ class ValuedScalar:
             else:
                 acc[g] = s
         object.__setattr__(self, "terms", tuple(sorted(acc.items())))
+
+    @classmethod
+    def _canonical(cls, terms):
+        # terms already sorted by distinct exponent, with nonzero Fraction
+        # coefficients: skip the normalization of __init__
+        s = object.__new__(cls)
+        object.__setattr__(s, "terms", terms)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("ValuedScalar is immutable")
@@ -116,6 +133,14 @@ def vs_add(s1, s2):
 
 def vs_mul(s1, s2):
     s2 = to_scalar(s2)
+    if len(s2.terms) == 1:
+        s1, s2 = s2, s1
+    if len(s1.terms) == 1:
+        # a monomial shifts and scales the other factor's terms, which
+        # stay sorted, distinct and nonzero
+        (g1, a1), = s1.terms
+        return ValuedScalar._canonical(tuple((g1 + g2, a1 * a2)
+                                             for g2, a2 in s2.terms))
     return ValuedScalar([(g1 + g2, a1 * a2)
                          for g1, a1 in s1.terms for g2, a2 in s2.terms])
 
@@ -201,13 +226,28 @@ class NADescentDatumTD:
 
 
 def _prod_pows(pairs):
-    """prod base^e over the (base, e) pairs.  The arithmetic is exact and
-    every product is canonical, so the order of the factors is free."""
-    out = ONE
+    """prod base^e over the (base, e) pairs.  A monomial factor c t^g
+    folds in closed form, adding e g to the exponent and multiplying the
+    coefficient by c^e; only the other factors go through vs_pow and
+    vs_mul.  The arithmetic is exact and every product is canonical, so
+    the order of the factors is free."""
+    num, den, a = 0, 1, Fraction(1)
+    rest = ONE
     for base, e in pairs:
-        if e:
-            out = vs_mul(out, vs_pow(base, e))
-    return out
+        if not e:
+            continue
+        if len(base.terms) == 1:
+            (g, c), = base.terms
+            # the exponent num/den over a common denominator of the g's
+            if den % g.denominator:
+                k = g.denominator // gcd(den, g.denominator)
+                num, den = num * k, den * k
+            num += e * g.numerator * (den // g.denominator)
+            if c != 1:
+                a *= c ** e
+        else:
+            rest = vs_mul(rest, vs_pow(base, e))
+    return vs_mul(ValuedScalar._canonical(((Fraction(num, den), a),)), rest)
 
 
 def t_pair(datum, w, u):
@@ -404,15 +444,21 @@ def tropicalize_fourier(fd, v):
 
 
 def _tropicalize(fd, trop, v):
-    # tropicalize_fourier, given the tropical datum trop of the window datum
+    # tropicalize_fourier, given the tropical datum trop of the window datum;
+    # over one common denominator of v and the valuations, <u, v> + val is
+    # an integer dot product plus an integer
     v = to_vector(v)
     if not fd.coeffs:
         return INF
-    finite = min(dot([Fraction(c) for c in u], v) + vs_val(g)
-                 for u, g in fd.coeffs.items())
+    vals = [(u, vs_val(g)) for u, g in fd.coeffs.items()]
+    den = lcm(*(c.denominator for c in v), *(w.denominator for _, w in vals))
+    vnum = [c.numerator * (den // c.denominator) for c in v]
+    finite = Fraction(min(sum(map(mul, u, vnum))
+                          + w.numerator * (den // w.denominator)
+                          for u, w in vals), den)
     best = None
     for b, mult, radius in fd.window.parts:
-        part = (vs_val(mult) + dot([Fraction(int(c)) for c in b], v)
+        part = (vs_val(mult) + Fraction(sum(map(mul, b, vnum)), den)
                 + _window_minimum(trop, b, v, radius))
         if best is None or part < best:
             best = part

@@ -409,20 +409,27 @@ def good_decomposition(G, d):
     delta = [x // d[0] for x in d]
     pieces = []
     for poly in _split_cell(cell):
+        # q + y lies in the cell for every vertex y of the piece exactly
+        # when a.q <= c - max_y a.y for every halfspace (a, c)
+        room = [(a, c - max(dot(a, y) for y in poly))
+                for a, c in cell.halfspaces]
         qs = _half_periods(cell, _barycenter(poly))
-        for q in qs:
-            if not all(cell.contains(vec_add(q, y)) for y in poly):
-                raise InternalInvariantViolated("half period escapes the cell")
+        if not all(_fits(room, q) for q in qs):
+            raise InternalInvariantViolated("half period escapes the cell")
         coords = [tuple(2 * delta[i] * q[i] for i in range(n)) for q in qs]
         scaled = basis_in_simplex(coords, Fraction(d[0], 2))
         basis = [tuple(p[i] / (2 * delta[i]) for i in range(n))
                  for p in scaled]
-        for p in basis:
-            if not all(cell.contains(vec_add(p, y)) for y in poly):
-                raise InternalInvariantViolated("basis vector escapes the cell")
+        if not all(_fits(room, p) for p in basis):
+            raise InternalInvariantViolated("basis vector escapes the cell")
         pieces.append(Piece(tuple(tuple(v) for v in poly), tuple(qs),
                             tuple(basis)))
     return GoodDecomposition(cell, tuple(pieces))
+
+
+def _fits(room, q):
+    # q translates the piece into the cell: a.q within every halfspace's room
+    return all(dot(a, q) <= r for a, r in room)
 
 
 class CellCertificate(NamedTuple):

@@ -15,7 +15,9 @@ from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
 from tropitheta.errors import NotPolarization, PreconditionViolated
-from tropitheta.exactlinalg import det, solve, to_vector, vec_add, vec_scale
+from tropitheta.exactlinalg import (
+    det, dot, solve, to_vector, vec_add, vec_scale,
+)
 from tropitheta.theta import theta_eval
 from tropitheta.voronoi import VoronoiCell
 
@@ -333,6 +335,16 @@ def c_extend_recursive(cB_dicts, T_dicts, L_rows, a):
             step = series_mul(cB_dicts[k], t_basis(k, lam(w)))
             c = series_mul(c, series_pow(step, -1))
     return c
+
+
+def fourier_minimum_dot(coeffs, v):
+    """min over the support of <u, v> + val(coeff_u), one generic rational
+    dot product per coefficient; coeffs maps integer tuples u to nonzero
+    valued scalars (val = the first exponent of their sorted terms)."""
+    if not coeffs:
+        return None
+    return min(dot([Fraction(c) for c in u], v) + g.terms[0][0]
+               for u, g in coeffs.items())
 
 
 # -- convex polygons ----------------------------------------------------------

@@ -6,7 +6,8 @@ unchanged; a change that means to alter an artifact updates its digest here
 and says why.  The jobs cover the Voronoi decomposition (piece vertex
 order), the linearity cells (hull order), the certificates (by dimension
 and with a forced injectivity mode), the elliptic example and Fourier
-lifts, with a 'b' and with a 'targets' payload.  The n = 1 jobs (embed,
+lifts, with a 'b' and with a 'targets' payload, on a 2-D monomial datum and
+on a non-monomial pairing.  The n = 1 jobs (embed,
 voronoi with a datum, sampled certify) pin the interval cells that the
 convex-polytope kernel builds.  The plane data are the
 first four acceptance-test-04 draws (random.Random(7)), copied literally.
@@ -49,6 +50,29 @@ NA_ELLIPTIC_3 = {"na_datum": {
     "cBasis": [[["18", "1"]]]}, "b": [1]}
 NA_ELLIPTIC_3_TARGETS = {"na_datum": NA_ELLIPTIC_3["na_datum"],
                          "targets": ["1/2", "inf", "0"]}
+
+
+def _monomial(exponent):
+    return [[exponent, "1"]]
+
+
+# a 2-D diagonal monomial datum with Pmat = (3/2).I and L = 2.I, as the
+# plane lifts of the decompose_lift benchmark workload build them
+NA_PLANE_TARGETS = {"na_datum": {
+    "Pmat": _mat([["3/2", 0], [0, "3/2"]]),
+    "L": _mat([[2, 0], [0, 2]]),
+    "Tmat": [[_monomial("3/2"), _monomial("0")],
+             [_monomial("0"), _monomial("3/2")]],
+    "cBasis": [_monomial("2"), _monomial("1")]},
+    "targets": ["0", "inf", "1/2", "-1/2"]}
+# the non-monomial pairing Tmat = [t^12 + t^13]: only slot b = 0 lifts
+# (any other slot raises Tmat to negative powers), and its coefficients
+# come from products of series, not of monomials
+NA_SERIES_TARGETS = {"na_datum": {
+    "Pmat": _mat([[12]]), "L": _mat([[3]]),
+    "Tmat": [[[["12", "1"], ["13", "1"]]]],
+    "cBasis": [_monomial("18")]},
+    "targets": ["0", "inf", "inf"]}
 
 # (name, argv, payload written to --input or None, exit code,
 #  {artifact: sha256})
@@ -108,6 +132,12 @@ JOBS = [
     ("lift-targets", ["lift"], NA_ELLIPTIC_3_TARGETS, 0, {
         "lift.json":
             "329c2d5cd0e4752199ae67ecac5633bfa8b305ef505c85ef2975a55c0ebf5095"}),
+    ("lift-plane-targets", ["lift"], NA_PLANE_TARGETS, 0, {
+        "lift.json":
+            "03328e31333454f82aaec9a49b350fe6409b596d83d4b3bf395f067623b056ca"}),
+    ("lift-series-targets", ["lift"], NA_SERIES_TARGETS, 0, {
+        "lift.json":
+            "06b44aacdafd3751bdbb2bf00c58257936bb866ad2a1368989a52501b1057335"}),
 ]
 
 

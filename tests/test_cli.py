@@ -380,6 +380,19 @@ class TestSchemaErrors:
         assert run(tmp_path, command, "--input", path) == 1
         assert capsys.readouterr().err.startswith("schema error: ")
 
+    @pytest.mark.parametrize("field, value", [
+        ("L", {"rows": 2, "cols": 2, "entries": ["3", "0", "0", "3"]}),
+        ("cBasis", [[["18", "1"]], [["18", "1"]]]),
+        ("Tmat", [[[["12", "1"]]], [[["12", "1"]]]]),
+    ], ids=["L-2x2", "cBasis-2", "Tmat-2x1"])
+    def test_descent_datum_shape_exits_one(self, tmp_path, capsys, field,
+                                           value):
+        # the same shape fault as in a tropical datum: a schema error
+        bad = dict(na_elliptic_json(), **{field: value})
+        path = job(tmp_path, {"na_datum": bad, "b": [0]})
+        assert run(tmp_path, "lift", "--input", path) == 1
+        assert capsys.readouterr().err.startswith("schema error: ")
+
     def test_nonpolarized_theta_still_exits_two(self, tmp_path):
         bad = elliptic_json(3)
         bad["Pmat"]["entries"] = ["-12"]
@@ -403,6 +416,31 @@ class TestExitTwo:
         for other in (errors.InternalInvariantViolated,
                       errors.CertificateFailed, errors.SchemaError):
             assert not issubclass(other, errors.PreconditionFailure)
+
+
+class TestOneParser:
+    def test_no_argument_leaks_between_jobs(self, tmp_path, monkeypatch):
+        # one process, three jobs: an exact certify, an argparse schema
+        # error, a certify on the defaults; the parser is built once
+        built, modes = [], []
+        build = cli.build_parser
+        certificate = cli.faithful_certificate
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+
+        def recorded(datum, info, resolution, mode):
+            modes.append((mode, resolution))
+            return certificate(datum, info, resolution=resolution, mode=mode)
+        monkeypatch.setattr(cli, "faithful_certificate", recorded)
+        path = job(tmp_path, {"datum": elliptic_json(3)})
+        assert run(tmp_path, "certify", "--input", path, "--mode", "exact",
+                   "--resolution", "5") == 0
+        assert run(tmp_path, "certify", "--input", path,
+                   "--mode", "bogus") == 1
+        assert run(tmp_path, "certify", "--input", path) == 0
+        assert modes == [("exact", 5), (None, 20)]
+        assert len(built) == 1
 
 
 class TestDeterminism:

@@ -19,7 +19,10 @@ from tropitheta.nalift import (
 from tropitheta.theta import INF, LAMBDA_GAMMA, ThetaFunction, theta_eval
 from tropitheta.torus import build_torus, polarization_type
 
-from oracles import c_extend_recursive, series_pow
+from oracles import (
+    c_extend_recursive, fourier_minimum_dot, pairing_brute, series_mul,
+    series_pow,
+)
 
 
 def circle_na(d=3, varpi=12, cexp=None):
@@ -227,6 +230,92 @@ class TestCExtend:
         assert scalar_dict(got) == want
 
 
+def _two_terms(exponent, extra):
+    # t^exponent, plus extra * t^(exponent + 1) unless extra is 0
+    terms = [(exponent, 1)]
+    if extra:
+        terms.append((exponent + 1, extra))
+    return ValuedScalar(terms)
+
+
+@st.composite
+def mixed_na(draw):
+    """A descent datum with n = 1 or 2, L = d.I and a symmetric Pmat, whose
+    Tmat (kept symmetric, so S is) and cBasis entries are each drawn as a
+    monomial or as a two-term series."""
+    n = draw(st.integers(1, 2))
+    P = [[12]] if n == 1 else [[2, 1], [1, 3]]
+    d = 3 if n == 1 else 2
+    extra = st.sampled_from((0, 0, 1, -2, Fraction(1, 3)))
+    E = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            E[i][j] = E[j][i] = draw(extra)
+    T = [[_two_terms(P[i][j], E[i][j]) for j in range(n)] for i in range(n)]
+    cB = [_two_terms(draw(small_fraction), draw(extra)) for _ in range(n)]
+    L = Matrix.from_rows([[d if i == j else 0 for j in range(n)]
+                          for i in range(n)])
+    return build_na_datum(build_torus(Matrix.from_rows(P)), L, T, cB)
+
+
+def _oracle_product(factors):
+    """prod d^k over (series dict, k) by the series oracles, or None when a
+    non-monomial base has a negative exponent (its inverse is no finite
+    series)."""
+    out = {Fraction(0): Fraction(1)}
+    for d, k in factors:
+        if k < 0 and len(d) != 1:
+            return None
+        out = series_mul(out, series_pow(d, k))
+    return out
+
+
+def _check_product(call, want):
+    if want is None:
+        with pytest.raises(NotInvertible):
+            call()
+    else:
+        assert scalar_dict(call()) == want
+
+
+class TestMixedProducts:
+    """Products of monomial and non-monomial factors, with exponents of
+    both signs, against the series oracles: NotInvertible exactly when a
+    non-monomial base has a negative exponent."""
+
+    @given(pairs=st.lists(
+        st.tuples(scalar_terms.map(ValuedScalar).filter(bool)
+                  | small_fraction.map(monomial),
+                  st.integers(-3, 3)), max_size=5))
+    @settings(max_examples=80)
+    def test_prod_pows(self, pairs):
+        want = _oracle_product([(scalar_dict(s), k) for s, k in pairs])
+        _check_product(lambda: nalift._prod_pows(pairs), want)
+
+    @given(nad=mixed_na(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_c_extend_and_t_pair(self, nad, data):
+        n = nad.n
+        vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        a, w, u = data.draw(vec), data.draw(vec), data.draw(vec)
+        T = [[scalar_dict(x) for x in row] for row in nad.Tmat]
+        L = [[int(nad.L[i, j]) for j in range(n)] for i in range(n)]
+        # S_ij = t(e_i, lambda(e_j)) by the brute pairing; every S_ij is a
+        # power of Tmat_ji with a positive exponent, so it always exists
+        e = [[int(i == j) for j in range(n)] for i in range(n)]
+        S = [[pairing_brute(T, e[i], [L[k][j] for k in range(n)])
+              for j in range(n)] for i in range(n)]
+        factors = [(scalar_dict(c), k) for c, k in zip(nad.cBasis, a)]
+        for i in range(n):
+            factors.append((S[i][i], a[i] * (a[i] - 1) // 2))
+            factors += [(S[i][j], a[i] * a[j]) for j in range(i + 1, n)]
+        _check_product(lambda: c_extend(nad, a), _oracle_product(factors))
+        invertible = all(u[i] * w[j] >= 0 or len(T[i][j]) == 1
+                         for i in range(n) for j in range(n))
+        _check_product(lambda: t_pair(nad, w, u),
+                       pairing_brute(T, w, u) if invertible else None)
+
+
 class TestCTrop:
     def test_ell_from_basis_valuations(self):
         assert c_trop(circle_na(d=3)).ellVec == (0,)
@@ -350,6 +439,27 @@ class TestTropicalize:
         gone = fourier_sum(fd, fourier_scale(fd, monomial(0, -1)))
         assert not gone.coeffs
         assert tropicalize_fourier(gone, [1]) is INF
+
+    @pytest.mark.parametrize("case", ["circle", "plane"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_dot_oracle(self, case, data):
+        # multipliers t^c and samples with unrelated denominators per
+        # coordinate; the minimum equals the generic rational dot oracle
+        nad = circle_na(d=3, cexp=Fraction(35, 2)) if case == "circle" \
+            else plane_na(cexps=(1, Fraction(3, 2)))
+        period = 12 if case == "circle" else 1
+        free = 3 if case == "circle" else 4
+        targets = data.draw(
+            st.lists(st.one_of(st.just(INF), small_fraction),
+                     min_size=free, max_size=free)
+            .filter(lambda ts: any(t is not INF for t in ts)))
+        fd, _ = surjective_lift(nad, targets, 4)
+        coord = st.builds(lambda k, q: Fraction(k * period, q),
+                          st.integers(0, 12), st.integers(1, 12)) \
+            .filter(lambda x: x <= period)
+        v = tuple(data.draw(coord) for _ in range(nad.n))
+        assert tropicalize_fourier(fd, v) == fourier_minimum_dot(fd.coeffs, v)
 
 
 class TestFourierSums:
