@@ -201,6 +201,8 @@ def cmd_certify(args):
 
 def cmd_voronoi(args):
     payload = jsonio.load(args.input)
+    if not isinstance(payload, dict) or not {"G", "datum"} & payload.keys():
+        raise SchemaError("voronoi payload needs 'G' or 'datum'")
     if "datum" in payload:
         datum = _payload_datum(payload)
         translates = None
@@ -223,8 +225,6 @@ def cmd_voronoi(args):
                 "atilde": [int(c) for c in cert.atilde]}
                 for cert in certs]})
         return 0
-    if "G" not in payload:
-        raise SchemaError("voronoi payload needs 'G' or 'datum'")
     G = jsonio.matrix_from_json(payload["G"])
     cell = VoronoiCell(G)
     _emit(args, "voronoi.json", {
@@ -242,10 +242,10 @@ def cmd_lift(args):
         raise SchemaError("lift payload needs 'na_datum'")
     nad = jsonio.na_datum_from_json(payload["na_datum"])
     if "targets" in payload:
-        targets = []
-        for c in payload["targets"]:
-            targets.append(INF if str(c) == "inf"
-                           else jsonio.rational_from_str(c))
+        if not isinstance(payload["targets"], list):
+            raise SchemaError("'targets' must be a list")
+        targets = [INF if str(c) == "inf" else jsonio.rational_from_str(c)
+                   for c in payload["targets"]]
         fd, report = surjective_lift(nad, targets, args.window)
         _emit(args, "lift.json", {
             "fourier": jsonio.fourier_to_json(fd),
@@ -260,16 +260,14 @@ def cmd_lift(args):
     b = _int_vector(payload["b"], "b", nad.n)
     fd = fourier_lift(nad, b, args.window)
     shifts = {}
-    ok = True
     for i in range(nad.n):
         w = tuple(1 if j == i else 0 for j in range(nad.n))
-        holds = verify_na_quasi_periodicity(fd, nad, w)
-        ok = ok and holds
-        shifts[",".join(str(c) for c in w)] = holds
+        shifts[",".join(str(c) for c in w)] = \
+            verify_na_quasi_periodicity(fd, nad, w)
     _emit(args, "lift.json", {
         "fourier": jsonio.fourier_to_json(fd),
         "verification": {"quasi_periodicity": shifts}})
-    return 0 if ok else 3
+    return 0 if all(shifts.values()) else 3
 
 
 def cmd_example45(args):

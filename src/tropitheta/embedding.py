@@ -333,6 +333,8 @@ def _injective_exact_1d(datum, info, pam):
 def _injective_grid(datum, info, resolution):
     # grid points inside the fundamental parallelotope never differ by a
     # period, so exact collisions are genuine
+    if resolution < 1:
+        raise PreconditionViolated("the grid resolution must be at least 1")
     P = datum.torus.Pmat
     seen = {}
     for idx in product(range(resolution), repeat=datum.n):

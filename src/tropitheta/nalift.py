@@ -11,8 +11,9 @@ tropicalization is realized by explicit min-plus combinations of lifts
 (surjective_lift).  The lifts combined there live on pairwise disjoint
 cosets b + L.Z^n, so every character u carries exactly one nonzero
 coefficient: no two leading terms can cancel, and every residue multiplier
-is 1.  divide_datum extracts d1-th roots of a datum when the scalar model
-contains them.
+is 1.  Each sample is checked once, stored minimum against certified
+minimum, and a mismatch leaves the lift unverified.  divide_datum
+extracts d1-th roots of a datum when the scalar model contains them.
 
 The coefficients are products of powers of the datum's entries, which are
 monomials in the common case: _prod_pows folds monomial factors in closed
@@ -35,10 +36,7 @@ from .errors import (
     RootUnavailable, ValuationMismatch, WindowInsufficient,
 )
 from .exactlinalg import Matrix, is_integer_vector, solve, to_vector
-from .theta import (
-    INF, LAMBDA_GAMMA, ThetaCombination, ThetaFunction, lattice_argmin,
-    min_plus_eval, theta_h_vector,
-)
+from .theta import INF, lattice_argmin, theta_h_vector
 from .torus import polarization_type, validate_datum
 
 
@@ -440,32 +438,30 @@ def tropicalize_fourier(fd, v):
     """min over the support of <u, v> + val(coeff_u), certified against
     the infinite tail: per part the full lattice minimum of the quadratic
     valuation growth must be attained inside the window."""
-    return _tropicalize(fd, c_trop(fd.window.datum), v)
+    finite, certified = _tropicalize(fd, c_trop(fd.window.datum), v)
+    if finite != certified:
+        raise InternalInvariantViolated(
+            "stored coefficients disagree with the certified minimum")
+    return finite
 
 
 def _tropicalize(fd, trop, v):
-    # tropicalize_fourier, given the tropical datum trop of the window datum;
-    # over one common denominator of v and the valuations, <u, v> + val is
-    # an integer dot product plus an integer
+    # (stored minimum, certified minimum of the parts), given the tropical
+    # datum trop of the window datum; over one common denominator of v and
+    # the valuations, <u, v> + val is an integer dot product plus an integer
     v = to_vector(v)
     if not fd.coeffs:
-        return INF
+        return INF, INF
     vals = [(u, vs_val(g)) for u, g in fd.coeffs.items()]
     den = lcm(*(c.denominator for c in v), *(w.denominator for _, w in vals))
     vnum = [c.numerator * (den // c.denominator) for c in v]
     finite = Fraction(min(sum(map(mul, u, vnum))
                           + w.numerator * (den // w.denominator)
                           for u, w in vals), den)
-    best = None
-    for b, mult, radius in fd.window.parts:
-        part = (vs_val(mult) + Fraction(sum(map(mul, b, vnum)), den)
-                + _window_minimum(trop, b, v, radius))
-        if best is None or part < best:
-            best = part
-    if best != finite:
-        raise InternalInvariantViolated(
-            "stored coefficients disagree with the certified minimum")
-    return finite
+    certified = min((vs_val(mult) + Fraction(sum(map(mul, b, vnum)), den)
+                     + _window_minimum(trop, b, v, radius)
+                     for b, mult, radius in fd.window.parts), default=INF)
+    return finite, certified
 
 
 def verify_na_quasi_periodicity(fd, datum, wprime):
@@ -473,7 +469,9 @@ def verify_na_quasi_periodicity(fd, datum, wprime):
 
         g_{u + L.w'} = c(w') * t(w', u) * g_u,
 
-    exactly on every support pair (u, u + L.w') inside the window."""
+    exactly on every support pair (u, u + L.w') inside the window.  Factors
+    of t(w', u) with a negative exponent move to the left, so no Tmat entry
+    is inverted: valued series have no zero divisors."""
     w = tuple(int(c) for c in to_vector(wprime))
     Lw = tuple(int(c) for c in datum.L.matvec(w))
     cw = c_extend(datum, w)
@@ -484,8 +482,12 @@ def verify_na_quasi_periodicity(fd, datum, wprime):
                                  "window" % (w,))
     for u in pairs:
         shifted = tuple(u[i] + Lw[i] for i in range(len(u)))
-        expect = vs_mul(vs_mul(cw, t_pair(datum, w, u)), fd.coeffs[u])
-        if fd.coeffs[shifted] != expect:
+        exps = [(T, u[i] * w[j]) for i, row in enumerate(datum.Tmat)
+                for j, T in enumerate(row)]
+        left = _prod_pows((T, -e) for T, e in exps if e < 0)
+        right = _prod_pows((T, e) for T, e in exps if e > 0)
+        if vs_mul(left, fd.coeffs[shifted]) != vs_mul(
+                vs_mul(cw, right), fd.coeffs[u]):
             return False
     return True
 
@@ -520,11 +522,11 @@ def surjective_lift(datum, targets, radius):
     """A Fourier datum whose tropicalization is the min-plus combination
     min_b { targets_b + theta_b } (coefficients in Q or INF): the canonical
     lift of each finite slot b, scaled by t^(c_b), becomes one part
-    (b, t^(c_b), radius), and exact agreement is verified at interior
-    samples of every linearity cell of the combination.  The
-    representatives b lie in distinct cosets of L.Z^n, so the parts have
-    disjoint supports and no leading terms cancel: every residue
-    multiplier is 1."""
+    (b, t^(c_b), radius).  The report is verified when, at two interior
+    samples of every linearity cell, the stored coefficients' minimum equals
+    the certified minimum of the parts.  The representatives b lie in
+    distinct cosets of L.Z^n, so the parts have disjoint supports and no
+    leading terms cancel: every residue multiplier is 1."""
     trop = _polarized_trop(datum)
     info = polarization_type(trop)
     targets = list(targets)
@@ -535,9 +537,6 @@ def surjective_lift(datum, targets, radius):
              if c is not INF]
     if not slots:
         raise PreconditionViolated("at least one finite target is needed")
-    comb = ThetaCombination(
-        [(c if c is INF else Fraction(c), ThetaFunction(trop, b, LAMBDA_GAMMA))
-         for b, c in zip(info.reps, targets)])
     samples = _combination_samples(trop, info)
     radius = int(radius)
     parts = tuple((b, monomial(c), radius) for b, c in sorted(slots))
@@ -546,8 +545,8 @@ def surjective_lift(datum, targets, radius):
         _window_minimum(trop, b, [0] * datum.n, radius)
         coeffs.update(_part_coeffs(datum, b, mult, radius))
     fd = FourierData(coeffs, LiftWindow(datum, parts))
-    verified = all(_tropicalize(fd, trop, v) == min_plus_eval(comb, v)
-                   for v in samples)
+    verified = all(finite == certified for finite, certified
+                   in (_tropicalize(fd, trop, v) for v in samples))
     return fd, LiftReport((1,) * len(parts), tuple(samples), verified)
 
 

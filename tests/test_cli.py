@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from tropitheta import cli, embedding, errors, jsonio
+from tropitheta import cli, embedding, errors, jsonio, nalift
 from tropitheta.theta import Q_ELL, ThetaFunction, theta_eval
 from tropitheta.torus import build_torus, validate_datum
 from tropitheta.exactlinalg import Matrix
+from tropitheta.nalift import monomial, vs_mul
 
 
 def job(tmp_path, payload, name="job.json"):
@@ -40,6 +41,13 @@ def na_elliptic_json(d=3, varpi="12", cexp=None):
             "L": {"rows": 1, "cols": 1, "entries": [str(d)]},
             "Tmat": [[[[varpi, "1"]]]],
             "cBasis": [[[cexp, "1"]]]}
+
+
+def plane_json():
+    # Pmat = I, L = 2.I: four theta functions on the plane
+    return {"Pmat": {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]},
+            "L": {"rows": 2, "cols": 2, "entries": ["2", "0", "0", "2"]},
+            "ell": ["0", "0"]}
 
 
 class TestExample45:
@@ -252,6 +260,16 @@ class TestCertifyCommand:
         path = job(tmp_path, {"datum": bad})
         assert run(tmp_path, "certify", "--input", path) == 2
 
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_empty_grid_exits_two(self, tmp_path, capsys, resolution):
+        # a grid of no points would report sampled-ok on a datum that
+        # --resolution 8 refutes
+        path = job(tmp_path, {"datum": plane_json()})
+        assert run(tmp_path, "certify", "--input", path,
+                   "--resolution", resolution) == 2
+        assert capsys.readouterr().err.startswith("precondition failed: ")
+        assert not (tmp_path / "out" / "certify.json").exists()
+
 
 class TestVoronoiCommand:
     def test_gram_payload_counts_relevant_vectors(self, tmp_path):
@@ -323,6 +341,32 @@ class TestLiftCommand:
         path = job(tmp_path, dict(payload, na_datum=na_elliptic_json()))
         assert run(tmp_path, "lift", "--input", path, "--window", "-1") == 2
 
+    def test_wrong_lift_exits_three_with_the_report(self, tmp_path,
+                                                     monkeypatch):
+        part_coeffs = nalift._part_coeffs
+
+        def raised(datum, b, multiplier, radius):
+            return {u: vs_mul(g, monomial(1)) for u, g
+                    in part_coeffs(datum, b, multiplier, radius).items()}
+        monkeypatch.setattr(nalift, "_part_coeffs", raised)
+        path = job(tmp_path, {"na_datum": na_elliptic_json(),
+                              "targets": ["0", "inf", "inf"]})
+        assert run(tmp_path, "lift", "--input", path) == 3
+        out = read(tmp_path, "lift.json")
+        assert out["report"]["verified"] is False
+        assert out["fourier"]["coefficients"]
+
+    @pytest.mark.parametrize("window", ["1", "2", "3"])
+    def test_series_pairing_checks_without_inverses(self, tmp_path, window):
+        # Tmat = t^12 + t^13 is not invertible in the scalar model, yet the
+        # recurrence over the window needs no inverse of it
+        nad = dict(na_elliptic_json(), Tmat=[[[["12", "1"], ["13", "1"]]]])
+        path = job(tmp_path, {"na_datum": nad, "b": [0]})
+        assert run(tmp_path, "lift", "--input", path, "--window", window) == 0
+        out = read(tmp_path, "lift.json")
+        assert out["verification"]["quasi_periodicity"] == {"1": True}
+        assert len(out["fourier"]["coefficients"]) == 2 * int(window) + 1
+
     def test_valuation_mismatch_exits_two(self, tmp_path):
         bad = na_elliptic_json()
         bad["Tmat"] = [[[["11", "1"]]]]  # val 11 != Pmat entry 12
@@ -376,6 +420,20 @@ class TestSchemaErrors:
             "voronoi-translate"])
     def test_shape_mismatch_exits_one(self, tmp_path, capsys, command,
                                       payload):
+        path = job(tmp_path, payload)
+        assert run(tmp_path, command, "--input", path) == 1
+        assert capsys.readouterr().err.startswith("schema error: ")
+
+    @pytest.mark.parametrize("command, payload", [
+        ("lift", {"na_datum": na_elliptic_json(), "targets": "012"}),
+        ("lift", {"na_datum": na_elliptic_json(),
+                  "targets": {"0": "0", "1": "inf", "2": "inf"}}),
+        ("lift", {"na_datum": na_elliptic_json(), "targets": 5}),
+        ("voronoi", "G: 1"),
+    ], ids=["targets-string", "targets-object", "targets-number",
+            "voronoi-string"])
+    def test_payload_type_exits_one(self, tmp_path, capsys, command,
+                                    payload):
         path = job(tmp_path, payload)
         assert run(tmp_path, command, "--input", path) == 1
         assert capsys.readouterr().err.startswith("schema error: ")

@@ -478,6 +478,20 @@ class TestFaithfulCertificate:
             assert rep.injective.status == status
             assert rep.faithful is faith
 
+    @pytest.mark.parametrize("resolution", [0, -3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_empty_grid_is_rejected(self, n, resolution):
+        # a grid of no points samples nothing and must not report
+        # sampled-ok; n = 3 samples both halves on a grid
+        L = Matrix.from_rows([[2 if i == j else 0 for j in range(n)]
+                              for i in range(n)])
+        datum, info = with_type(validate_datum(
+            build_torus(Matrix.identity(n)), L, [0] * n))
+        with pytest.raises(PreconditionViolated):
+            faithful_certificate(datum, info, resolution=resolution)
+        with pytest.raises(PreconditionViolated):
+            check_injective(datum, info, mode="grid", resolution=resolution)
+
     def test_mode_forces_the_injectivity_check(self):
         datum, info = with_type(circle_datum(d=3))
         assert faithful_certificate(datum, info, resolution=8, mode="grid") \

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropitheta import nalift
+from tropitheta import nalift, theta as theta_module
 from tropitheta.exactlinalg import Matrix, dot, gram_norm
 from tropitheta.errors import (
     AsymmetricPairing, DivisionByZero, NotInvertible, NotPolarization,
@@ -16,7 +16,10 @@ from tropitheta.nalift import (
     surjective_lift, t_pair, tropicalize_fourier, verify_na_quasi_periodicity,
     vs_add, vs_inv, vs_leading, vs_mul, vs_pow, vs_root, vs_val,
 )
-from tropitheta.theta import INF, LAMBDA_GAMMA, ThetaFunction, theta_eval
+from tropitheta.theta import (
+    INF, LAMBDA_GAMMA, ThetaCombination, ThetaFunction, min_plus_eval,
+    theta_eval,
+)
 from tropitheta.torus import build_torus, polarization_type
 
 from oracles import (
@@ -621,14 +624,57 @@ class TestSurjectiveLift:
         assert report.verified
         assert expanded == [(0,), (1,)]
 
+    def test_a_wrong_lift_is_not_verified(self, monkeypatch):
+        # every stored coefficient one order too high: the stored minimum
+        # misses the certified one at each sample, and the report says so
+        part_coeffs = nalift._part_coeffs
+
+        def raised(datum, b, multiplier, radius):
+            return {u: vs_mul(g, monomial(1)) for u, g
+                    in part_coeffs(datum, b, multiplier, radius).items()}
+        monkeypatch.setattr(nalift, "_part_coeffs", raised)
+        _, report = surjective_lift(circle_na(d=3), [0, INF, INF], 4)
+        assert report.verified is False
+        assert len(report.samples) == 8
+
+    @pytest.mark.parametrize("nad, targets", [
+        (circle_na(d=3), [0, Fraction(1, 2), INF]),
+        (plane_na(), [0, INF, Fraction(-1, 3), 1]),
+    ], ids=["circle", "plane"])
+    def test_one_argmin_per_part_per_sample(self, monkeypatch, nad,
+                                            targets):
+        # the cell refinement calls the kernel through embedding's own
+        # name, so the count is the window check at the origin and the
+        # sample check, per part; no theta function is evaluated
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(nalift, "lattice_argmin",
+                            counted("argmin", nalift.lattice_argmin))
+        monkeypatch.setattr(theta_module, "lattice_argmin",
+                            counted("argmin", theta_module.lattice_argmin))
+        monkeypatch.setattr(theta_module, "theta_eval",
+                            counted("theta_eval", theta_module.theta_eval))
+        fd, report = surjective_lift(nad, targets, 2)
+        assert report.verified
+        parts = len(fd.window.parts)
+        assert calls.count("argmin") == parts * (len(report.samples) + 1)
+        assert "theta_eval" not in calls
+
     @pytest.mark.parametrize("case", sorted(LIFT_CASES))
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_matches_the_composed_public_lifts(self, case, data):
         # the one-pass lift equals fourier_sum over the fourier_scale'd
-        # fourier_lift of every finite slot, parts and coefficients alike
+        # fourier_lift of every finite slot, parts and coefficients alike,
+        # and tropicalizes to the min-plus combination at every sample
         nad, min_radius, free = LIFT_CASES[case]
-        reps = polarization_type(c_trop(nad)).reps
+        trop = c_trop(nad)
+        reps = polarization_type(trop).reps
         targets = data.draw(
             st.lists(st.one_of(st.just(INF), small_fraction),
                      min_size=free, max_size=free)
@@ -651,6 +697,10 @@ class TestSurjectiveLift:
         assert fd.window.parts == want.window.parts
         assert report.verified
         assert report.lambdas == (1,) * len(fd.window.parts)
+        comb = ThetaCombination([(c, ThetaFunction(trop, b, LAMBDA_GAMMA))
+                                 for b, c in zip(reps, targets)])
+        for v in report.samples:
+            assert tropicalize_fourier(fd, v) == min_plus_eval(comb, v)
 
 
 class TestDivideDatum:
