@@ -21,7 +21,7 @@ from .torus import (
 )
 from .theta import (
     INF, LAMBDA_GAMMA, Q_ELL, ThetaCombination, ThetaFunction,
-    lattice_argmin, min_plus_eval, quasi_periodicity_check,
+    coset_argmins, lattice_argmin, min_plus_eval, quasi_periodicity_check,
     sublattice_identity_check, theta_eval, translate_datum,
 )
 from .embedding import (
@@ -46,8 +46,9 @@ __all__ = [
     "TorusPresentation", "TropicalDescentDatum", "build_torus",
     "datum_from_Q", "polarization_type", "validate_datum",
     "INF", "LAMBDA_GAMMA", "Q_ELL", "ThetaCombination", "ThetaFunction",
-    "lattice_argmin", "min_plus_eval", "quasi_periodicity_check",
-    "sublattice_identity_check", "theta_eval", "translate_datum",
+    "coset_argmins", "lattice_argmin", "min_plus_eval",
+    "quasi_periodicity_check", "sublattice_identity_check", "theta_eval",
+    "translate_datum",
     "check_injective", "check_unimodular", "faithful_certificate",
     "image_complex_1d", "linearity_cells", "phi_eval",
     "VoronoiCell", "basis_in_simplex", "certified_cells", "closest_point",

@@ -18,6 +18,7 @@ from .embedding import (
 from .errors import (
     CertificateFailed, PreconditionFailure, PreconditionViolated, SchemaError,
 )
+from .exactlinalg import det
 from .nalift import (
     fourier_lift, surjective_lift, verify_na_quasi_periodicity,
 )
@@ -244,6 +245,11 @@ def cmd_lift(args):
     if "targets" in payload:
         if not isinstance(payload["targets"], list):
             raise SchemaError("'targets' must be a list")
+        # one target per representative of M / L.Z^n, of which there are
+        # |det L| (none for a singular L, which fails as a precondition)
+        count = abs(det(nad.L))
+        if count and len(payload["targets"]) != count:
+            raise SchemaError("'targets' must have %d entries" % count)
         targets = [INF if str(c) == "inf" else jsonio.rational_from_str(c)
                    for c in payload["targets"]]
         fd, report = surjective_lift(nad, targets, args.window)

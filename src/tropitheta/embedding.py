@@ -9,9 +9,10 @@ splitting along bisectors.  One convex-polytope kernel of voronoi, for
 intervals and polygons alike (the one-pass split and the hull order),
 builds every cell, and a cell keeps only its vertices.  Unimodularity and
 injectivity of the result are certified (n = 1) or sampled on a grid.
-Each affine piece of theta_b is computed once per datum, L^T.x once per
-point, and a caller builds the cell map once and passes it to the checks
-that read it; the image complex reads its vertices off that map.
+Each affine piece of theta_b is computed once per datum, the minimizers of
+every theta_b at a point come from one coset walk of theta, and a caller
+builds the cell map once and passes it to the checks that read it; the
+image complex reads its vertices off that map.
 """
 
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .errors import (DimensionUnsupported, InternalInvariantViolated,
                      NotPolarization, PreconditionViolated)
 from .exactlinalg import (Matrix, content, dot, gram_norm, integer_vector,
                           is_unimodular_map, vec_add, vec_sub)
-from .theta import _h_constant, lattice_argmin, q_ell_constant
+from .theta import _h_constant, coset_argmins, q_ell_constant
 from .voronoi import _hull, _split_polygon
 
 
@@ -41,13 +42,13 @@ def affine_piece(datum, b, a):
 
 def phi_eval(datum, info, x):
     """phi~ at x: (theta_b(x) - theta_b0(x)) over the nonzero class
-    representatives, in the class-invariant convention.  L^T.x is formed
-    once for all representatives."""
-    lx = datum.LT.matvec(x)
-    thetas = [lattice_argmin(datum.G,
-                             vec_add(lx, _h_constant(datum, b))).value
-              + dot(b, x) + q_ell_constant(datum, b) for b in info.reps]
-    return tuple(t - thetas[0] for t in thetas[1:])
+    representatives, in the class-invariant convention, from one coset
+    walk.  theta_b(x) is half the squared distance norms[b]/K from the
+    walk's center to the coset of b plus a term shared by every b, so the
+    differences are (norms[b] - norms[b0]) / (2 K)."""
+    res = coset_argmins(datum, info, x)
+    n0 = res.norms[0]
+    return tuple(Fraction(nk - n0, 2 * res.K) for nk in res.norms[1:])
 
 
 class CellMap(NamedTuple):
@@ -106,22 +107,14 @@ def _incomparable(sets):
     raise InternalInvariantViolated("no separating pair in a mixed piece")
 
 
-def _refine_pieces(datum, reps, domain):
+def _refine_pieces(datum, info, domain):
     """Split the domain until every piece has, for each representative, a
     minimizer shared by all its vertices.  Minimizer regions are convex,
     so vertex agreement makes the piece argmin-constant; disagreement
     yields two vertices strictly separated by an exact bisector.  A vertex
-    record holds L^T.v and the minimizer sets, filled as pieces ask."""
-    h0 = [_h_constant(datum, b) for b in reps]
+    record holds the minimizer sets of every representative, from one
+    coset walk per distinct vertex."""
     records = {}
-
-    def argmins(rec, k):
-        lv, sets = rec
-        if sets[k] is None:
-            h = vec_add(lv, h0[k])
-            sets[k] = frozenset(lattice_argmin(datum.G, h).minimizers)
-        return sets[k]
-
     queue = [list(domain)]
     done = []
     rounds = 0
@@ -130,12 +123,17 @@ def _refine_pieces(datum, reps, domain):
         if rounds > 200000:
             raise InternalInvariantViolated("cell refinement does not settle")
         piece = queue.pop()
-        recs = [records.get(v) or records.setdefault(
-            v, (datum.LT.matvec(v), [None] * len(reps))) for v in piece]
+        recs = []
+        for v in piece:
+            rec = records.get(v)
+            if rec is None:
+                rec = records[v] = tuple(
+                    map(frozenset, coset_argmins(datum, info, v).minimizers))
+            recs.append(rec)
         profile = []
         cut = None
-        for k, b in enumerate(reps):
-            sets = [argmins(rec, k) for rec in recs]
+        for k, b in enumerate(info.reps):
+            sets = [rec[k] for rec in recs]
             common = frozenset.intersection(*sets)
             if common:
                 if len(common) > 1:
@@ -195,7 +193,7 @@ def linearity_cells(datum, info, domain=None):
     if len(dom) <= n:
         raise PreconditionViolated(
             "domain must be a full-dimensional polytope")
-    done = _refine_pieces(datum, info.reps, dom)
+    done = _refine_pieces(datum, info, dom)
     merged = _merge_pieces(done)
     cells = tuple(_cell_map(datum, info.reps, verts, profile, n)
                   for verts, profile in merged)
@@ -416,10 +414,7 @@ def _sampled_unimodular(datum, info, resolution):
     profiles = set()
     for idx in product(range(resolution), repeat=datum.n):
         u = tuple(Fraction(i, resolution) for i in idx)
-        lx = datum.LT.matvec(P.matvec(u))
-        mins = [lattice_argmin(datum.G,
-                               vec_add(lx, _h_constant(datum, b))).minimizers
-                for b in info.reps]
+        mins = coset_argmins(datum, info, P.matvec(u)).minimizers
         # a point with a tie sits on a wall; its mixed profile need not
         # come from any single cell, so only unique minimizers count
         if any(len(m) != 1 for m in mins):

@@ -25,12 +25,25 @@ the continuous minimizer is one matrix-vector product, every partial sum of
 the G-norm is an integer over one common denominator, and every interval
 end is a closed form in integer square roots, so ties are found exactly and
 no floating point is involved.
+
+The theta map needs all D = |det L| functions theta_b at a point.  With
+y = a + L^-1.b, and since G.L^-1 = Pmat^T, the (Q, ell) minimand is
+
+    (1/2) y^T G y + (L^T.x - ell).y + (1/2) r^T G r,     r = G^-1.ell,
+
+over the coset y in L^-1.b + Z^n: half the squared G-distance from the
+center G^-1.ell - Pmat^-1.x to the coset, plus a term that does not
+depend on b.  So coset_argmins runs the walk once per point over the
+union of the cosets, in coordinates where they are the classes mod the
+type, and keeps the best points of every class; phi~, the differences of
+the thetas, is the difference of the squared distances over 2.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, isqrt, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import NotPolarization, PreconditionViolated, SingularPivot
@@ -186,6 +199,111 @@ def _ball(G, bound):
     if limit >= 0:
         _walk(cols, e, m, [0] * n, 1, limit, keep)
     return out
+
+
+class CosetArgmins(NamedTuple):
+    minimizers: tuple   # per representative, its sorted minimizers a
+    norms: tuple        # per representative, K times the squared distance
+    K: int              # the common denominator of the norms
+
+
+def _coset_data(datum, info):
+    # Constants of the coset walk, once per datum and representative
+    # system: the prepared Gram matrix G'' = U^-T.Pmat.L^-1.U^-1 of the
+    # t-coordinates, the type d, the rows of V, and the center
+    # t*(x) = (c0 - C.x)/den with C = den.U.L.Pmat^-1 and
+    # c0 = den.U.L.G^-1.ell integral.
+    key = ("cosets", info.reps)
+    if key not in datum.memo:
+        U, V = info.U, info.V
+        Uinv = inverse(U)
+        G2 = Uinv.transpose() * datum.torus.Pmat * inverse(datum.L) * Uinv
+        UL = U * datum.L
+        C = (UL * datum.torus.Pinv).entries
+        c0 = UL.matvec(solve(datum.G, datum.ellVec))
+        den = lcm(*(x.denominator for x in C + tuple(c0)))
+        n = datum.n
+        datum.memo[key] = (
+            _prepared(G2), info.type,
+            tuple(tuple(int(V[i, j]) for j in range(n)) for i in range(n)),
+            tuple(tuple(int(x * den) for x in C[i * n:(i + 1) * n])
+                  for i in range(n)),
+            tuple(int(x * den) for x in c0), den)
+    return datum.memo[key]
+
+
+def coset_argmins(datum, info, x):
+    """Every theta_b at x from one Fincke-Pohst walk.
+
+    In the (Q, ell) convention theta_b(x) is half the squared G-distance
+    from the center G^-1.ell - Pmat^-1.x to the coset L^-1.b + Z^n, plus a
+    term that does not depend on b.  Written in t = U.(L.a + b), with
+    U.L.V = diag(d) from info, the cosets are the classes of t mod d, the
+    representative reps[k] = U^-1.box_k is the class box_k, and the Gram
+    matrix is G'' = U^-T.Pmat.L^-1.U^-1, congruent to G.  So one walk
+    around t*(x) = U.L.(G^-1.ell - Pmat^-1.x), bucketing its points by
+    class, finds the minimizers of every theta_b; t maps back to the
+    minimizer a = V.((t - box)/d) of the defining minimization.  Each
+    class starts at its componentwise rounding, the bound of the walk is
+    the largest best norm of a class, and pruning is non-strict, so every
+    tied minimizer survives.  The squared distances are integers over one
+    common denominator K, so phi~ = (norms[k] - norms[0]) / (2 K).
+    """
+    prep, d, V, C, c0, den = _coset_data(datum, info)
+    n, m, _, cols, e, _, _ = prep
+    if len(x) != n:
+        raise ValueError("length mismatch")
+    xd = lcm(*(c.denominator for c in x))
+    xn = [c.numerator * (xd // c.denominator) for c in x]
+    p = [ci * xd - sum(cij * xj for cij, xj in zip(row, xn))
+         for row, ci in zip(C, c0)]
+    q = den * xd
+    g = gcd(q, *p)
+    p = [pi // g for pi in p]
+    q //= g
+    # the class box starts at the t with t_i = box_i mod d_i nearest to
+    # p_i/q, which depends on box_i alone; u_i = q t_i - p_i, and the
+    # product of the per-coordinate starts runs over the boxes in the
+    # order of the representatives
+    starts = [[q * (b + di * ((2 * (pi - q * b) + q * di) // (2 * q * di)))
+               - pi for b in range(di)] for pi, di in zip(p, d)]
+    best = []
+    for u in itertools.product(*starts):
+        norm = 0
+        for i in range(n):
+            w = m * u[i] + sum(lji * u[j] for j, lji in cols[i])
+            norm += e[i] * w * w
+        best.append(norm)
+    found = [[] for _ in best]
+    bound = max(best)
+
+    def keep(t, norm):
+        nonlocal bound
+        k = 0
+        for ti, di in zip(t, d):
+            k = k * di + ti % di
+        old = best[k]
+        if norm > old:
+            return bound
+        if norm < old:
+            best[k] = norm
+            found[k].clear()
+            if old == bound:
+                bound = max(best)
+        found[k].append(t)
+        return bound
+    _walk(cols, e, m, p, q, bound, keep)
+    # 0 <= box < d, so (t - box)/d is the floor quotient t // d
+    minimizers = []
+    for ts in found:
+        mins = []
+        for t in ts:
+            s = [ti // di for ti, di in zip(t, d)]
+            mins.append(tuple([sum(map(mul, row, s)) for row in V]))
+        mins.sort()
+        minimizers.append(tuple(mins))
+    return CosetArgmins(tuple(minimizers), tuple(best),
+                        prep[2] * (q * m) ** 2)
 
 
 class ThetaFunction:

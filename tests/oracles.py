@@ -6,7 +6,8 @@ enumeration (around a center, and over the box of an ellipsoid), exact
 rounding and square-root floors, Sylvester minors, and the two-pass polygon
 clipping and centroid ordering that the polygon kernel replaced.  Slow but
 obviously correct at the sizes the tests use.  The last section holds small
-helpers that only tests call; they compose public package functions.
+helpers that only tests call; they compose package functions, and one of
+them is the per-representative theta path that the coset walk replaced.
 """
 
 import functools
@@ -18,7 +19,9 @@ from tropitheta.errors import NotPolarization, PreconditionViolated
 from tropitheta.exactlinalg import (
     det, dot, solve, to_vector, vec_add, vec_scale,
 )
-from tropitheta.theta import theta_eval
+from tropitheta.theta import (
+    _h_constant, lattice_argmin, q_ell_constant, theta_eval,
+)
 from tropitheta.voronoi import VoronoiCell
 
 
@@ -447,6 +450,19 @@ def in_cell(G, x):
 def cell_matrices(pam):
     """The per-cell matrices of slope differences."""
     return [cm.A for cm in pam.cells]
+
+
+def per_representative_thetas(datum, info, x):
+    """The minimizer sets of every theta_b at x and phi~(x), one
+    lattice_argmin per representative: h = L^T.x + Pmat^T.b - ell, and
+    theta_b(x) = value + b.x + q_ell(b) in the (Q, ell) convention."""
+    lx = datum.LT.matvec(x)
+    res = [lattice_argmin(datum.G, vec_add(lx, _h_constant(datum, b)))
+           for b in info.reps]
+    thetas = [r.value + dot(b, x) + q_ell_constant(datum, b)
+              for r, b in zip(res, info.reps)]
+    return (tuple(r.minimizers for r in res),
+            tuple(t - thetas[0] for t in thetas[1:]))
 
 
 def rep_class_coords(datum, b1, b2):

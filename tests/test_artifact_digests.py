@@ -7,7 +7,9 @@ and says why.  The jobs cover the Voronoi decomposition (piece vertex
 order), the linearity cells (hull order), the certificates (by dimension
 and with a forced injectivity mode), the elliptic example and Fourier
 lifts, with a 'b' and with a 'targets' payload, on a 2-D monomial datum and
-on a non-monomial pairing.  The n = 1 jobs (embed,
+on a non-monomial pairing.  The grid certificates, the n = 3 certificate
+and the plane embedding with a nonzero ell pin the coset walk that
+evaluates every theta function at a point at once.  The n = 1 jobs (embed,
 voronoi with a datum, sampled certify) pin the interval cells that the
 convex-polytope kernel builds.  The plane data are the
 first four acceptance-test-04 draws (random.Random(7)), copied literally.
@@ -42,6 +44,16 @@ ELLIPTIC_2 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[2]]), "ell": ["0"]}}
 ELLIPTIC_3 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[3]]), "ell": ["0"]}}
 # a degree-5 circle with a nonzero ell, so the cells do not start at 0
 CIRCLE_5 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[5]]), "ell": ["7/3"]}}
+# type (2,2) on a small plane: the grid refutes injectivity, and the witness
+# [1/4, 3/4], [3/4, 9/4] pins the order in which the grid is walked
+SMALL_PLANE = {"datum": {"Pmat": _mat([[2, 1], [1, 3]]),
+                         "L": _mat([[2, 0], [0, 2]]), "ell": ["0", "0"]}}
+# an n = 3 datum of type (2,2,2) with a nonzero ell: sampled cells
+SPACE_8 = {"datum": {"Pmat": _mat([[4, 1, 0], [1, 5, 1], [0, 1, 6]]),
+                     "L": _mat([[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+                     "ell": ["1/3", "0", "-1/2"]}}
+# PLANE_4 with a nonzero ell, so the cells are not symmetric about 0
+PLANE_4_ELL = {"datum": dict(PLANE_4["datum"], ell=["1/3", "-1/2"])}
 
 NA_ELLIPTIC_3 = {"na_datum": {
     "Pmat": {"rows": 1, "cols": 1, "entries": ["12"]},
@@ -89,6 +101,17 @@ JOBS = [
     ("certify-136", ["certify", "--resolution", "4"], PLANE_136, 0, {
         "certify.json":
             "bf9ea024b5095100d4a62abcc323e44fd038972abe93e3b9e95112e376f77577"}),
+    ("certify-grid-small", ["certify", "--resolution", "4"], SMALL_PLANE, 3, {
+        "certify.json":
+            "e4e126887b23946f7dc8000b38f68d0dfe69daba163d2db7375c62dc3885ee4e"}),
+    ("certify-space-8", ["certify"], SPACE_8, 0, {
+        "certify.json":
+            "772ebca328045605d484297116f516349dd6255f3581e548fe1c15011063ef69"}),
+    ("embed-4-ell", ["embed"], PLANE_4_ELL, 0, {
+        "embed.json":
+            "23b9e8ea2edf78f8f7a98c34abe6598ee48ce29723726f037ce2fd434b134dc1",
+        "embed.svg":
+            "df4878cc6cf4aeedf44801cec16c9a26e578eef5fb543bdd207f2affcc4d9b1e"}),
     ("embed-circle-5", ["embed"], CIRCLE_5, 0, {
         "embed.json":
             "266a93a38fc8f7d57a948d2495cbfba6abe778c916414edea549159bb533fe37",

@@ -451,6 +451,17 @@ class TestSchemaErrors:
         assert run(tmp_path, "lift", "--input", path) == 1
         assert capsys.readouterr().err.startswith("schema error: ")
 
+    @pytest.mark.parametrize("targets", [["0", "0"], ["0", "inf", "0", "1"]],
+                             ids=["short", "long"])
+    def test_targets_count_exits_one(self, tmp_path, capsys, targets):
+        # one target per representative: |det L| = 3 of them
+        path = job(tmp_path, {"na_datum": na_elliptic_json(),
+                              "targets": targets})
+        assert run(tmp_path, "lift", "--input", path) == 1
+        assert capsys.readouterr().err == \
+            "schema error: 'targets' must have 3 entries\n"
+        assert not (tmp_path / "out").exists()
+
     def test_nonpolarized_theta_still_exits_two(self, tmp_path):
         bad = elliptic_json(3)
         bad["Pmat"]["entries"] = ["-12"]

@@ -1,13 +1,16 @@
 """Every module of the package, every test file and every demo uses every
-name it imports, and the package imports nothing outside the standard
-library.
+name it imports, the package imports nothing outside the standard library,
+and every private function or class of the package is used in the package.
 
 The checks are stdlib ast walks.  A name bound by an import at any level of
 a file must appear as a Name somewhere else in that file; the package's
 __init__.py re-exports names on purpose and is left out of that check, and
 so is bench/, whose files change only together with the benchmark's
 recorded baseline.  Every absolute import of every package module,
-__init__.py included, must name a module in sys.stdlib_module_names.
+__init__.py included, must name a module in sys.stdlib_module_names.  A
+function or class whose name starts with one underscore must appear as a
+Name or an attribute in some module of the package, so a helper that lost
+its last caller is seen.
 """
 
 import ast
@@ -75,3 +78,36 @@ def test_the_check_sees_a_third_party_import():
               "from sympy.core import S\nfrom . import theta\n"
               "from .errors import SchemaError\n")
     assert non_stdlib_imports(source) == [(2, "numpy"), (3, "sympy.core")]
+
+
+def unreferenced_private_defs(sources):
+    # (label, line, name) of every function or class named _x in the
+    # sources (label -> text) that no Name or attribute of them mentions
+    defined = []
+    used = set()
+    for label, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name.startswith("_") \
+                        and not node.name.startswith("__"):
+                    defined.append((label, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(d for d in defined if d[2] not in used)
+
+
+def test_every_private_definition_is_used_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []
+
+
+def test_the_check_sees_an_unused_private_definition():
+    sources = {"a.py": "def _used():\n    pass\n\n\n"
+                       "class _Gone:\n    def _method(self):\n"
+                       "        return _used()\n",
+               "b.py": "import a\n\n\ndef _left():\n    pass\n\n\n"
+                       "a._Gone()._method\n"}
+    assert unreferenced_private_defs(sources) == [("b.py", 4, "_left")]
