@@ -95,9 +95,15 @@ def _payload_datum(payload):
     return jsonio.datum_from_json(payload["datum"])
 
 
+def _list(payload, key):
+    if not isinstance(payload[key], list):
+        raise SchemaError("%r must be a list" % key)
+    return payload[key]
+
+
 def _int_vector(obj, what, n):
     # a list of n integers, n being the dimension of the job's datum
-    if not isinstance(obj, list) or not all(isinstance(c, int) for c in obj):
+    if not isinstance(obj, list) or not all(type(c) is int for c in obj):
         raise SchemaError("%s must be a list of integers" % what)
     if len(obj) != n:
         raise SchemaError("%s must have %d entries" % (what, n))
@@ -123,7 +129,7 @@ def cmd_theta(args):
     b = _int_vector(payload["b"], "b", datum.n)
     convention = Q_ELL if args.mode == "q_ell" else LAMBDA_GAMMA
     theta = ThetaFunction(datum, b, convention)
-    points = [jsonio.vector_from_json(p) for p in payload["points"]]
+    points = [jsonio.vector_from_json(p) for p in _list(payload, "points")]
     if any(len(p) != datum.n for p in points):
         raise SchemaError("each point must have %d entries" % datum.n)
     values = [jsonio.rational_to_str(theta_eval(theta, p)) for p in points]
@@ -209,7 +215,7 @@ def cmd_voronoi(args):
         translates = None
         if "translates" in payload:
             translates = [_int_vector(t, "translate", datum.n)
-                          for t in payload["translates"]]
+                          for t in _list(payload, "translates")]
         info, dec, certs = certified_cells(datum, translates)
         _emit(args, "voronoi.json", {
             "type": [int(d) for d in info.type],
@@ -227,6 +233,8 @@ def cmd_voronoi(args):
                 for cert in certs]})
         return 0
     G = jsonio.matrix_from_json(payload["G"])
+    if not G.is_square:
+        raise SchemaError("G must be a square matrix")
     cell = VoronoiCell(G)
     _emit(args, "voronoi.json", {
         "relevant_vectors": [[int(c) for c in v] for v in cell.relevant],
@@ -243,15 +251,14 @@ def cmd_lift(args):
         raise SchemaError("lift payload needs 'na_datum'")
     nad = jsonio.na_datum_from_json(payload["na_datum"])
     if "targets" in payload:
-        if not isinstance(payload["targets"], list):
-            raise SchemaError("'targets' must be a list")
+        targets = _list(payload, "targets")
         # one target per representative of M / L.Z^n, of which there are
         # |det L| (none for a singular L, which fails as a precondition)
         count = abs(det(nad.L))
-        if count and len(payload["targets"]) != count:
+        if count and len(targets) != count:
             raise SchemaError("'targets' must have %d entries" % count)
         targets = [INF if str(c) == "inf" else jsonio.rational_from_str(c)
-                   for c in payload["targets"]]
+                   for c in targets]
         fd, report = surjective_lift(nad, targets, args.window)
         _emit(args, "lift.json", {
             "fourier": jsonio.fourier_to_json(fd),
@@ -290,7 +297,7 @@ def cmd_example45(args):
         thetas = []
         for b, a in zip(info.reps, cm.argmins):
             slope, offset = affine_piece(datum, b, a)
-            thetas.append({"b": int(b[0]), "slope": int(slope[0]),
+            thetas.append({"b": int(b[0]), "slope": slope[0],
                            "offset": jsonio.rational_to_str(offset)})
         table.append({
             "interval": [jsonio.rational_to_str(cm.vertices[0][0]),

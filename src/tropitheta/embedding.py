@@ -18,12 +18,13 @@ image complex reads its vertices off that map.
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, lcm
+from operator import sub
 from typing import NamedTuple
 
 from .errors import (DimensionUnsupported, InternalInvariantViolated,
                      NotPolarization, PreconditionViolated)
-from .exactlinalg import (Matrix, content, dot, gram_norm, integer_vector,
-                          is_unimodular_map, vec_add, vec_sub)
+from .exactlinalg import (Matrix, content, dot, gram_norm, is_unimodular_map,
+                          vec_add, vec_sub)
 from .theta import _h_constant, coset_argmins, q_ell_constant
 from .voronoi import _hull, _split_polygon
 
@@ -31,12 +32,14 @@ from .voronoi import _hull, _split_polygon
 def affine_piece(datum, b, a):
     """(slope, offset) of theta_b, in the class-invariant convention, where
     a is its minimizer: theta_b(x) = (b + L.a).x + (1/2) a^T G a
-    + (Pmat^T.b - ell).a + q_ell(b).  Computed once per datum, b and a."""
+    + (Pmat^T.b - ell).a + q_ell(b), the slope b + L.a a tuple of ints.
+    Computed once per datum, b and a."""
     key = ("piece", b, a)
     if key not in datum.memo:
         offset = (gram_norm(datum.G, a) / 2
                   + dot(_h_constant(datum, b), a) + q_ell_constant(datum, b))
-        datum.memo[key] = (vec_add(b, datum.L.matvec(a)), offset)
+        slope = tuple(int(bi + c) for bi, c in zip(b, datum.L.matvec(a)))
+        datum.memo[key] = (slope, offset)
     return datum.memo[key]
 
 
@@ -166,14 +169,9 @@ def _profile_map(datum, reps, profile, n):
     pieces = [affine_piece(datum, b, a)
               for b, a in zip(reps, profile)]
     (s0, o0), rest = pieces[0], pieces[1:]
-    rows = [integer_vector(vec_sub(s, s0)) for s, _ in rest]
+    rows = [tuple(map(sub, s, s0)) for s, _ in rest]
     A = Matrix.from_rows(rows) if rows else Matrix(0, n, [])
     return A, tuple(o - o0 for _, o in rest)
-
-
-def _cell_map(datum, reps, verts, profile, n):
-    A, offset = _profile_map(datum, reps, profile, n)
-    return CellMap(verts, tuple(profile), A, offset)
 
 
 def linearity_cells(datum, info, domain=None):
@@ -195,7 +193,8 @@ def linearity_cells(datum, info, domain=None):
             "domain must be a full-dimensional polytope")
     done = _refine_pieces(datum, info, dom)
     merged = _merge_pieces(done)
-    cells = tuple(_cell_map(datum, info.reps, verts, profile, n)
+    cells = tuple(CellMap(verts, tuple(profile),
+                          *_profile_map(datum, info.reps, profile, n))
                   for verts, profile in merged)
     return PiecewiseAffineMap(tuple(info.reps), cells)
 

@@ -47,10 +47,12 @@ def matrix_to_json(m):
 
 def matrix_from_json(obj):
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        entries = [rational_from_str(e) for e in obj["entries"]]
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (TypeError, KeyError) as exc:
         raise SchemaError("matrix needs rows/cols/entries") from exc
+    if type(rows) is not int or type(cols) is not int:
+        raise SchemaError("matrix rows and cols must be integers")
+    entries = vector_from_json(entries)
     if rows < 1 or cols < 1 or len(entries) != rows * cols:
         raise SchemaError("matrix shape %dx%d does not fit %d entries"
                           % (rows, cols, len(entries)))

@@ -16,27 +16,25 @@ with lb = lambda^-1(b) and r the ell point; with that shift theta_b depends
 only on the class of b modulo lambda(M'), whereas the (lambda, gamma)
 normalization depends on the chosen representative.
 
-The minimizer search is an exact Fincke-Pohst walk over the LDL^T of G,
-scaled to integers; the same walk, under a fixed bound around the origin,
-enumerates the lattice ball that gives the Voronoi cut lines.  The
-factorization, the definiteness check and G^-1 are prepared once per Gram
-matrix, in a bounded cache keyed by the immutable Matrix value.  Per call
-the continuous minimizer is one matrix-vector product, every partial sum of
-the G-norm is an integer over one common denominator, and every interval
-end is a closed form in integer square roots, so ties are found exactly and
-no floating point is involved.
+Every lattice minimization of the package is one exact Fincke-Pohst walk
+over the LDL^T of G, scaled to integers and prepared once per Gram matrix
+(a bounded cache keyed by the immutable Matrix value), with two leaf
+policies: _nearest keeps the points of every class of Z^n mod d nearest a
+rational center, and _ball every point under a fixed bound around the
+origin, the lattice ball of the Voronoi cut lines.  Every decision is an
+integer comparison, so ties are found exactly and no floating point is
+involved.
 
-The theta map needs all D = |det L| functions theta_b at a point.  With
-y = a + L^-1.b, and since G.L^-1 = Pmat^T, the (Q, ell) minimand is
+lattice_argmin is the one-class call around -G^-1.h.  The theta map needs
+all D = |det L| functions theta_b at a point.  With y = a + L^-1.b, and
+since G.L^-1 = Pmat^T, the (Q, ell) minimand is
 
     (1/2) y^T G y + (L^T.x - ell).y + (1/2) r^T G r,     r = G^-1.ell,
 
 over the coset y in L^-1.b + Z^n: half the squared G-distance from the
 center G^-1.ell - Pmat^-1.x to the coset, plus a term that does not
-depend on b.  So coset_argmins runs the walk once per point over the
-union of the cosets, in coordinates where they are the classes mod the
-type, and keeps the best points of every class; phi~, the differences of
-the thetas, is the difference of the squared distances over 2.
+depend on b.  So coset_argmins is one call per point, in coordinates
+where the cosets are the classes mod the type.
 """
 
 import itertools
@@ -62,6 +60,12 @@ class ArgminResult(NamedTuple):
     minimizers: tuple   # all integer minimizers, sorted
     value: Fraction     # the attained minimum
     tie: bool           # more than one minimizer
+
+
+class CosetArgmins(NamedTuple):
+    minimizers: tuple   # per class, its sorted nearest points
+    norms: tuple        # per class, K times their squared distance
+    K: int              # the common denominator of the norms
 
 
 @lru_cache(maxsize=128)
@@ -95,70 +99,109 @@ def _prepared(G):
 def lattice_argmin(G, h):
     """All integer minimizers of (1/2) a^T G a + h.a for positive definite G.
 
-    Fincke-Pohst over the LDL^T of G, in integers.  The factorization,
-    the definiteness check and G^-1 are prepared once per value of G (a
-    bounded cache keyed by the immutable Matrix).  Per call, the
-    continuous minimizer ahat = -G^-1.h = p/q is one matrix-vector
-    product.  With L = Lam/m and D = e/k, the G-norm of a - ahat is
-
-        (a - ahat)^T G (a - ahat) = sum_i e_i W_i^2 / K,   K = k q^2 m^2,
-
-    where W_i = q m a_i - C_i and C_i = m p_i - sum_{j>i} Lam_ji u_j with
-    u_j = q a_j - p_j are integers.  Levels run from i = n-1 down to 0
-    against the bound B (in units of 1/K) of the best point so far, which
-    starts at the componentwise rounding of ahat.  With Rem = B - partial
-    and r = isqrt(Rem // e_i), level i admits exactly the a_i with
-    |W_i| <= r, the closed-form range
-
-        -((r - C_i) // (q m)) <= a_i <= (C_i + r) // (q m),
-
-    so all decisions are integer comparisons.  Pruning is non-strict so
-    every tied minimizer survives.  The value at the minimizers is
+    They are the integer points nearest ahat = -G^-1.h = p/q (one product
+    with the prepared G^-1): the one-class call of _nearest around ahat.
+    With B/K their squared G-distance from ahat, the value there is
     (B/K + h.ahat)/2.
     """
-    n, m, k, cols, e, Ginv, g = _prepared(G)
+    n, _, _, _, _, Ginv, g = _prepared(G)
     h = to_vector(h)
     if len(h) != n:
         raise ValueError("length mismatch")
     if n == 0:
         return ArgminResult(((),), Fraction(0), False)
-    hd = lcm(*(x.denominator for x in h))
-    hn = [x.numerator * (hd // x.denominator) for x in h]
-    p = [-sum(gij * hj for gij, hj in zip(row, hn)) for row in Ginv]
+    hn, hd = _center(h)
+    p = [-sum(map(mul, row, hn)) for row in Ginv]
     q = g * hd
-    t = gcd(q, *p)
-    p = [x // t for x in p]
-    q //= t
-    qm = q * m
-    best = 0
-    u = [0] * n
-    for i in range(n - 1, -1, -1):
-        u[i] = q * ((2 * p[i] + q) // (2 * q)) - p[i]
-        w = m * u[i] + sum(lji * u[j] for j, lji in cols[i])
-        best += e[i] * w * w
-    # the rounded start is always re-found: its partial sums never exceed
-    # the bound it set, so found is never empty
-    found = []
-
-    def keep(a, norm):
-        nonlocal best
-        if norm < best:
-            best = norm
-            found.clear()
-        found.append(a)
-        return best
-    _walk(cols, e, m, p, q, best, keep)
-    found.sort()
-    hahat = sum(x * y for x, y in zip(hn, p))
-    value = Fraction(best * hd + hahat * k * q * m * m, 2 * k * qm * qm * hd)
+    (found,), (best,), K = _nearest(G, p, q)
+    value = Fraction(best * hd * q + sum(map(mul, hn, p)) * K, 2 * K * hd * q)
     return ArgminResult(tuple(found), value, len(found) > 1)
 
 
+def _center(c):
+    # the rational vector c as integers p over one common denominator q
+    q = lcm(*(x.denominator for x in c))
+    return [x.numerator * (q // x.denominator) for x in c], q
+
+
+def _nearest(G, p, q, d=None):
+    """The points of every class of Z^n mod d nearest the center p/q.
+
+    G is positive definite, p and q > 0 are integers, and d holds the
+    moduli (None: the one class Z^n).  Returns (found, norms, K), the shape
+    of CosetArgmins, per class in box order (box, 0 <= box < d, in the
+    order of itertools.product): the sorted points of the class nearest
+    p/q in the G-norm, and K times their squared distance.
+
+    With p/q reduced to lowest terms and L = Lam/m, D = e/k the LDL^T of G,
+
+        (a - p/q)^T G (a - p/q) = sum_i e_i W_i^2 / K,   K = k q^2 m^2,
+
+    where W_i = q m a_i - C_i and C_i = m p_i - sum_{j>i} Lam_ji u_j with
+    u_j = q a_j - p_j are integers.  _walk runs the levels from i = n-1
+    down to 0 against a bound B in units of 1/K; with
+    r = isqrt((B - partial) // e_i), level i admits exactly the a_i with
+    |W_i| <= r, the closed-form range
+
+        -((r - C_i) // (q m)) <= a_i <= (C_i + r) // (q m),
+
+    so all decisions are integer comparisons.  Each class starts at its
+    componentwise rounding (a_i = box_i mod d_i nearest p_i/q), B is the
+    largest best norm of any class, and pruning is non-strict, so every
+    tie survives.
+    """
+    n, m, k, cols, e, _, _ = _prepared(G)
+    g = gcd(q, *p)
+    p = [pi // g for pi in p]
+    q //= g
+    # u = q.a - p at the start of every class; the norm of a start never
+    # exceeds the bound, so the walk re-finds it and no class stays empty
+    if d is None:
+        starts = [tuple([q * ((2 * pi + q) // (2 * q)) - pi for pi in p])]
+    else:
+        starts = itertools.product(*[
+            [q * (b + di * ((2 * (pi - q * b) + q * di) // (2 * q * di))) - pi
+             for b in range(di)] for pi, di in zip(p, d)])
+    best = []
+    for u in starts:
+        norm = 0
+        for i in range(n):
+            w = m * u[i]
+            for j, lji in cols[i]:
+                w += lji * u[j]
+            norm += e[i] * w * w
+        best.append(norm)
+    found = [[] for _ in best]
+    bound = max(best)
+    many = len(best) > 1
+
+    def keep(a, norm):
+        nonlocal bound
+        c = 0
+        if many:
+            for ai, di in zip(a, d):
+                c = c * di + ai % di
+        old = best[c]
+        if norm > old:
+            return bound
+        if norm < old:
+            best[c] = norm
+            found[c].clear()
+            if old == bound:
+                bound = max(best)
+        found[c].append(a)
+        return bound
+    _walk(cols, e, m, p, q, bound, keep)
+    for points in found:
+        points.sort()
+    return found, best, k * (q * m) ** 2
+
+
 def _walk(cols, e, m, p, q, bound, leaf):
-    # The Fincke-Pohst walk of lattice_argmin over every integer a with
-    # sum_i e_i W_i^2 <= bound around the center p/q.  At each such a, in
-    # lexicographic order from the last coordinate, leaf(a, norm) returns
-    # the bound for the rest of the walk.
+    # The Fincke-Pohst walk over every integer a with
+    # sum_i e_i W_i^2 <= bound around the center p/q (see _nearest).  At
+    # each such a, in lexicographic order from the last coordinate,
+    # leaf(a, norm) returns the bound for the rest of the walk.
     n = len(e)
     qm = q * m
     a = [0] * n
@@ -166,7 +209,9 @@ def _walk(cols, e, m, p, q, bound, leaf):
 
     def descend(i, partial):
         nonlocal bound
-        c = m * p[i] - sum(lji * u[j] for j, lji in cols[i])
+        c = m * p[i]
+        for j, lji in cols[i]:
+            c -= lji * u[j]
         ei = e[i]
         r = isqrt((bound - partial) // ei)
         for ai in range(-((r - c) // qm), (c + r) // qm + 1):
@@ -201,17 +246,10 @@ def _ball(G, bound):
     return out
 
 
-class CosetArgmins(NamedTuple):
-    minimizers: tuple   # per representative, its sorted minimizers a
-    norms: tuple        # per representative, K times the squared distance
-    K: int              # the common denominator of the norms
-
-
 def _coset_data(datum, info):
     # Constants of the coset walk, once per datum and representative
-    # system: the prepared Gram matrix G'' = U^-T.Pmat.L^-1.U^-1 of the
-    # t-coordinates, the type d, the rows of V, and the center
-    # t*(x) = (c0 - C.x)/den with C = den.U.L.Pmat^-1 and
+    # system: G'' = U^-T.Pmat.L^-1.U^-1, the type d, the rows of V, and
+    # the center t*(x) = (c0 - C.x)/den with C = den.U.L.Pmat^-1 and
     # c0 = den.U.L.G^-1.ell integral.
     key = ("cosets", info.reps)
     if key not in datum.memo:
@@ -224,7 +262,7 @@ def _coset_data(datum, info):
         den = lcm(*(x.denominator for x in C + tuple(c0)))
         n = datum.n
         datum.memo[key] = (
-            _prepared(G2), info.type,
+            G2, info.type,
             tuple(tuple(int(V[i, j]) for j in range(n)) for i in range(n)),
             tuple(tuple(int(x * den) for x in C[i * n:(i + 1) * n])
                   for i in range(n)),
@@ -233,66 +271,21 @@ def _coset_data(datum, info):
 
 
 def coset_argmins(datum, info, x):
-    """Every theta_b at x from one Fincke-Pohst walk.
+    """The minimizers of every theta_b at x, and phi~ there, from one
+    call of _nearest: per representative, in the order of info.reps, so
+    phi~ = (norms[k] - norms[0]) / (2 K).
 
-    In the (Q, ell) convention theta_b(x) is half the squared G-distance
-    from the center G^-1.ell - Pmat^-1.x to the coset L^-1.b + Z^n, plus a
-    term that does not depend on b.  Written in t = U.(L.a + b), with
-    U.L.V = diag(d) from info, the cosets are the classes of t mod d, the
-    representative reps[k] = U^-1.box_k is the class box_k, and the Gram
-    matrix is G'' = U^-T.Pmat.L^-1.U^-1, congruent to G.  So one walk
-    around t*(x) = U.L.(G^-1.ell - Pmat^-1.x), bucketing its points by
-    class, finds the minimizers of every theta_b; t maps back to the
-    minimizer a = V.((t - box)/d) of the defining minimization.  Each
-    class starts at its componentwise rounding, the bound of the walk is
-    the largest best norm of a class, and pruning is non-strict, so every
-    tied minimizer survives.  The squared distances are integers over one
-    common denominator K, so phi~ = (norms[k] - norms[0]) / (2 K).
+    In t = U.(L.a + b), with U.L.V = diag(d) from info, the cosets are the
+    classes mod d (reps[k] = U^-1.box_k), the Gram matrix
+    G'' = U^-T.Pmat.L^-1.U^-1 is congruent to G, the center is
+    t*(x) = U.L.(G^-1.ell - Pmat^-1.x), and a = V.((t - box)/d).
     """
-    prep, d, V, C, c0, den = _coset_data(datum, info)
-    n, m, _, cols, e, _, _ = prep
-    if len(x) != n:
+    G2, d, V, C, c0, den = _coset_data(datum, info)
+    if len(x) != len(d):
         raise ValueError("length mismatch")
-    xd = lcm(*(c.denominator for c in x))
-    xn = [c.numerator * (xd // c.denominator) for c in x]
-    p = [ci * xd - sum(cij * xj for cij, xj in zip(row, xn))
-         for row, ci in zip(C, c0)]
-    q = den * xd
-    g = gcd(q, *p)
-    p = [pi // g for pi in p]
-    q //= g
-    # the class box starts at the t with t_i = box_i mod d_i nearest to
-    # p_i/q, which depends on box_i alone; u_i = q t_i - p_i, and the
-    # product of the per-coordinate starts runs over the boxes in the
-    # order of the representatives
-    starts = [[q * (b + di * ((2 * (pi - q * b) + q * di) // (2 * q * di)))
-               - pi for b in range(di)] for pi, di in zip(p, d)]
-    best = []
-    for u in itertools.product(*starts):
-        norm = 0
-        for i in range(n):
-            w = m * u[i] + sum(lji * u[j] for j, lji in cols[i])
-            norm += e[i] * w * w
-        best.append(norm)
-    found = [[] for _ in best]
-    bound = max(best)
-
-    def keep(t, norm):
-        nonlocal bound
-        k = 0
-        for ti, di in zip(t, d):
-            k = k * di + ti % di
-        old = best[k]
-        if norm > old:
-            return bound
-        if norm < old:
-            best[k] = norm
-            found[k].clear()
-            if old == bound:
-                bound = max(best)
-        found[k].append(t)
-        return bound
-    _walk(cols, e, m, p, q, bound, keep)
+    xn, xd = _center(x)
+    p = [ci * xd - sum(map(mul, row, xn)) for row, ci in zip(C, c0)]
+    found, norms, K = _nearest(G2, p, den * xd, d)
     # 0 <= box < d, so (t - box)/d is the floor quotient t // d
     minimizers = []
     for ts in found:
@@ -302,8 +295,7 @@ def coset_argmins(datum, info, x):
             mins.append(tuple([sum(map(mul, row, s)) for row in V]))
         mins.sort()
         minimizers.append(tuple(mins))
-    return CosetArgmins(tuple(minimizers), tuple(best),
-                        prep[2] * (q * m) ** 2)
+    return CosetArgmins(tuple(minimizers), tuple(norms), K)
 
 
 class ThetaFunction:

@@ -9,8 +9,10 @@ The decomposition machinery refines the Voronoi cell until every
 full-dimensional piece can be translated back into the cell by each
 member of a whole basis of a d-scaled sublattice.  Those bases feed the
 per-piece certificates: the basis turns into integer shift vectors whose
-shared-argmin property is verified exactly with the lattice minimizer,
-and whose rows assemble into a unimodular matrix.
+shared-argmin property is verified exactly, and whose rows assemble into a
+unimodular matrix.  Every minimization asks theta's walk for the lattice
+points of each class mod d nearest a rational center: one walk mod 2 for
+the relevant vectors and for the half periods, one class otherwise.
 
 The module owns the package's one convex-polytope kernel, for intervals
 and polygons alike: a one-pass split along a line (a point, for n = 1) and
@@ -19,7 +21,7 @@ cell here and the linearity cells of the theta map in embedding.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial, gcd, lcm
 from typing import NamedTuple
 
@@ -30,9 +32,9 @@ from .errors import (
 from .exactlinalg import (
     Matrix, det, dot, gram_norm, integer_vector, invariant_factors, inverse,
     is_positive_definite, is_unimodular_map, snf, solve, to_vector, vec_add,
-    vec_scale, vec_sub,
+    vec_scale,
 )
-from .theta import ArgminResult, _ball, lattice_argmin
+from .theta import ArgminResult, _ball, _center, _nearest
 from .torus import polarization_type
 
 
@@ -68,20 +70,14 @@ def relevant_vectors(G):
     """The Voronoi-relevant vectors of Z^n under G, sorted.
 
     v is relevant exactly when +-v are the only minimal-norm vectors of
-    the coset v + 2Z^n, so each of the 2^n - 1 nonzero cosets mod 2 is
-    scanned with the certified lattice minimizer and contributes its pair
-    precisely when the minimum is a two-way tie.
+    the coset v + 2Z^n (Voronoi's criterion), so one walk finds the
+    shortest vectors of every class mod 2, and each nonzero class
+    contributes its pair precisely when its minimum is a two-way tie.
     """
     lat = GramLattice(G)
     out = []
-    G4 = lat.G.scale(4)
-    for cls in product((0, 1), repeat=lat.n):
-        if not any(cls):
-            continue
-        # (cls + 2a)^T G (cls + 2a) - cls^T G cls = 2 ((1/2) a^T 4G a + 2(G cls).a)
-        res = lattice_argmin(G4, vec_scale(2, lat.G.matvec(cls)))
-        vs = [tuple(cls[i] + 2 * a[i] for i in range(lat.n))
-              for a in res.minimizers]
+    classes, _, _ = _nearest(lat.G, [0] * lat.n, 1, (2,) * lat.n)
+    for vs in classes[1:]:
         if len(vs) == 2:
             if vs[0] != tuple(-c for c in vs[1]):
                 raise InternalInvariantViolated("coset minima not a +- pair")
@@ -132,13 +128,13 @@ class VoronoiCell:
 def closest_point(G, x):
     """Closest lattice points to a rational point, with squared distance.
 
-    Minimizing |p - x|^2 over p in Z^n is the lattice problem with linear
-    term -G.x; the squared distance is 2 min + x^T G x.
+    The walk of the one class Z^n around x gives both.
     """
     lat = GramLattice(G)
-    x = to_vector(x)
-    res = lattice_argmin(lat.G, vec_scale(-1, lat.G.matvec(x)))
-    return ArgminResult(res.minimizers, 2 * res.value + lat.norm(x), res.tie)
+    if len(x) != lat.n:
+        raise ValueError("length mismatch")
+    (points,), (norm,), K = _nearest(lat.G, *_center(to_vector(x)))
+    return ArgminResult(tuple(points), Fraction(norm, K), len(points) > 1)
 
 
 def half_period_system(G, x):
@@ -146,11 +142,12 @@ def half_period_system(G, x):
 
     One candidate per two-torsion class t in {0, 1/2}^n: x + t is reduced
     into the cell by subtracting a closest lattice point and the candidate
-    is the difference to x.  A greedy scan keeps each candidate that raises
-    the rank, read off the Smith form of the doubled candidates (integer,
-    since each lies in (1/2) Z^n).  It reaches rank n; failing to do so
-    would contradict the construction, so that raises
-    InternalInvariantViolated.
+    is the difference to x.  The lattice point nearest x + t is
+    (z + 2t)/2 for the point z of the class 2t mod 2 nearest 2x, so one
+    walk mod 2 gives every candidate, -z/2.  A greedy scan keeps each that
+    raises the rank, read off the Smith form of the doubled candidates
+    (integer, since each lies in (1/2) Z^n).  Not reaching rank n would
+    contradict the construction and raises InternalInvariantViolated.
     """
     x = to_vector(x)
     cell = VoronoiCell(G)
@@ -160,15 +157,15 @@ def half_period_system(G, x):
 
 
 def _half_periods(cell, x):
-    # half_period_system for a point x already known to lie in the cell
-    G = cell.lattice.G
+    # half_period_system for a point x already known to lie in the cell;
+    # the classes 2t come in the order of product((0, 1/2)), and the least
+    # z gives the least nearest point (z + 2t)/2
     n = cell.lattice.n
     chosen = []
-    for t in product((Fraction(0), Fraction(1, 2)), repeat=n):
-        # a closest lattice point to y = x + t, as in closest_point
-        y = vec_add(x, t)
-        p = lattice_argmin(G, vec_scale(-1, G.matvec(y))).minimizers[0]
-        q = tuple(vec_sub(t, p))
+    classes, _, _ = _nearest(cell.lattice.G, *_center([2 * c for c in x]),
+                             (2,) * n)
+    for zs in classes:
+        q = tuple(Fraction(-c, 2) for c in zs[0])
         doubled = Matrix.from_rows([[2 * c for c in r] for r in chosen + [q]])
         if len(invariant_factors(doubled)) > len(chosen):
             chosen.append(q)
@@ -475,9 +472,11 @@ def cell_certificate(datum, info, piece, translate, atilde=None):
     for j, ell in enumerate(ells):
         frac = [Fraction(ell[i], d[i]) for i in range(n)]
         for y in samples:
-            t = [translate[i] + y[i] + frac[i] for i in range(n)]
-            res = lattice_argmin(Ga, Ga.matvec(t))
-            if atilde not in res.minimizers:
+            # the minimizers are the lattice points nearest
+            # -(translate + y + l/d)
+            c = [-translate[i] - y[i] - frac[i] for i in range(n)]
+            (points,), _, _ = _nearest(Ga, *_center(c))
+            if atilde not in points:
                 raise CertificateFailed(
                     "shared argmin fails for shift %d at %s" % (j, tuple(y)))
     if not is_unimodular_map(Matrix.from_rows([list(e) for e in ells[1:]])):

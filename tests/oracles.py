@@ -6,8 +6,10 @@ enumeration (around a center, and over the box of an ellipsoid), exact
 rounding and square-root floors, Sylvester minors, and the two-pass polygon
 clipping and centroid ordering that the polygon kernel replaced.  Slow but
 obviously correct at the sizes the tests use.  The last section holds small
-helpers that only tests call; they compose package functions, and one of
-them is the per-representative theta path that the coset walk replaced.
+helpers that only tests call; they compose package functions, and three of
+them are paths that one walk replaced: the per-representative thetas (the
+coset walk), and the per-class relevant vectors and per-point half periods
+(the walk mod 2 of voronoi).
 """
 
 import functools
@@ -17,7 +19,8 @@ from math import ceil, floor, gcd, isqrt
 
 from tropitheta.errors import NotPolarization, PreconditionViolated
 from tropitheta.exactlinalg import (
-    det, dot, solve, to_vector, vec_add, vec_scale,
+    Matrix, det, dot, invariant_factors, solve, to_vector, vec_add,
+    vec_scale, vec_sub,
 )
 from tropitheta.theta import (
     _h_constant, lattice_argmin, q_ell_constant, theta_eval,
@@ -463,6 +466,43 @@ def per_representative_thetas(datum, info, x):
               for r, b in zip(res, info.reps)]
     return (tuple(r.minimizers for r in res),
             tuple(t - thetas[0] for t in thetas[1:]))
+
+
+def relevant_vectors_per_class(G):
+    """The Voronoi-relevant vectors of Z^n under G, one lattice_argmin per
+    nonzero class cls mod 2 on 4G, since
+    (cls + 2a)^T G (cls + 2a) - cls^T G cls = 2 ((1/2) a^T 4G a + 2(G cls).a);
+    a class contributes its pair when its minimum is a two-way tie."""
+    n = G.rows
+    out = []
+    for cls in itertools.product((0, 1), repeat=n):
+        if not any(cls):
+            continue
+        res = lattice_argmin(G.scale(4), vec_scale(2, G.matvec(cls)))
+        vs = [tuple(cls[i] + 2 * a[i] for i in range(n))
+              for a in res.minimizers]
+        if len(vs) == 2:
+            assert vs[0] == tuple(-c for c in vs[1])
+            out.extend(vs)
+    return sorted(out)
+
+
+def half_periods_per_point(G, x):
+    """The greedy half-period system of voronoi at x, one lattice_argmin
+    per t in {0, 1/2}^n: q = t - p for the least lattice point p nearest
+    x + t, kept when it raises the rank of the doubled candidates."""
+    n = G.rows
+    chosen = []
+    for t in itertools.product((Fraction(0), Fraction(1, 2)), repeat=n):
+        y = vec_add(x, t)
+        p = lattice_argmin(G, vec_scale(-1, G.matvec(y))).minimizers[0]
+        q = tuple(vec_sub(t, p))
+        doubled = Matrix.from_rows([[2 * c for c in r] for r in chosen + [q]])
+        if len(invariant_factors(doubled)) > len(chosen):
+            chosen.append(q)
+            if len(chosen) == n:
+                return chosen
+    raise AssertionError("no independent half-period system")
 
 
 def rep_class_coords(datum, b1, b2):

@@ -430,13 +430,36 @@ class TestSchemaErrors:
                   "targets": {"0": "0", "1": "inf", "2": "inf"}}),
         ("lift", {"na_datum": na_elliptic_json(), "targets": 5}),
         ("voronoi", "G: 1"),
+        ("theta", {"datum": elliptic_json(3), "b": [0], "points": 5}),
+        ("voronoi", {"datum": elliptic_json(3), "translates": 5}),
+        ("theta", {"datum": elliptic_json(3), "b": [True],
+                   "points": [["1"]]}),
     ], ids=["targets-string", "targets-object", "targets-number",
-            "voronoi-string"])
+            "voronoi-string", "theta-points-number",
+            "voronoi-translates-number", "theta-b-boolean"])
     def test_payload_type_exits_one(self, tmp_path, capsys, command,
                                     payload):
         path = job(tmp_path, payload)
         assert run(tmp_path, command, "--input", path) == 1
         assert capsys.readouterr().err.startswith("schema error: ")
+
+    @pytest.mark.parametrize("command, payload", [
+        ("type", {"datum": dict(elliptic_json(3), Pmat={
+            "rows": "a", "cols": 1, "entries": ["12"]})}),
+        ("type", {"datum": dict(elliptic_json(3), Pmat={
+            "rows": 1.5, "cols": 1, "entries": ["12"]})}),
+        ("type", {"datum": dict(elliptic_json(3), L={
+            "rows": 1, "cols": True, "entries": ["3"]})}),
+        ("voronoi", {"G": {"rows": 1, "cols": 2, "entries": ["2", "1"]}}),
+    ], ids=["rows-string", "rows-float", "cols-bool", "voronoi-G-1x2"])
+    def test_matrix_shape_exits_one(self, tmp_path, capsys, command,
+                                    payload):
+        # a matrix of the wrong shape is a malformed job: exit 1, with no
+        # traceback and no artifact
+        path = job(tmp_path, payload)
+        assert run(tmp_path, command, "--input", path) == 1
+        assert capsys.readouterr().err.startswith("schema error: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, value", [
         ("L", {"rows": 2, "cols": 2, "entries": ["3", "0", "0", "3"]}),

@@ -57,6 +57,23 @@ class TestVectorsAndMatrices:
             jsonio.matrix_from_json(
                 {"rows": 2, "cols": 2, "entries": ["1", "2", "3"]})
 
+    @pytest.mark.parametrize("rows, cols", [
+        ("a", 1), (1.5, 1), (1, True), ("1", 1), (None, 1), (1.0, 1),
+    ])
+    def test_rows_and_cols_must_be_json_integers(self, rows, cols):
+        # a string, float, bool or null shape is a schema fault, never
+        # converted or truncated
+        with pytest.raises(SchemaError):
+            jsonio.matrix_from_json(
+                {"rows": rows, "cols": cols, "entries": ["1"]})
+
+    @pytest.mark.parametrize("entries", ["12", {"1": "2"}, 12])
+    def test_entries_must_be_a_list(self, entries):
+        # a string or an object is not read as its characters or keys
+        with pytest.raises(SchemaError):
+            jsonio.matrix_from_json(
+                {"rows": 1, "cols": 2, "entries": entries})
+
     def test_vector_must_be_list(self):
         with pytest.raises(SchemaError):
             jsonio.vector_from_json({"x": "1"})
