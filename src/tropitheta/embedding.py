@@ -8,7 +8,9 @@ exactly for n <= 2 by probing minimizer sets at polytope vertices and
 splitting along bisectors.  One convex-polytope kernel of voronoi, for
 intervals and polygons alike (the one-pass split and the hull order),
 builds every cell, and a cell keeps only its vertices.  Unimodularity and
-injectivity of the result are certified (n = 1) or sampled on a grid.
+injectivity of the result are certified (n = 1) or sampled on a grid; the
+exact injectivity check solves only the cell pairs whose image boxes
+overlap, found by a sweep.
 Each affine piece of theta_b is computed once per datum, the minimizers of
 every theta_b at a point come from one coset walk of theta, and a caller
 builds the cell map once and passes it to the checks that read it; the
@@ -315,15 +317,49 @@ def _collision_pair(ci, cj, varpi):
     return None
 
 
+def _image_boxes(cells):
+    # the componentwise hull of phi~ = A.x + offset (A one column) at the
+    # ends of each cell holds its image; phi~ is continuous, so a shared
+    # end is evaluated once
+    values = {}
+    boxes = []
+    for cm in cells:
+        ends = []
+        for (x,) in cm.vertices:
+            v = values.get(x)
+            if v is None:
+                v = values[x] = tuple(a * x + o for a, o
+                                      in zip(cm.A.entries, cm.offset))
+            ends.append(v)
+        boxes.append((tuple(map(min, *ends)), tuple(map(max, *ends))))
+    return boxes
+
+
 def _injective_exact_1d(datum, info, pam):
+    """phi~(x) = phi~(y) puts the image boxes of the cells of x and y in
+    contact, so only pairs of overlapping closed boxes, found by a sweep
+    along the first coordinate, are solved.  On the diagonal a nonzero A
+    forces x = y, so only constant cells are solved there.  Pairs are
+    solved in (i, j) order: the first witness is that of the full loop."""
     pam = pam or linearity_cells(datum, info)
     varpi = abs(datum.torus.Pmat[0, 0])
     cells = pam.cells
-    for i in range(len(cells)):
-        for j in range(i, len(cells)):
-            w = _collision_pair(cells[i], cells[j], varpi)
-            if w is not None:
-                return InjectivityVerdict("refuted", w)
+    boxes = _image_boxes(cells)
+    order = sorted(range(len(cells)), key=lambda k: boxes[k][0][:1])
+    pairs = [(i, i) for i, cm in enumerate(cells) if not any(cm.A.entries)]
+    for p, i in enumerate(order):
+        lo, hi = boxes[i]
+        for j in order[p + 1:]:
+            lo2, hi2 = boxes[j]
+            if lo2[:1] > hi[:1]:
+                break
+            if all(a <= d and c <= b
+                   for a, b, c, d in zip(lo[1:], hi[1:], lo2[1:], hi2[1:])):
+                pairs.append((min(i, j), max(i, j)))
+    for i, j in sorted(pairs):
+        w = _collision_pair(cells[i], cells[j], varpi)
+        if w is not None:
+            return InjectivityVerdict("refuted", w)
     return InjectivityVerdict("certified", None)
 
 
@@ -346,9 +382,9 @@ def _injective_grid(datum, info, resolution):
 
 def check_injective(datum, info, mode="exact", resolution=20, pam=None):
     """Injectivity of the theta map on the torus: "exact" (n = 1)
-    certifies or refutes with a witness by comparing affine pieces over
-    all cell pairs of pam (computed here when not given); "grid" samples
-    and can only refute or report sampled-ok."""
+    certifies or refutes with a witness by comparing the affine pieces of
+    the cell pairs of pam (computed here when not given) whose image boxes
+    overlap; "grid" samples and can only refute or report sampled-ok."""
     if not datum.polarized:
         raise NotPolarization("the theta map needs a polarized datum")
     if mode == "exact":

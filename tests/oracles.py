@@ -6,10 +6,11 @@ enumeration (around a center, and over the box of an ellipsoid), exact
 rounding and square-root floors, Sylvester minors, and the two-pass polygon
 clipping and centroid ordering that the polygon kernel replaced.  Slow but
 obviously correct at the sizes the tests use.  The last section holds small
-helpers that only tests call; they compose package functions, and three of
-them are paths that one walk replaced: the per-representative thetas (the
-coset walk), and the per-class relevant vectors and per-point half periods
-(the walk mod 2 of voronoi).
+helpers that only tests call; they compose package functions, and four of
+them are paths that a faster one replaced: the per-representative thetas
+(the coset walk), the per-class relevant vectors and per-point half periods
+(the walk mod 2 of voronoi), and the all-pairs exact injectivity loop (the
+box sweep of embedding).
 """
 
 import functools
@@ -17,6 +18,9 @@ import itertools
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
+from tropitheta.embedding import (
+    InjectivityVerdict, _collision_pair, linearity_cells,
+)
 from tropitheta.errors import NotPolarization, PreconditionViolated
 from tropitheta.exactlinalg import (
     Matrix, det, dot, invariant_factors, solve, to_vector, vec_add,
@@ -453,6 +457,20 @@ def in_cell(G, x):
 def cell_matrices(pam):
     """The per-cell matrices of slope differences."""
     return [cm.A for cm in pam.cells]
+
+
+def injective_all_pairs(datum, info, pam):
+    """Exact injectivity for n = 1 by solving every pair of cells i <= j
+    in order: the quadratic loop that the box sweep of embedding replaced."""
+    pam = pam or linearity_cells(datum, info)
+    varpi = abs(datum.torus.Pmat[0, 0])
+    cells = pam.cells
+    for i in range(len(cells)):
+        for j in range(i, len(cells)):
+            w = _collision_pair(cells[i], cells[j], varpi)
+            if w is not None:
+                return InjectivityVerdict("refuted", w)
+    return InjectivityVerdict("certified", None)
 
 
 def per_representative_thetas(datum, info, x):

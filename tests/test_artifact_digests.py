@@ -5,14 +5,15 @@ A change that claims byte-identical artifacts keeps this test passing
 unchanged; a change that means to alter an artifact updates its digest here
 and says why.  The jobs cover the Voronoi decomposition (piece vertex
 order), the linearity cells (hull order), the certificates (by dimension
-and with a forced injectivity mode), the elliptic example and Fourier
-lifts, with a 'b' and with a 'targets' payload, on a 2-D monomial datum and
-on a non-monomial pairing.  The grid certificates, the n = 3 certificate
-and the plane embedding with a nonzero ell pin the coset walk that
-evaluates every theta function at a point at once.  The n = 1 jobs (embed,
-voronoi with a datum, sampled certify) pin the interval cells that the
-convex-polytope kernel builds.  The plane data are the
-first four acceptance-test-04 draws (random.Random(7)), copied literally.
+and with a forced injectivity mode, one exact refutation with a nonzero
+ell), the elliptic example up to degree 32 and Fourier lifts, with a 'b'
+and with a 'targets' payload, on a 2-D monomial datum and on a non-monomial
+pairing.  The grid certificates, the n = 3 certificate and the plane
+embedding with a nonzero ell pin the coset walk that evaluates every theta
+function at a point at once.  The n = 1 jobs (embed, voronoi with a datum,
+sampled certify) pin the interval cells that the convex-polytope kernel
+builds.  The plane data are the first four acceptance-test-04 draws
+(random.Random(7)), copied literally.
 """
 
 import hashlib
@@ -42,6 +43,9 @@ PLANE_48 = _plane([[0, 12], [-12, 6]], [[0, 3], [-6, 3]])
 
 ELLIPTIC_2 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[2]]), "ell": ["0"]}}
 ELLIPTIC_3 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[3]]), "ell": ["0"]}}
+# ELLIPTIC_2 with a nonzero ell: exact injectivity refutes it, and the
+# witness [7/12], [7/4] pins which pair of cells is solved first
+ELLIPTIC_2_ELL = {"datum": dict(ELLIPTIC_2["datum"], ell=["7/3"])}
 # a degree-5 circle with a nonzero ell, so the cells do not start at 0
 CIRCLE_5 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[5]]), "ell": ["7/3"]}}
 # type (2,2) on a small plane: the grid refutes injectivity, and the witness
@@ -130,6 +134,9 @@ JOBS = [
     ("certify-exact-2", ["certify", "--mode", "exact"], ELLIPTIC_2, 3, {
         "certify.json":
             "e1476e89a818fa9becde448cba3d74930a0281b99c0f330199f6522904c84215"}),
+    ("certify-exact-2-ell", ["certify", "--mode", "exact"], ELLIPTIC_2_ELL, 3,
+     {"certify.json":
+         "912450cfbae595b71864b6f6f058804fa854970eb92754b84b5f45ce6e971805"}),
     ("certify-sampled-4",
      ["certify", "--mode", "sampled", "--resolution", "4"], PLANE_4, 0, {
         "certify.json":
@@ -149,6 +156,16 @@ JOBS = [
             "2ecc4a2daa29b98fe89ae405739242e4101c88df45ca8f80364383def534fa32",
         "example45.svg":
             "a79979b913685db4b50ce3f3de57dabe6f634499f71ca68df3f7b3f2566a8210"}),
+    ("example45-24", ["example45", "--d", "24", "--varpi", "27/2"], None, 0, {
+        "example45.json":
+            "05195adae8295668b99bcf71c6475f8f70be1df1f06160c260c1d71b8be02228",
+        "example45.svg":
+            "76915c54ea381819ddb318abd8683fd898568bf3c33dcadc989c14f28f8c84f3"}),
+    ("example45-32", ["example45", "--d", "32"], None, 0, {
+        "example45.json":
+            "569851725bcbf0a1a165ba8bb3cb6aa209ae5cb1a13428be9cf602121a464881",
+        "example45.svg":
+            "d5796a60f18247b1e3adc54e46c38e6e8f1c5b5dd1d1ad022cfeed8a26513639"}),
     ("lift", ["lift"], NA_ELLIPTIC_3, 0, {
         "lift.json":
             "12489577bf861446abdd60a89d55a24257c3d4f1ce970922df99e6d20c847bb4"}),

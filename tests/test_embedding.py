@@ -9,14 +9,16 @@ from tropitheta.exactlinalg import (
 from tropitheta.errors import (
     DimensionUnsupported, NotPolarization, PreconditionViolated,
 )
+from tropitheta import embedding
 from tropitheta.embedding import (
-    check_injective, check_unimodular, faithful_certificate,
-    fundamental_domain, image_complex_1d, linearity_cells, phi_eval,
+    CellMap, PiecewiseAffineMap, check_injective, check_unimodular,
+    faithful_certificate, fundamental_domain, image_complex_1d,
+    linearity_cells, phi_eval,
 )
 from tropitheta.theta import Q_ELL, ThetaFunction, theta_eval, translate_datum
 from tropitheta.torus import build_torus, polarization_type, validate_datum
 
-from oracles import cell_matrices, polygon_area2
+from oracles import cell_matrices, injective_all_pairs, polygon_area2
 
 
 def circle_datum(varpi=12, d=2, ell=None):
@@ -358,6 +360,52 @@ class TestInjectivity:
         _, info = with_type(plane_datum([[3, 0], [0, 3]]))
         with pytest.raises(NotPolarization):
             check_injective(bad, info, mode="grid")
+
+
+class TestInjectivitySweep:
+    """The box sweep of exact injectivity against the all-pairs loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 30),
+           varpi=st.builds(Fraction, st.integers(3, 15), st.integers(1, 2)),
+           sign=st.sampled_from((1, -1)),
+           ell=st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                         st.integers(1, 4)))
+    def test_same_verdict_and_witness_as_all_pairs(self, d, varpi, sign, ell):
+        # L takes the sign of the period, so the datum is polarized; d <= 2
+        # is refuted, and at d = 1 phi~ has no coordinates and every cell
+        # has A = 0, so the diagonal is solved too
+        datum, info = with_type(circle_datum(sign * varpi, sign * d, [ell]))
+        pam = linearity_cells(datum, info)
+        verdict = check_injective(datum, info, pam=pam)
+        assert verdict == injective_all_pairs(datum, info, pam)
+        assert verdict.status == ("refuted" if d <= 2 else "certified")
+
+    def test_boxes_that_only_touch_are_solved(self):
+        # phi~ = x on [0, 1] and x - 1 on [2, 3]: the images [0, 1] and
+        # [1, 2] share one value, and 1 - 2 is not a period of 12
+        datum, info = with_type(circle_datum(d=3))
+        pam = PiecewiseAffineMap(info.reps, tuple(
+            CellMap(((Fraction(lo),), (Fraction(lo + 1),)), (),
+                    Matrix.from_rows([[1], [0]]), (Fraction(off), Fraction(0)))
+            for lo, off in ((0, 0), (2, -1))))
+        verdict = check_injective(datum, info, pam=pam)
+        assert verdict == injective_all_pairs(datum, info, pam)
+        assert verdict.witness == ((1,), (2,))
+
+    def test_solves_at_most_two_pairs_per_cell(self, monkeypatch):
+        datum, info = with_type(circle_datum(d=64))
+        pam = linearity_cells(datum, info)
+        calls = []
+        solve_pair = embedding._collision_pair
+
+        def counted(*args):
+            calls.append(args)
+            return solve_pair(*args)
+
+        monkeypatch.setattr(embedding, "_collision_pair", counted)
+        assert check_injective(datum, info, pam=pam).status == "certified"
+        assert 0 < len(calls) <= 2 * len(pam.cells)
 
 
 class TestImageComplex:
