@@ -5,43 +5,69 @@ representatives of the polarization; everything is studied through the
 normalized map phi~ = (theta_b - theta_b0)_{b != b0}, which is piecewise
 affine with integer slope differences.  Cells of linearity are computed
 exactly for n <= 2 by probing minimizer sets at polytope vertices and
-splitting along bisectors.  One convex-polytope kernel of voronoi, for
-intervals and polygons alike (the one-pass split and the hull order),
-builds every cell, and a cell keeps only its vertices.  Unimodularity and
-injectivity of the result are certified (n = 1) or sampled on a grid; the
-exact injectivity check solves only the cell pairs whose image boxes
-overlap, found by a sweep.
-Each affine piece of theta_b is computed once per datum, the minimizers of
-every theta_b at a point come from one coset walk of theta, and a caller
-builds the cell map once and passes it to the checks that read it; the
-image complex reads its vertices off that map.
+splitting along bisectors, in the integers of the one convex-polytope kernel
+of voronoi: a vertex is (X_1, .., X_n, W) and a bisector a line a.X = c.W,
+as each affine piece of theta_b is an integer slope and an integer offset
+over one denominator E of the datum, computed once.  Fractions are built
+for the cell map, whose cells keep only their vertices.  Unimodularity and
+injectivity are certified (n = 1) or sampled on a grid; the exact check
+solves only the cell pairs whose image boxes overlap, found by a sweep, and
+not neighbours with independent slopes.  The minimizers of every theta_b at
+a point come from one coset walk of theta, and a caller builds the cell map
+once and passes it to the checks that read it.
 """
 
 from fractions import Fraction
-from itertools import product
-from math import ceil, floor, lcm
-from operator import sub
+from itertools import combinations, product
+from math import ceil, floor, gcd, lcm
+from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import (DimensionUnsupported, InternalInvariantViolated,
                      NotPolarization, PreconditionViolated)
-from .exactlinalg import (Matrix, content, dot, gram_norm, is_unimodular_map,
+from .exactlinalg import (Matrix, content, inverse, is_unimodular_map, solve,
                           vec_add, vec_sub)
-from .theta import _h_constant, coset_argmins, q_ell_constant
-from .voronoi import _hull, _split_polygon
+from .theta import _coset_argmins, _homogeneous, coset_argmins
+from .torus import ell_point
+from .voronoi import _hull, _rational, _split_polygon
 
 
 def affine_piece(datum, b, a):
     """(slope, offset) of theta_b, in the class-invariant convention, where
     a is its minimizer: theta_b(x) = (b + L.a).x + (1/2) a^T G a
-    + (Pmat^T.b - ell).a + q_ell(b), the slope b + L.a a tuple of ints.
-    Computed once per datum, b and a."""
+    + (Pmat^T.b - ell).a + q_ell(b), the slope b + L.a a tuple of ints."""
+    slope, offset = _piece(datum, b, a)
+    return slope, Fraction(offset, _offsets(datum, b)[0])
+
+
+def _offsets(datum, b):
+    # As G = Pmat^T.L, theta_b's offset at a is (1/2) z^T G z with
+    # z = a + L^-1.b - G^-1.ell; with a delta that clears z for every b and
+    # G = Gn/g, that is (delta z)^T Gn (delta z) / E over E = 2 g delta^2.
+    # Returns (E, delta, Gn, L, delta (z - a)), all integers
+    key = ("offsets", b)
+    if key not in datum.memo:
+        r = ell_point(datum)
+        delta = lcm(*(x.denominator for x in inverse(datum.L).entries + r))
+        g = lcm(*(x.denominator for x in datum.G.entries))
+        datum.memo[key] = (
+            2 * g * delta * delta, delta,
+            [[int(g * c) for c in row] for row in datum.G.to_lists()],
+            [[int(c) for c in row] for row in datum.L.to_lists()],
+            [int(delta * c) for c in vec_sub(solve(datum.L, b), r)])
+    return datum.memo[key]
+
+
+def _piece(datum, b, a):
+    # theta_b's affine piece at the minimizer a in integers: the slope
+    # b + L.a and E times the offset; computed once per datum, b and a
     key = ("piece", b, a)
     if key not in datum.memo:
-        offset = (gram_norm(datum.G, a) / 2
-                  + dot(_h_constant(datum, b), a) + q_ell_constant(datum, b))
-        slope = tuple(int(bi + c) for bi, c in zip(b, datum.L.matvec(a)))
-        datum.memo[key] = (slope, offset)
+        _, delta, Gn, L, y = _offsets(datum, b)
+        z = [delta * ai + yi for ai, yi in zip(a, y)]
+        datum.memo[key] = (
+            tuple(bi + sum(map(mul, row, a)) for bi, row in zip(b, L)),
+            sum(zi * sum(map(mul, row, z)) for zi, row in zip(z, Gn)))
     return datum.memo[key]
 
 
@@ -52,8 +78,7 @@ def phi_eval(datum, info, x):
     walk's center to the coset of b plus a term shared by every b, so the
     differences are (norms[b] - norms[b0]) / (2 K)."""
     res = coset_argmins(datum, info, x)
-    n0 = res.norms[0]
-    return tuple(Fraction(nk - n0, 2 * res.K) for nk in res.norms[1:])
+    return tuple(Fraction(n - res.norms[0], 2 * res.K) for n in res.norms[1:])
 
 
 class CellMap(NamedTuple):
@@ -86,29 +111,23 @@ def fundamental_domain(torus):
     P = torus.Pmat
     if P.rows > 2:
         raise DimensionUnsupported("exact domains implemented for n <= 2")
-    return _hull(tuple(P.matvec(c)) for c in product((0, 1), repeat=P.rows))
+    return [_rational(p) for p in _hull(
+        _homogeneous(P.matvec(c)) for c in product((0, 1), repeat=P.rows))]
 
 
 def _bisector(datum, b, a1, a2):
-    # the line where the affine pieces of a1 and a2 for theta_b agree;
-    # val(a1) <= val(a2) is the side normal.x <= c
-    s1, o1 = affine_piece(datum, b, a1)
-    s2, o2 = affine_piece(datum, b, a2)
-    return vec_sub(s1, s2), o2 - o1
-
-
-def _split_piece(piece, normal, c):
-    out = _split_polygon(piece, normal, c)
-    if len(out) != 2:
-        raise InternalInvariantViolated("bisector fails to split the piece")
-    return out
+    # the integer line where the affine pieces of a1 and a2 for theta_b
+    # agree; val(a1) <= val(a2) is the side normal.X <= c.W
+    E = _offsets(datum, b)[0]
+    (s1, o1), (s2, o2) = _piece(datum, b, a1), _piece(datum, b, a2)
+    return tuple(E * (x - y) for x, y in zip(s1, s2)), o2 - o1
 
 
 def _incomparable(sets):
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] - sets[j] and sets[j] - sets[i]:
-                return i, j
+    # one minimizer from each side of the first incomparable pair of sets
+    for u, w in combinations(sets, 2):
+        if u - w and w - u:
+            return min(u - w), min(w - u)
     raise InternalInvariantViolated("no separating pair in a mixed piece")
 
 
@@ -118,7 +137,8 @@ def _refine_pieces(datum, info, domain):
     so vertex agreement makes the piece argmin-constant; disagreement
     yields two vertices strictly separated by an exact bisector.  A vertex
     record holds the minimizer sets of every representative, from one
-    coset walk per distinct vertex."""
+    coset walk per distinct vertex, keyed by and handed to the walk as the
+    integer points (X_1, .., X_n, W) of the polytope kernel."""
     records = {}
     queue = [list(domain)]
     done = []
@@ -133,27 +153,25 @@ def _refine_pieces(datum, info, domain):
             rec = records.get(v)
             if rec is None:
                 rec = records[v] = tuple(
-                    map(frozenset, coset_argmins(datum, info, v).minimizers))
+                    map(frozenset, _coset_argmins(datum, info, v).minimizers))
             recs.append(rec)
         profile = []
-        cut = None
         for k, b in enumerate(info.reps):
             sets = [rec[k] for rec in recs]
             common = frozenset.intersection(*sets)
-            if common:
-                if len(common) > 1:
-                    raise InternalInvariantViolated("tie across a full piece")
-                profile.append(next(iter(common)))
-                continue
-            iu, iw = _incomparable(sets)
-            a1 = min(sets[iu] - sets[iw])
-            a2 = min(sets[iw] - sets[iu])
-            cut = _bisector(datum, b, a1, a2)
-            break
-        if cut is None:
-            done.append((tuple(piece), tuple(profile)))
+            if not common:
+                parts = _split_polygon(
+                    piece, *_bisector(datum, b, *_incomparable(sets)))
+                if len(parts) != 2:
+                    raise InternalInvariantViolated(
+                        "bisector fails to split the piece")
+                queue.extend(parts)
+                break
+            if len(common) > 1:
+                raise InternalInvariantViolated("tie across a full piece")
+            profile.append(next(iter(common)))
         else:
-            queue.extend(_split_piece(piece, cut[0], cut[1]))
+            done.append((tuple(piece), tuple(profile)))
     return done
 
 
@@ -162,18 +180,18 @@ def _merge_pieces(done):
     groups = {}
     for piece, profile in done:
         groups.setdefault(profile, []).extend(piece)
-    return sorted((tuple(_hull(pts)), profile)
+    return sorted((tuple(map(_rational, _hull(pts))), profile)
                   for profile, pts in groups.items())
 
 
 def _profile_map(datum, reps, profile, n):
     # phi~ on the region of a minimizer profile: differences of the pieces
-    pieces = [affine_piece(datum, b, a)
-              for b, a in zip(reps, profile)]
+    pieces = [_piece(datum, b, a) for b, a in zip(reps, profile)]
     (s0, o0), rest = pieces[0], pieces[1:]
     rows = [tuple(map(sub, s, s0)) for s, _ in rest]
     A = Matrix.from_rows(rows) if rows else Matrix(0, n, [])
-    return A, tuple(o - o0 for _, o in rest)
+    E = _offsets(datum, reps[0])[0]
+    return A, tuple(Fraction(o - o0, E) for _, o in rest)
 
 
 def linearity_cells(datum, info, domain=None):
@@ -189,12 +207,11 @@ def linearity_cells(datum, info, domain=None):
         raise DimensionUnsupported("exact cells implemented for n <= 2")
     if domain is None:
         domain = fundamental_domain(datum.torus)
-    dom = _hull(tuple(Fraction(c) for c in v) for v in domain)
+    dom = _hull(_homogeneous(v) for v in domain)
     if len(dom) <= n:
         raise PreconditionViolated(
             "domain must be a full-dimensional polytope")
-    done = _refine_pieces(datum, info, dom)
-    merged = _merge_pieces(done)
+    merged = _merge_pieces(_refine_pieces(datum, info, dom))
     cells = tuple(CellMap(verts, tuple(profile),
                           *_profile_map(datum, info.reps, profile, n))
                   for verts, profile in merged)
@@ -339,8 +356,11 @@ def _injective_exact_1d(datum, info, pam):
     """phi~(x) = phi~(y) puts the image boxes of the cells of x and y in
     contact, so only pairs of overlapping closed boxes, found by a sweep
     along the first coordinate, are solved.  On the diagonal a nonzero A
-    forces x = y, so only constant cells are solved there.  Pairs are
-    solved in (i, j) order: the first witness is that of the full loop."""
+    forces x = y, so only constant cells are solved there.  Cells meeting
+    at an end, e = e' or e + varpi = e', collide where A_i (x - e) =
+    A_j (y - e'): for independent columns only at x = e, y = e', which are
+    a period apart, so they are skipped.  Pairs are solved in (i, j) order:
+    the first witness is that of the full loop."""
     pam = pam or linearity_cells(datum, info)
     varpi = abs(datum.torus.Pmat[0, 0])
     cells = pam.cells
@@ -357,6 +377,13 @@ def _injective_exact_1d(datum, info, pam):
                    for a, b, c, d in zip(lo[1:], hi[1:], lo2[1:], hi2[1:])):
                 pairs.append((min(i, j), max(i, j)))
     for i, j in sorted(pairs):
+        (lo, hi), (lo2, hi2) = cells[i].vertices, cells[j].vertices
+        # u, w are independent iff a minor through u's first nonzero is not 0
+        u, w = cells[i].A.entries, cells[j].A.entries
+        k = next((k for k, c in enumerate(u) if c), 0)
+        if (hi == lo2 or hi2[0] - lo[0] == varpi) \
+                and any(u[k] * b != c * w[k] for b, c in zip(w, u)):
+            continue
         w = _collision_pair(cells[i], cells[j], varpi)
         if w is not None:
             return InjectivityVerdict("refuted", w)
@@ -365,19 +392,29 @@ def _injective_exact_1d(datum, info, pam):
 
 def _injective_grid(datum, info, resolution):
     # grid points inside the fundamental parallelotope never differ by a
-    # period, so exact collisions are genuine
+    # period, so exact collisions are genuine; phi~ = (norms - norms_0)/(2 K)
+    # is keyed as integers in lowest terms
     if resolution < 1:
         raise PreconditionViolated("the grid resolution must be at least 1")
-    P = datum.torus.Pmat
     seen = {}
-    for idx in product(range(resolution), repeat=datum.n):
-        u = tuple(Fraction(i, resolution) for i in idx)
-        x = tuple(P.matvec(u))
-        key = phi_eval(datum, info, x)
+    for v in _grid(datum.torus.Pmat, resolution):
+        res = _coset_argmins(datum, info, v)
+        key = [nk - res.norms[0] for nk in res.norms[1:]] + [2 * res.K]
+        key = tuple(c // gcd(*key) for c in key)
         if key in seen:
-            return InjectivityVerdict("refuted", (seen[key], x))
-        seen[key] = x
+            return InjectivityVerdict("refuted", (_rational(seen[key]),
+                                                  _rational(v)))
+        seen[key] = v
     return InjectivityVerdict("sampled-ok", None)
+
+
+def _grid(P, resolution):
+    # the points P.(i / resolution), 0 <= i_k < resolution, in the order of
+    # product, as (X_1, .., X_n, W)
+    *num, den = _homogeneous(P.entries)
+    rows = [num[i:i + P.rows] for i in range(0, len(num), P.rows)]
+    for idx in product(range(resolution), repeat=P.rows):
+        yield (*(sum(map(mul, row, idx)) for row in rows), den * resolution)
 
 
 def check_injective(datum, info, mode="exact", resolution=20, pam=None):
@@ -406,8 +443,7 @@ class ImageComplex(NamedTuple):
 
 
 def _lattice_length(edge):
-    den = lcm(*(c.denominator for c in edge))
-    ints = [int(c * den) for c in edge]
+    *ints, den = _homogeneous(edge)
     g = content(ints)
     if g == 0:
         return tuple(0 for _ in edge), Fraction(0)
@@ -445,16 +481,13 @@ def image_complex_1d(datum, info, pam=None):
 
 
 def _sampled_unimodular(datum, info, resolution):
-    P = datum.torus.Pmat
     profiles = set()
-    for idx in product(range(resolution), repeat=datum.n):
-        u = tuple(Fraction(i, resolution) for i in idx)
-        mins = coset_argmins(datum, info, P.matvec(u)).minimizers
+    for v in _grid(datum.torus.Pmat, resolution):
+        mins = _coset_argmins(datum, info, v).minimizers
         # a point with a tie sits on a wall; its mixed profile need not
         # come from any single cell, so only unique minimizers count
-        if any(len(m) != 1 for m in mins):
-            continue
-        profiles.add(tuple(m[0] for m in mins))
+        if all(len(m) == 1 for m in mins):
+            profiles.add(tuple(m[0] for m in mins))
     if not profiles:
         return False, ()
     verdicts = tuple(

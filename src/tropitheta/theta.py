@@ -124,6 +124,12 @@ def _center(c):
     return [x.numerator * (q // x.denominator) for x in c], q
 
 
+def _homogeneous(x):
+    # the rational point x as (X_1, .., X_n, W): W > 0 and gcd 1
+    p, q = _center(to_vector(x))
+    return (*p, q)
+
+
 def _nearest(G, p, q, d=None):
     """The points of every class of Z^n mod d nearest the center p/q.
 
@@ -257,16 +263,14 @@ def _coset_data(datum, info):
         Uinv = inverse(U)
         G2 = Uinv.transpose() * datum.torus.Pmat * inverse(datum.L) * Uinv
         UL = U * datum.L
-        C = (UL * datum.torus.Pinv).entries
-        c0 = UL.matvec(solve(datum.G, datum.ellVec))
-        den = lcm(*(x.denominator for x in C + tuple(c0)))
         n = datum.n
+        ints, den = _center((UL * datum.torus.Pinv).entries
+                            + tuple(UL.matvec(solve(datum.G, datum.ellVec))))
         datum.memo[key] = (
             G2, info.type,
             tuple(tuple(int(V[i, j]) for j in range(n)) for i in range(n)),
-            tuple(tuple(int(x * den) for x in C[i * n:(i + 1) * n])
-                  for i in range(n)),
-            tuple(int(x * den) for x in c0), den)
+            tuple(tuple(ints[i:i + n]) for i in range(0, n * n, n)),
+            tuple(ints[n * n:]), den)
     return datum.memo[key]
 
 
@@ -280,10 +284,15 @@ def coset_argmins(datum, info, x):
     G'' = U^-T.Pmat.L^-1.U^-1 is congruent to G, the center is
     t*(x) = U.L.(G^-1.ell - Pmat^-1.x), and a = V.((t - box)/d).
     """
+    return _coset_argmins(datum, info, _homogeneous(x))
+
+
+def _coset_argmins(datum, info, v):
+    # coset_argmins at the point v = (X_1, .., X_n, W), that is X / W, W > 0
     G2, d, V, C, c0, den = _coset_data(datum, info)
-    if len(x) != len(d):
+    if len(v) != len(d) + 1:
         raise ValueError("length mismatch")
-    xn, xd = _center(x)
+    *xn, xd = v
     p = [ci * xd - sum(map(mul, row, xn)) for row, ci in zip(C, c0)]
     found, norms, K = _nearest(G2, p, den * xd, d)
     # 0 <= box < d, so (t - box)/d is the floor quotient t // d

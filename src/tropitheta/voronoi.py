@@ -17,12 +17,16 @@ the relevant vectors and for the half periods, one class otherwise.
 The module owns the package's one convex-polytope kernel, for intervals
 and polygons alike: a one-pass split along a line (a point, for n = 1) and
 one hull order.  Every cell is built with it, the pieces of the Voronoi
-cell here and the linearity cells of the theta map in embedding.
+cell here and the linearity cells of the theta map in embedding.  It is
+integer-homogeneous: a point is (X_1, .., X_n, W), the rational point X / W
+with W > 0 and gcd 1, so equal points are equal tuples, and a line is an
+integer pair (a, c), the points with a.X = c.W.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -34,7 +38,7 @@ from .exactlinalg import (
     is_positive_definite, is_unimodular_map, snf, solve, to_vector, vec_add,
     vec_scale,
 )
-from .theta import ArgminResult, _ball, _center, _nearest
+from .theta import ArgminResult, _ball, _center, _homogeneous, _nearest
 from .torus import polarization_type
 
 
@@ -239,18 +243,16 @@ def _simplex_basis(qs):
 
 def _normalize_line(a, c):
     # integer, content-one, sign-fixed representative of the line a.x = c
-    nums = [Fraction(x) for x in a] + [Fraction(c)]
-    den = lcm(*(x.denominator for x in nums))
-    ints = [int(x * den) for x in nums]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints[:-1] if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints[:-1]), ints[-1]
+    *ints, _ = _homogeneous((*a, c))
+    g = gcd(*ints) if next(x for x in ints if x) > 0 else -gcd(*ints)
+    return tuple(x // g for x in ints[:-1]), ints[-1] // g
 
 
 # -- convex polytopes: intervals [lo, hi], counterclockwise polygons --------
+
+
+def _rational(p):
+    return tuple(Fraction(c, p[-1]) for c in p[:-1])
 
 
 def _cross(o, a, b):
@@ -260,50 +262,47 @@ def _cross(o, a, b):
 def _hull(points):
     # convex hull: the two end points of 1-D points; in the plane Andrew's
     # monotone chain, counterclockwise from the least point in lexicographic
-    # order, collinear points dropped
-    pts = sorted(set(tuple(p) for p in points))
-    if len(pts) <= 2:
-        return pts
-    if len(pts[0]) == 1:
-        return [pts[0], pts[-1]]
+    # order, collinear points dropped; in integers over the lcm of the W
+    pts = set(points)
+    m = lcm(*(p[-1] for p in pts))
+    pts = sorted((tuple(c * (m // p[-1]) for c in p[:-1]), p) for p in pts)
+    if len(pts) <= 2 or len(pts[0][0]) == 1:
+        return [p for _, p in pts[:1] + pts[1:][-1:]]
 
     def chain(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+            while len(out) >= 2 and _cross(out[-2][0], out[-1][0], p[0]) <= 0:
                 out.pop()
             out.append(p)
         return out
-    return chain(pts)[:-1] + chain(reversed(pts))[:-1]
+    return [p for _, p in chain(pts)[:-1] + chain(reversed(pts))[:-1]]
 
 
 def _split_polygon(poly, a, c):
     # The parts [low, high] of a convex polygon or an interval on the sides
-    # a.x <= c and a.x >= c, or [poly] when one side has no interior.  An
-    # interval [lo, hi] is cut at the point t = c / a when lo < t < hi.  A
-    # polygon is cut in one cyclic walk over the signs s_i = a.p_i - c:
-    # s <= 0 puts a vertex in the low part, s >= 0 in the high part, and a
-    # strict sign change along an edge puts the crossing point in both.  The
-    # input being a nondegenerate convex polygon, a part is full-dimensional
-    # exactly when some vertex lies strictly on its side.
-    if len(poly[0]) == 1:
-        lo, hi = poly
-        t = (Fraction(c) / a[0],)
-        if not lo < t < hi:
-            return [poly]
-        return [[lo, t], [t, hi]] if a[0] > 0 else [[t, hi], [lo, t]]
-    s = [a[0] * p[0] + a[1] * p[1] - c for p in poly]
+    # a.X <= c.W and a.X >= c.W, or [poly] when one side has no interior,
+    # in one walk over the signs s = a.X - c.W: s <= 0 puts a vertex in the
+    # low part, s >= 0 in the high part, and a strict sign change along an
+    # edge puts the crossing point in both.  The walk is cyclic; the upper
+    # end of an interval is its own successor.  The input being
+    # nondegenerate, a part is full-dimensional exactly when some vertex
+    # lies strictly on its side.
+    s = [sum(map(mul, a, p)) - c * p[-1] for p in poly]
     if min(s) >= 0 or max(s) <= 0:
         return [poly]
     low, high = [], []
-    for p, q, sp, sq in zip(poly, poly[1:] + poly[:1], s, s[1:] + s[:1]):
+    e = 1 if len(poly) == 2 else 0
+    for p, q, sp, sq in zip(poly, poly[1:] + [poly[e]], s, s[1:] + [s[e]]):
         if sp <= 0:
             low.append(p)
         if sp >= 0:
             high.append(p)
         if sp < 0 < sq or sq < 0 < sp:
-            t = Fraction(sp, sp - sq)
-            x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            # s_p.Q - s_q.P is on the line; one gcd makes it canonical
+            x = [sp * qi - sq * pi for pi, qi in zip(p, q)]
+            g = gcd(*x) if x[-1] > 0 else -gcd(*x)
+            x = tuple(xi // g for xi in x)
             low.append(x)
             high.append(x)
     return [low, high]
@@ -327,7 +326,7 @@ def _cell_polytope(cell):
         if cell.contains(x):
             pts.add(x)
     # counterclockwise from the first vertex at or past the centroid's +x ray
-    hull = _hull(pts)
+    hull = [_rational(p) for p in _hull(map(_homogeneous, pts))]
     cx, cy = _barycenter(hull)
     below = [y < cy or (y == cy and x < cx) for x, y in hull]
     k = next(i for i in range(len(hull)) if below[i - 1] and not below[i])
@@ -356,13 +355,12 @@ def _cut_lines(cell):
 
 
 def _split_cell(cell):
-    # refine the cell along its cut lines, in sorted order, each piece split
-    # in place; a normalized 1-D line has a > 0, so intervals stay ordered
-    # left to right
-    polys = [_cell_polytope(cell)]
+    # refine the cell along its integer cut lines in sorted order, each piece
+    # split in place (a 1-D line has a > 0: intervals stay left to right)
+    polys = [[_homogeneous(v) for v in _cell_polytope(cell)]]
     for a, c in sorted(_cut_lines(cell)):
         polys = [part for p in polys for part in _split_polygon(p, a, c)]
-    return polys
+    return [[_rational(v) for v in p] for p in polys]
 
 
 def _barycenter(pts):

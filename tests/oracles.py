@@ -3,14 +3,17 @@
 The oracles are deliberately written from first principles, without
 importing the package under test: naive minor expansions, exhaustive box
 enumeration (around a center, and over the box of an ellipsoid), exact
-rounding and square-root floors, Sylvester minors, and the two-pass polygon
-clipping and centroid ordering that the polygon kernel replaced.  Slow but
-obviously correct at the sizes the tests use.  The last section holds small
-helpers that only tests call; they compose package functions, and four of
-them are paths that a faster one replaced: the per-representative thetas
-(the coset walk), the per-class relevant vectors and per-point half periods
-(the walk mod 2 of voronoi), and the all-pairs exact injectivity loop (the
-box sweep of embedding).
+rounding and square-root floors, Sylvester minors, the two-pass polygon
+clipping and centroid ordering that the polygon kernel replaced, and the
+generic-Fraction one-pass split and hull that its integer-homogeneous form
+replaced.  Slow but obviously correct at the sizes the tests use.  The
+last section holds small helpers that only tests call; they compose
+package functions, and five of them are paths that a faster one replaced:
+the per-representative thetas (the coset walk), the per-class relevant
+vectors and per-point half periods (the walk mod 2 of voronoi), the
+all-pairs exact injectivity loop (the box sweep of embedding), and the
+Fraction affine pieces (the integer pieces over one denominator per datum
+of embedding).
 """
 
 import functools
@@ -404,6 +407,57 @@ def clip_split(poly, a, c):
     return [p for p in parts if len(p) >= 3 and polygon_area2(p) != 0]
 
 
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def hull_fractions(points):
+    """The convex hull of rational points: the two end points of 1-D
+    points; in the plane Andrew's monotone chain, counterclockwise from the
+    least point in lexicographic order, collinear points dropped."""
+    pts = sorted(set(tuple(p) for p in points))
+    if len(pts) <= 2:
+        return pts
+    if len(pts[0]) == 1:
+        return [pts[0], pts[-1]]
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+    return chain(pts)[:-1] + chain(reversed(pts))[:-1]
+
+
+def split_polygon_fractions(poly, a, c):
+    """The parts [low, high] of a convex polygon or an interval of rational
+    points on the sides a.x <= c and a.x >= c, or [poly] when one side has
+    no interior, in one cyclic walk over the signs a.p - c."""
+    if len(poly[0]) == 1:
+        lo, hi = poly
+        t = (Fraction(c) / a[0],)
+        if not lo < t < hi:
+            return [poly]
+        return [[lo, t], [t, hi]] if a[0] > 0 else [[t, hi], [lo, t]]
+    s = [a[0] * p[0] + a[1] * p[1] - c for p in poly]
+    if min(s) >= 0 or max(s) <= 0:
+        return [poly]
+    low, high = [], []
+    for p, q, sp, sq in zip(poly, poly[1:] + poly[:1], s, s[1:] + s[:1]):
+        if sp <= 0:
+            low.append(p)
+        if sp >= 0:
+            high.append(p)
+        if sp < 0 < sq or sq < 0 < sp:
+            t = Fraction(sp, sp - sq)
+            x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            low.append(x)
+            high.append(x)
+    return [low, high]
+
+
 def polygon_vertices(halfspaces):
     """Vertices of the bounded polygon { x : a.x <= c for (a, c) in
     halfspaces }: every intersection point of two boundary lines that
@@ -471,6 +525,14 @@ def injective_all_pairs(datum, info, pam):
             if w is not None:
                 return InjectivityVerdict("refuted", w)
     return InjectivityVerdict("certified", None)
+
+
+def affine_piece_fractions(datum, b, a):
+    """(slope, offset) of theta_b at its minimizer a in generic Fractions:
+    b + L.a and (1/2) a^T G a + (Pmat^T.b - ell).a + q_ell(b)."""
+    offset = (dot(a, datum.G.matvec(a)) / 2 + dot(_h_constant(datum, b), a)
+              + q_ell_constant(datum, b))
+    return tuple(int(bi + c) for bi, c in zip(b, datum.L.matvec(a))), offset
 
 
 def per_representative_thetas(datum, info, x):

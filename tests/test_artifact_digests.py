@@ -13,7 +13,11 @@ embedding with a nonzero ell pin the coset walk that evaluates every theta
 function at a point at once.  The n = 1 jobs (embed, voronoi with a datum,
 sampled certify) pin the interval cells that the convex-polytope kernel
 builds.  The plane data are the first four acceptance-test-04 draws
-(random.Random(7)), copied literally.
+(random.Random(7)), copied literally.  PLANE_48_MOVED is the last of them
+moved the way the benchmark's plane panel moves it (scale 4/3 and a signed
+permutation), so its certify and voronoi jobs pin crossing points whose
+common denominator W exceeds 1; their digests were recorded before the
+integer-homogeneous polygon kernel replaced the Fraction one.
 """
 
 import hashlib
@@ -40,6 +44,10 @@ PLANE_4 = _plane([[6, 0], [-18, 21]], [[6, -3], [-6, 6]])
 PLANE_100 = _plane([[15, -6], [-9, 12]], [[6, -3], [-3, 3]])
 PLANE_136 = _plane([[-18, 51], [-12, 27]], [[-3, 9], [-3, 6]])
 PLANE_48 = _plane([[0, 12], [-12, 6]], [[0, 3], [-6, 3]])
+
+# PLANE_48 moved by c = 4/3 and the signed permutation that swaps the two
+# coordinates and flips the second: Pmat -> c S Pmat S, L -> S L S
+PLANE_48_MOVED = _plane([[8, 16], [-16, 0]], [[3, 6], [-3, 0]])
 
 ELLIPTIC_2 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[2]]), "ell": ["0"]}}
 ELLIPTIC_3 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[3]]), "ell": ["0"]}}
@@ -99,6 +107,12 @@ JOBS = [
     ("voronoi-48", ["voronoi"], PLANE_48, 0, {
         "voronoi.json":
             "7b7b1015c646b7a84fee4065600ed27bab2aa29913af63a70c58eae0b02a0f42"}),
+    ("voronoi-48-moved", ["voronoi"], PLANE_48_MOVED, 0, {
+        "voronoi.json":
+            "e3bea9d2becf25b1f377c362100b91aaa10b28159988e1964761e3132bfdb722"}),
+    ("certify-48-moved", ["certify", "--resolution", "8"], PLANE_48_MOVED, 0,
+     {"certify.json":
+         "64e51bc23d1f5abd9d4b068a943755be8a9502378d8e8a49b676c52e2b7f7add"}),
     ("certify-100", ["certify", "--resolution", "4"], PLANE_100, 0, {
         "certify.json":
             "f8bb3a157410486ff2f0399266e8b5fc167dbf77d5a83426ed17bc2277a1732c"}),

@@ -22,6 +22,7 @@ from tropitheta.embedding import (
 from tropitheta.exactlinalg import Matrix
 from tropitheta.theta import coset_argmins
 from tropitheta.torus import build_torus, polarization_type, validate_datum
+from tropitheta.theta import _homogeneous
 
 from oracles import per_representative_thetas
 
@@ -130,7 +131,9 @@ class TestAgainstThePerRepresentativePath:
 
 def _patched(monkeypatch):
     """Count the walks and the points handed to the coset walk, and make
-    every lattice_argmin of the package count its calls."""
+    every lattice_argmin of the package count its calls.  embedding hands
+    its points to the integer entry point of the walk, as (X_1, .., X_n, W),
+    so that is where they are recorded."""
     counts = {"walks": 0, "argmin": 0, "points": []}
     walk = theta._walk
 
@@ -138,12 +141,12 @@ def _patched(monkeypatch):
         counts["walks"] += 1
         return walk(*args)
     monkeypatch.setattr(theta, "_walk", counted_walk)
-    kernel = theta.coset_argmins
+    kernel = theta._coset_argmins
 
-    def recorded(datum, info, x):
-        counts["points"].append(tuple(x))
-        return kernel(datum, info, x)
-    monkeypatch.setattr(embedding, "coset_argmins", recorded)
+    def recorded(datum, info, v):
+        counts["points"].append(tuple(v))
+        return kernel(datum, info, v)
+    monkeypatch.setattr(embedding, "_coset_argmins", recorded)
     argmin = theta.lattice_argmin
 
     def counted_argmin(*args):
@@ -190,7 +193,7 @@ class TestOneWalkPerPoint:
         assert counts["walks"] == len(counts["points"]) \
             == len(set(counts["points"]))
         # every vertex of the final cells was walked
-        assert {v for cm in pam.cells for v in cm.vertices} \
+        assert {_homogeneous(v) for cm in pam.cells for v in cm.vertices} \
             <= set(counts["points"])
 
     def test_the_grid_walks_once_per_grid_point(self, monkeypatch):
@@ -200,6 +203,7 @@ class TestOneWalkPerPoint:
         verdict = check_injective(datum, info, mode="grid", resolution=5)
         assert verdict.status == "sampled-ok"
         assert counts["walks"] == 25 and counts["argmin"] == 0
+        assert len(set(counts["points"])) == 25
 
     def test_certify_walks_the_cells_and_then_the_grid(self, tmp_path,
                                                        monkeypatch):

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropitheta.exactlinalg import (
-    Matrix, det, is_integer_vector, solve, vec_sub,
+    Matrix, det, invariant_factors, is_integer_vector, solve, vec_sub,
 )
 from tropitheta.errors import (
     DimensionUnsupported, NotPolarization, PreconditionViolated,
@@ -12,13 +14,15 @@ from tropitheta.errors import (
 from tropitheta import embedding
 from tropitheta.embedding import (
     CellMap, PiecewiseAffineMap, check_injective, check_unimodular,
-    faithful_certificate, fundamental_domain, image_complex_1d,
+    affine_piece, faithful_certificate, fundamental_domain, image_complex_1d,
     linearity_cells, phi_eval,
 )
 from tropitheta.theta import Q_ELL, ThetaFunction, theta_eval, translate_datum
 from tropitheta.torus import build_torus, polarization_type, validate_datum
 
-from oracles import cell_matrices, injective_all_pairs, polygon_area2
+from oracles import (
+    affine_piece_fractions, cell_matrices, injective_all_pairs, polygon_area2,
+)
 
 
 def circle_datum(varpi=12, d=2, ell=None):
@@ -394,8 +398,10 @@ class TestInjectivitySweep:
         assert verdict.witness == ((1,), (2,))
 
     def test_solves_at_most_two_pairs_per_cell(self, monkeypatch):
-        datum, info = with_type(circle_datum(d=64))
-        pam = linearity_cells(datum, info)
+        # at these degrees only neighbours overlap, and those with
+        # independent slope columns are skipped: what is solved is exactly
+        # the parallel neighbours, none at d = 64 (the quadratic loop
+        # solves 2080 pairs there)
         calls = []
         solve_pair = embedding._collision_pair
 
@@ -404,8 +410,22 @@ class TestInjectivitySweep:
             return solve_pair(*args)
 
         monkeypatch.setattr(embedding, "_collision_pair", counted)
-        assert check_injective(datum, info, pam=pam).status == "certified"
-        assert 0 < len(calls) <= 2 * len(pam.cells)
+        for d, parallel in ((3, 1), (5, 1), (64, 0)):
+            datum, info = with_type(circle_datum(d=d))
+            calls.clear()
+            assert check_injective(datum, info).status == "certified"
+            assert len(calls) == parallel_neighbours(datum, info) == parallel
+
+
+def parallel_neighbours(datum, info):
+    # the pairs of cells i, i + 1 and of the first and last cell whose
+    # slope columns have rank below 2
+    cells = linearity_cells(datum, info).cells
+    pairs = [(i, i + 1) for i in range(len(cells) - 1)]
+    pairs.append((0, len(cells) - 1))
+    return sum(len(invariant_factors(Matrix.from_rows(
+        [list(r) for r in zip(cells[i].A.entries, cells[j].A.entries)])))
+        < 2 for i, j in pairs)
 
 
 class TestImageComplex:
@@ -630,6 +650,39 @@ class TestFastPathsAgainstTheSlowPath:
                   for b in info.reps]
         assert phi_eval(datum, info, x) == tuple(t - thetas[0]
                                                  for t in thetas[1:])
+
+    @settings(max_examples=25, deadline=None)
+    @given(datum=skewed_data(), data=st.data())
+    def test_integer_pieces_and_bisectors(self, datum, data):
+        # the integer pieces against the Fraction ones, and the integer
+        # bisector line N.x = c on the side where the first piece is lower
+        info = polarization_type(datum)
+        vec = st.lists(st.integers(-4, 4), min_size=datum.n,
+                       max_size=datum.n).map(tuple)
+        a1, a2 = data.draw(vec), data.draw(vec)
+        x = tuple(Fraction(data.draw(st.integers(-40, 40)), 7)
+                  for _ in range(datum.n))
+        for b in info.reps:
+            (s1, o1), (s2, o2) = (affine_piece(datum, b, a) for a in (a1, a2))
+            assert (s1, o1) == affine_piece_fractions(datum, b, a1)
+            assert (s2, o2) == affine_piece_fractions(datum, b, a2)
+            normal, c = embedding._bisector(datum, b, a1, a2)
+            assert all(isinstance(v, int) for v in (*normal, c))
+            side = sum(map(mul, normal, x)) - c
+            gap = sum(map(mul, vec_sub(s1, s2), x)) + o1 - o2
+            assert (side > 0) - (side < 0) == (gap > 0) - (gap < 0)
+
+    @pytest.mark.parametrize("rows", [[["3/2", 1], [-2, "5/3"]],
+                                      [[6, 0], [-18, 21]], [["7/2"]]])
+    def test_integer_grid_points(self, rows):
+        # the grid of the injectivity and unimodularity samples against
+        # P.(i / resolution) in Fractions, in the order of product
+        P = Matrix.from_rows(rows)
+        want = [tuple(P.matvec([Fraction(i, 3) for i in idx]))
+                for idx in product(range(3), repeat=P.rows)]
+        got = list(embedding._grid(P, 3))
+        assert [tuple(Fraction(c, v[-1]) for c in v[:-1]) for v in got] \
+            == want
 
     @settings(max_examples=25, deadline=None)
     @given(datum=skewed_data())

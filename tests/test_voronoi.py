@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import ceil, factorial, floor, gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +14,7 @@ from tropitheta.exactlinalg import (
     solve, vec_add,
 )
 from tropitheta.theta import ThetaFunction, lattice_argmin, theta_argmin, theta_eval, Q_ELL
+from tropitheta.theta import _homogeneous
 from tropitheta.torus import adapted_datum, build_torus, polarization_type, validate_datum
 from tropitheta.voronoi import (
     Piece, VoronoiCell, adapted_gram, basis_in_simplex, cell_certificate,
@@ -21,12 +22,14 @@ from tropitheta.voronoi import (
     relevant_vectors,
 )
 from tropitheta.voronoi import (
-    _cell_polytope, _cross, _cut_lines, _hull, _split_polygon,
+    _cell_polytope, _cross, _cut_lines, _rational,
 )
+from tropitheta import voronoi
 
 from oracles import (
-    centroid_ccw, clip_split, closest_points_brute, in_cell, nested_cut_lines,
-    polygon_area2, polygon_vertices, relevant_vectors_brute,
+    centroid_ccw, clip_split, closest_points_brute, hull_fractions, in_cell,
+    nested_cut_lines, polygon_area2, polygon_vertices, relevant_vectors_brute,
+    split_polygon_fractions,
 )
 
 I2 = Matrix.identity(2)
@@ -35,6 +38,34 @@ HEX = Matrix.from_rows([[2, 1], [1, 2]])
 
 def frac_vec(*xs):
     return tuple(Fraction(x) for x in xs)
+
+
+def assert_canonical(p):
+    # a kernel point (X_1, .., X_n, W): W > 0 and the gcd of all of it is 1
+    assert all(isinstance(c, int) for c in p)
+    assert p[-1] > 0 and gcd(*p) == 1
+
+
+def _split_polygon(poly, a, c):
+    """The integer kernel's split on rational points and a rational line:
+    points go in as (X, W), the line is scaled by the lcm of its
+    denominators (a positive factor, so the sides keep their names), and
+    every point that comes out is checked canonical and made rational."""
+    m = lcm(*(Fraction(x).denominator for x in (*a, c)))
+    parts = voronoi._split_polygon([_homogeneous(p) for p in poly],
+                                   tuple(int(x * m) for x in a), int(c * m))
+    for part in parts:
+        for p in part:
+            assert_canonical(p)
+    return [[_rational(p) for p in part] for part in parts]
+
+
+def _hull(points):
+    """The integer kernel's hull on rational points, the same way."""
+    hull = voronoi._hull(_homogeneous(p) for p in points)
+    for p in hull:
+        assert_canonical(p)
+    return [_rational(p) for p in hull]
 
 
 def oracle_boxes_fit(G, radius):
@@ -557,6 +588,29 @@ class TestPolygonKernelAgainstTheClipOracle:
         c = max(vals) + gap if above else min(vals) - gap
         assert _split_polygon(poly, a, c) == [poly]
         assert clip_split(poly, a, c) == [poly]
+
+    @settings(max_examples=100, deadline=None)
+    @given(convex_polygons(), st.integers(-10 ** 6, 10 ** 6),
+           st.integers(-10 ** 6, 10 ** 6), st.data())
+    def test_integer_lines_with_large_coefficients(self, poly, a0, a1, data):
+        # a.x = c for an integer line across, through or beside the polygon:
+        # the integer kernel, the Fraction kernel it replaced and the clip
+        # oracle agree, and every point of the kernel is canonical
+        a = (a0, a1)
+        assume(any(a))
+        vals = [dot2(a, p) for p in poly]
+        c = data.draw(st.one_of(
+            st.integers(floor(min(vals)) - 1, ceil(max(vals)) + 1),
+            st.sampled_from([v for v in vals if v.denominator == 1] or [0])))
+        assert _split_polygon(poly, a, c) == split_polygon_fractions(
+            poly, a, c) == clip_split(poly, a, c)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=10))
+    def test_hull_matches_the_fraction_hull(self, pts):
+        assert _hull(pts) == hull_fractions(pts)
+        assert _hull([p[:1] for p in pts]) == hull_fractions(
+            [p[:1] for p in pts])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(coords, coords), min_size=3, max_size=10))
