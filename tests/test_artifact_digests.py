@@ -17,7 +17,11 @@ builds.  The plane data are the first four acceptance-test-04 draws
 moved the way the benchmark's plane panel moves it (scale 4/3 and a signed
 permutation), so its certify and voronoi jobs pin crossing points whose
 common denominator W exceeds 1; their digests were recorded before the
-integer-homogeneous polygon kernel replaced the Fraction one.
+integer-homogeneous polygon kernel replaced the Fraction one.  The D = 1
+jobs (a point-5 circle and a plane of type (1,1), whose cell maps have no
+rows) pin the 0-row slope matrices, written with the datum's n as "cols";
+their digests were recorded before the cell map kept its slope matrices as
+integer rows.
 """
 
 import hashlib
@@ -66,6 +70,11 @@ SPACE_8 = {"datum": {"Pmat": _mat([[4, 1, 0], [1, 5, 1], [0, 1, 6]]),
                      "ell": ["1/3", "0", "-1/2"]}}
 # PLANE_4 with a nonzero ell, so the cells are not symmetric about 0
 PLANE_4_ELL = {"datum": dict(PLANE_4["datum"], ell=["1/3", "-1/2"])}
+# D = 1: one theta function, so every cell map has 0 rows of n columns; the
+# plane datum has 4 cells and fails its certificate
+POINT_5 = {"datum": {"Pmat": _mat([[5]]), "L": _mat([[1]]), "ell": ["0"]}}
+PLANE_1 = {"datum": {"Pmat": _mat([[3, 1], [1, 2]]),
+                     "L": _mat([[1, 0], [0, 1]]), "ell": ["0", "0"]}}
 
 NA_ELLIPTIC_3 = {"na_datum": {
     "Pmat": {"rows": 1, "cols": 1, "entries": ["12"]},
@@ -155,6 +164,19 @@ JOBS = [
      ["certify", "--mode", "sampled", "--resolution", "4"], PLANE_4, 0, {
         "certify.json":
             "567493b2baa4cf2441308a46314a23bca0534d437d1de5a97bd1bc919a9c3e19"}),
+    ("embed-point-5", ["embed"], POINT_5, 0, {
+        "embed.json":
+            "dc95e08a16cee36a048c6474c28e5b7570b94d5c829bca470862cd0d502e6528",
+        "embed.svg":
+            "05efce695df4123c36839e812706d4b8847753f58bddfbe3673024d8d68fd54e"}),
+    ("embed-plane-1", ["embed"], PLANE_1, 0, {
+        "embed.json":
+            "db09960dd22864678b6e2c1a5d2c22fee5bbb2141315025329f588e33da7bcee",
+        "embed.svg":
+            "b7bad44bd69341b6a3bd894dc6228aa03eecbce6595952024cf801d7773c8110"}),
+    ("certify-plane-1", ["certify"], PLANE_1, 3, {
+        "certify.json":
+            "39f7062df8dcee2f6ed46058a9476afe9f3a862989718d424254ab03fda683c9"}),
     ("embed-42", ["embed"], PLANE_4, 0, {
         "embed.json":
             "b50daa482ac7e99c1fa7348deac72c756e85c5a85862659d6a48f63f5bb82a56",
