@@ -140,12 +140,12 @@ def cmd_theta(args):
     return 0
 
 
-def _cells_json(pam):
+def _cells_json(pam, n):
     cells = []
     for cm in pam.cells:
         cells.append({
             "vertices": [jsonio.vector_to_json(v) for v in cm.vertices],
-            "A": jsonio.matrix_to_json(cm.A),
+            "A": jsonio.rows_to_json(cm.A, n),
             "offset": jsonio.vector_to_json(cm.offset),
             "argmins": [[int(c) for c in a] for a in cm.argmins]})
     return cells
@@ -162,7 +162,7 @@ def cmd_embed(args):
     info = polarization_type(datum)
     pam = linearity_cells(datum, info)
     unimodular, verdicts = check_unimodular(pam)
-    out = dict(_type_json(info), cells=_cells_json(pam),
+    out = dict(_type_json(info), cells=_cells_json(pam, datum.n),
                unimodular=unimodular, cell_verdicts=list(verdicts))
     figures = []
     if datum.n == 1:
@@ -303,7 +303,7 @@ def cmd_example45(args):
             "interval": [jsonio.rational_to_str(cm.vertices[0][0]),
                          jsonio.rational_to_str(cm.vertices[-1][0])],
             "theta": thetas,
-            "A": jsonio.matrix_to_json(cm.A),
+            "A": jsonio.rows_to_json(cm.A, datum.n),
             "phi_offset": jsonio.vector_to_json(cm.offset)})
     img = image_complex_1d(datum, info, pam)
     out = {"d": args.d,

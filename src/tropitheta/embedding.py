@@ -8,13 +8,14 @@ exactly for n <= 2 by probing minimizer sets at polytope vertices and
 splitting along bisectors, in the integers of the one convex-polytope kernel
 of voronoi: a vertex is (X_1, .., X_n, W) and a bisector a line a.X = c.W,
 as each affine piece of theta_b is an integer slope and an integer offset
-over one denominator E of the datum, computed once.  Fractions are built
-for the cell map, whose cells keep only their vertices.  Unimodularity and
-injectivity are certified (n = 1) or sampled on a grid; the exact check
-solves only the cell pairs whose image boxes overlap, found by a sweep, and
-not neighbours with independent slopes.  The minimizers of every theta_b at
-a point come from one coset walk of theta, and a caller builds the cell map
-once and passes it to the checks that read it.
+over one denominator E of the datum, computed once.  A cell map keeps its
+slopes as integer rows and builds Fractions for its offsets and, once per
+distinct vertex, its vertices.  Unimodularity (by minors) and injectivity
+are certified (n = 1) or sampled on a grid; the exact check solves only the
+cell pairs whose image boxes overlap, found by a sweep, and not neighbours
+with independent slopes.  The minimizers of every theta_b at a point come
+from one coset walk of theta, and a caller builds the cell map once and
+passes it to the checks that read it.
 """
 
 from fractions import Fraction
@@ -25,8 +26,7 @@ from typing import NamedTuple
 
 from .errors import (DimensionUnsupported, InternalInvariantViolated,
                      NotPolarization, PreconditionViolated)
-from .exactlinalg import (Matrix, content, inverse, is_unimodular_map, solve,
-                          vec_add, vec_sub)
+from .exactlinalg import content, inverse, is_unimodular_rows, vec_add, vec_sub
 from .theta import _coset_argmins, _homogeneous, coset_argmins
 from .torus import ell_point
 from .voronoi import _hull, _rational, _split_polygon
@@ -37,25 +37,25 @@ def affine_piece(datum, b, a):
     a is its minimizer: theta_b(x) = (b + L.a).x + (1/2) a^T G a
     + (Pmat^T.b - ell).a + q_ell(b), the slope b + L.a a tuple of ints."""
     slope, offset = _piece(datum, b, a)
-    return slope, Fraction(offset, _offsets(datum, b)[0])
+    return slope, Fraction(offset, _offsets(datum)[0])
 
 
-def _offsets(datum, b):
+def _offsets(datum):
     # As G = Pmat^T.L, theta_b's offset at a is (1/2) z^T G z with
     # z = a + L^-1.b - G^-1.ell; with a delta that clears z for every b and
     # G = Gn/g, that is (delta z)^T Gn (delta z) / E over E = 2 g delta^2.
-    # Returns (E, delta, Gn, L, delta (z - a)), all integers
-    key = ("offsets", b)
-    if key not in datum.memo:
-        r = ell_point(datum)
-        delta = lcm(*(x.denominator for x in inverse(datum.L).entries + r))
+    # Returns (E, delta, Gn, L, delta L^-1, delta G^-1.ell) once per datum
+    if "offsets" not in datum.memo:
+        r, Linv = ell_point(datum), inverse(datum.L)
+        delta = lcm(*(x.denominator for x in Linv.entries + r))
         g = lcm(*(x.denominator for x in datum.G.entries))
-        datum.memo[key] = (
+        datum.memo["offsets"] = (
             2 * g * delta * delta, delta,
             [[int(g * c) for c in row] for row in datum.G.to_lists()],
             [[int(c) for c in row] for row in datum.L.to_lists()],
-            [int(delta * c) for c in vec_sub(solve(datum.L, b), r)])
-    return datum.memo[key]
+            [[int(delta * c) for c in row] for row in Linv.to_lists()],
+            [int(delta * c) for c in r])
+    return datum.memo["offsets"]
 
 
 def _piece(datum, b, a):
@@ -63,8 +63,8 @@ def _piece(datum, b, a):
     # b + L.a and E times the offset; computed once per datum, b and a
     key = ("piece", b, a)
     if key not in datum.memo:
-        _, delta, Gn, L, y = _offsets(datum, b)
-        z = [delta * ai + yi for ai, yi in zip(a, y)]
+        _, delta, Gn, L, Li, dr = _offsets(datum)
+        z = [delta * x + sum(map(mul, r, b)) - c for x, r, c in zip(a, Li, dr)]
         datum.memo[key] = (
             tuple(bi + sum(map(mul, row, a)) for bi, row in zip(b, L)),
             sum(zi * sum(map(mul, row, z)) for zi, row in zip(z, Gn)))
@@ -85,7 +85,7 @@ class CellMap(NamedTuple):
     vertices: tuple     # e^v-coordinates: [lo, hi] for n = 1, else
                         # counterclockwise
     argmins: tuple      # per representative, the constant minimizer
-    A: Matrix           # (D-1) x n integer slope differences
+    A: tuple            # (D-1) integer rows of n slope differences
     offset: tuple       # phi~ = A.x + offset on the cell
 
 
@@ -118,7 +118,7 @@ def fundamental_domain(torus):
 def _bisector(datum, b, a1, a2):
     # the integer line where the affine pieces of a1 and a2 for theta_b
     # agree; val(a1) <= val(a2) is the side normal.X <= c.W
-    E = _offsets(datum, b)[0]
+    E = _offsets(datum)[0]
     (s1, o1), (s2, o2) = _piece(datum, b, a1), _piece(datum, b, a2)
     return tuple(E * (x - y) for x, y in zip(s1, s2)), o2 - o1
 
@@ -176,22 +176,25 @@ def _refine_pieces(datum, info, domain):
 
 
 def _merge_pieces(done):
-    # pieces with the same minimizer profile partition one convex region
+    # one profile's pieces tile a convex cell; cells sort in integers over W
     groups = {}
     for piece, profile in done:
         groups.setdefault(profile, []).extend(piece)
-    return sorted((tuple(map(_rational, _hull(pts))), profile)
-                  for profile, pts in groups.items())
+    hulls = [(_hull(pts), profile) for profile, pts in groups.items()]
+    W = lcm(*(p[-1] for hull, _ in hulls for p in hull))
+    hulls.sort(key=lambda h: ([[c * (W // p[-1]) for c in p[:-1]]
+                               for p in h[0]], h[1]))
+    rational = {p: _rational(p) for hull, _ in hulls for p in hull}
+    return [(tuple(map(rational.get, hull)), profile)
+            for hull, profile in hulls]
 
 
-def _profile_map(datum, reps, profile, n):
+def _profile_map(datum, reps, profile):
     # phi~ on the region of a minimizer profile: differences of the pieces
-    pieces = [_piece(datum, b, a) for b, a in zip(reps, profile)]
-    (s0, o0), rest = pieces[0], pieces[1:]
-    rows = [tuple(map(sub, s, s0)) for s, _ in rest]
-    A = Matrix.from_rows(rows) if rows else Matrix(0, n, [])
-    E = _offsets(datum, reps[0])[0]
-    return A, tuple(Fraction(o - o0, E) for _, o in rest)
+    (s0, o0), *rest = [_piece(datum, b, a) for b, a in zip(reps, profile)]
+    E = _offsets(datum)[0]
+    return (tuple(tuple(map(sub, s, s0)) for s, _ in rest),
+            tuple(Fraction(o - o0, E) for _, o in rest))
 
 
 def linearity_cells(datum, info, domain=None):
@@ -213,7 +216,7 @@ def linearity_cells(datum, info, domain=None):
             "domain must be a full-dimensional polytope")
     merged = _merge_pieces(_refine_pieces(datum, info, dom))
     cells = tuple(CellMap(verts, tuple(profile),
-                          *_profile_map(datum, info.reps, profile, n))
+                          *_profile_map(datum, info.reps, profile))
                   for verts, profile in merged)
     return PiecewiseAffineMap(tuple(info.reps), cells)
 
@@ -221,7 +224,8 @@ def linearity_cells(datum, info, domain=None):
 def check_unimodular(pam):
     """Per-cell unimodularity of the slope-difference matrices, plus the
     conjunction.  Each distinct matrix is tested once."""
-    verdict = {A: is_unimodular_map(A) for A in set(cm.A for cm in pam.cells)}
+    n = len(pam.reps[0])
+    verdict = {A: is_unimodular_rows(A, n) for A in {cm.A for cm in pam.cells}}
     verdicts = tuple(verdict[cm.A] for cm in pam.cells)
     return all(verdicts), verdicts
 
@@ -250,15 +254,15 @@ def _solve_two_unknowns(rows):
         for r in rows:
             if r[0] == 0 and r[1] == 0:
                 continue
-            t = r[0] / r1[0] if r1[0] != 0 else r[1] / r1[1]
+            t = Fraction(r[0], r1[0]) if r1[0] != 0 else Fraction(r[1], r1[1])
             if r[2] != t * r1[2]:
                 return ("none",)
         a, b, c = r1
-        p0 = (c / a, Fraction(0)) if a != 0 else (Fraction(0), c / b)
+        p0 = (Fraction(c, a), 0) if a != 0 else (0, Fraction(c, b))
         return ("line", p0, (-b, a))
     dt = r1[0] * r2[1] - r1[1] * r2[0]
-    x = (r1[2] * r2[1] - r2[2] * r1[1]) / dt
-    y = (r1[0] * r2[2] - r2[0] * r1[2]) / dt
+    x = Fraction(r1[2] * r2[1] - r2[2] * r1[1], dt)
+    y = Fraction(r1[0] * r2[2] - r2[0] * r1[2], dt)
     for r in rows:
         if r[0] * x + r[1] * y != r[2]:
             return ("none",)
@@ -298,8 +302,8 @@ def _collision_pair(ci, cj, varpi):
     period, or None."""
     (xlo,), (xhi,) = ci.vertices
     (ylo,), (yhi,) = cj.vertices
-    rows = [(ci.A[k, 0], -cj.A[k, 0], cj.offset[k] - ci.offset[k])
-            for k in range(ci.A.rows)]
+    rows = [(a, -c, oj - oi) for (a,), (c,), oi, oj
+            in zip(ci.A, cj.A, ci.offset, cj.offset)]
     sol = _solve_two_unknowns(rows)
     if sol[0] == "none":
         return None
@@ -345,8 +349,8 @@ def _image_boxes(cells):
         for (x,) in cm.vertices:
             v = values.get(x)
             if v is None:
-                v = values[x] = tuple(a * x + o for a, o
-                                      in zip(cm.A.entries, cm.offset))
+                v = values[x] = tuple(a * x + o for (a,), o
+                                      in zip(cm.A, cm.offset))
             ends.append(v)
         boxes.append((tuple(map(min, *ends)), tuple(map(max, *ends))))
     return boxes
@@ -366,7 +370,7 @@ def _injective_exact_1d(datum, info, pam):
     cells = pam.cells
     boxes = _image_boxes(cells)
     order = sorted(range(len(cells)), key=lambda k: boxes[k][0][:1])
-    pairs = [(i, i) for i, cm in enumerate(cells) if not any(cm.A.entries)]
+    pairs = [(i, i) for i, cm in enumerate(cells) if not any(map(any, cm.A))]
     for p, i in enumerate(order):
         lo, hi = boxes[i]
         for j in order[p + 1:]:
@@ -379,7 +383,7 @@ def _injective_exact_1d(datum, info, pam):
     for i, j in sorted(pairs):
         (lo, hi), (lo2, hi2) = cells[i].vertices, cells[j].vertices
         # u, w are independent iff a minor through u's first nonzero is not 0
-        u, w = cells[i].A.entries, cells[j].A.entries
+        u, w = [a for a, in cells[i].A], [a for a, in cells[j].A]
         k = next((k for k, c in enumerate(u) if c), 0)
         if (hi == lo2 or hi2[0] - lo[0] == varpi) \
                 and any(u[k] * b != c * w[k] for b, c in zip(w, u)):
@@ -466,7 +470,8 @@ def image_complex_1d(datum, info, pam=None):
     if cells[0].A != cells[-1].A:
         ends.insert(0, (cells[0], cells[0].vertices[0]))
     params = tuple(x for _, (x,) in ends)
-    vertices = tuple(vec_add(cm.A.matvec(p), cm.offset) for cm, p in ends)
+    vertices = tuple(vec_add((sum(map(mul, row, p)) for row in cm.A),
+                             cm.offset) for cm, p in ends)
     directions = []
     lengths = []
     m = len(vertices)
@@ -491,7 +496,7 @@ def _sampled_unimodular(datum, info, resolution):
     if not profiles:
         return False, ()
     verdicts = tuple(
-        is_unimodular_map(_profile_map(datum, info.reps, prof, datum.n)[0])
+        is_unimodular_rows(_profile_map(datum, info.reps, prof)[0], datum.n)
         for prof in sorted(profiles))
     return all(verdicts), verdicts
 

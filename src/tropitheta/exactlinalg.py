@@ -6,12 +6,13 @@ comparisons are decidable.  The operations provided are the ones the rest of
 the package needs.  One rational Gaussian elimination serves determinants,
 solves, inverses (one elimination beside the identity) and the LDL^T
 factorization that doubles as the positive-definiteness test.  The integer
-Smith elimination is kept apart: it gives the Smith normal form with
-recorded unimodular row/column transforms, and invariant factors and
-unimodularity tests for integer maps without transforms.
+Smith elimination gives the Smith normal form with recorded unimodular
+row/column transforms, and invariant factors without transforms.  Unimodularity
+needs no Smith form: it is a gcd of 1 of the maximal minors (Newman, 1972).
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -345,12 +346,23 @@ def invariant_factors(A):
 
 def is_unimodular_map(A):
     """True iff the h x n integer matrix A has rank n and Z^h / A.Z^n is
-    torsion free, i.e. all n invariant factors are 1.  For h < n the rank
-    condition already fails, so the answer is False."""
-    if A.rows < A.cols:
-        return False
-    facs = invariant_factors(A)
-    return len(facs) == A.cols and all(d == 1 for d in facs)
+    torsion free, i.e. all n invariant factors are 1."""
+    e = integer_vector(A.entries)
+    return is_unimodular_rows([e[i * A.cols:(i + 1) * A.cols]
+                               for i in range(A.rows)], A.cols)
+
+
+def is_unimodular_rows(rows, n):
+    """is_unimodular_map for integer rows of n entries: the product of the
+    invariant factors is the gcd of the n x n minors, so stop at a gcd of 1."""
+    g = 0
+    return any((g := gcd(g, _int_det(m))) == 1 for m in combinations(rows, n))
+
+
+def _int_det(rows):
+    # Laplace expansion along the first row: n! terms, for the small n here
+    return sum((-1) ** j * c * _int_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, c in enumerate(rows[0]) if c) if rows else 1
 
 
 # -- rational LDL^T ----------------------------------------------------------

@@ -40,9 +40,12 @@ def vector_from_json(obj):
 
 
 def matrix_to_json(m):
-    return {"rows": m.rows, "cols": m.cols,
-            "entries": [rational_to_str(m[i, j])
-                        for i in range(m.rows) for j in range(m.cols)]}
+    return rows_to_json(m.to_lists(), m.cols)
+
+
+def rows_to_json(rows, cols):
+    return {"rows": len(rows), "cols": cols,
+            "entries": [rational_to_str(c) for row in rows for c in row]}
 
 
 def matrix_from_json(obj):

@@ -509,8 +509,11 @@ def in_cell(G, x):
 
 
 def cell_matrices(pam):
-    """The per-cell matrices of slope differences."""
-    return [cm.A for cm in pam.cells]
+    """The per-cell matrices of slope differences, as Matrix objects built
+    from the integer rows of the cell map (n columns, also for 0 rows)."""
+    n = len(pam.reps[0])
+    return [Matrix(len(cm.A), n, [e for row in cm.A for e in row])
+            for cm in pam.cells]
 
 
 def injective_all_pairs(datum, info, pam):

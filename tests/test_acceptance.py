@@ -87,7 +87,7 @@ def test_01_degree_two_elliptic_pieces_and_refutation():
     intervals = [(cm.vertices[0][0], cm.vertices[-1][0])
                  for cm in pam.cells]
     assert intervals == [(0, 6), (6, 12)]
-    slopes = [cm.A[0, 0] for cm in pam.cells]
+    slopes = [cm.A[0][0] for cm in pam.cells]
     assert slopes == [-1, 1]
     unimodular, verdicts = check_unimodular(pam)
     assert unimodular is True and verdicts == (True, True)

@@ -11,7 +11,7 @@ from tropitheta.exactlinalg import (
 from tropitheta.errors import (
     DimensionUnsupported, NotPolarization, PreconditionViolated,
 )
-from tropitheta import embedding
+from tropitheta import embedding, exactlinalg
 from tropitheta.embedding import (
     CellMap, PiecewiseAffineMap, check_injective, check_unimodular,
     affine_piece, faithful_certificate, fundamental_domain, image_complex_1d,
@@ -50,10 +50,11 @@ def row_tuples(m):
 
 
 def assert_affine_on_cell(datum, info, cm, samples):
+    A = Matrix(len(cm.A), datum.n, [e for row in cm.A for e in row])
     for x in samples:
         want = tuple(
-            sum(cm.A[r, c] * x[c] for c in range(cm.A.cols)) + cm.offset[r]
-            for r in range(cm.A.rows))
+            sum(A[r, c] * x[c] for c in range(A.cols)) + cm.offset[r]
+            for r in range(A.rows))
         assert phi_eval(datum, info, x) == want
 
 
@@ -129,7 +130,7 @@ class TestCircleCells:
         datum, info = with_type(circle_datum(d=2))
         pam = linearity_cells(datum, info)
         assert [cell_interval(c) for c in pam.cells] == [(0, 6), (6, 12)]
-        assert [row_tuples(c.A) for c in pam.cells] == [((-1,),), ((1,),)]
+        assert [c.A for c in pam.cells] == [((-1,),), ((1,),)]
         assert [c.offset for c in pam.cells] == [(3,), (-9,)]
 
     def test_d3(self):
@@ -137,7 +138,7 @@ class TestCircleCells:
         pam = linearity_cells(datum, info)
         assert ([cell_interval(c) for c in pam.cells]
                 == [(0, 2), (2, 6), (6, 10), (10, 12)])
-        assert ([row_tuples(c.A) for c in pam.cells]
+        assert ([c.A for c in pam.cells]
                 == [((1,), (-1,)), ((-2,), (-1,)),
                     ((1,), (2,)), ((1,), (-1,))])
         assert ([c.offset for c in pam.cells]
@@ -148,7 +149,7 @@ class TestCircleCells:
         pam = linearity_cells(datum, info)
         assert ([cell_interval(c) for c in pam.cells]
                 == [(0, 3), (3, 6), (6, 9), (9, 12)])
-        assert ([row_tuples(c.A) for c in pam.cells]
+        assert ([c.A for c in pam.cells]
                 == [((1,), (-2,), (-1,)), ((-3,), (-2,), (-1,)),
                     ((1,), (2,), (3,)), ((1,), (2,), (-1,))])
         h = Fraction(1, 2)
@@ -160,8 +161,11 @@ class TestCircleCells:
         datum, info = with_type(circle_datum(d=3))
         pam = linearity_cells(datum, info)
         mats = cell_matrices(pam)
-        assert mats == [c.A for c in pam.cells]
+        assert [row_tuples(m) for m in mats] == [c.A for c in pam.cells]
         assert row_tuples(mats[1]) == ((-2,), (-1,))
+        # the cell map's rows are plain ints, not Fractions
+        assert {type(e) for c in pam.cells for row in c.A for e in row} \
+            == {int}
 
     def test_interior_samples_match_the_affine_formula(self):
         for d in (2, 3, 4):
@@ -185,7 +189,7 @@ class TestCircleCells:
         datum, info = with_type(circle_datum(d=3))
         pam = linearity_cells(datum, info, domain=[(0,), (4,)])
         assert [cell_interval(c) for c in pam.cells] == [(0, 2), (2, 4)]
-        assert row_tuples(pam.cells[1].A) == ((-2,), (-1,))
+        assert pam.cells[1].A == ((-2,), (-1,))
 
     @settings(max_examples=15, deadline=None)
     @given(d=st.integers(2, 6),
@@ -270,7 +274,7 @@ class TestUnimodularity:
     def test_single_theta_has_no_rows(self):
         datum, info = with_type(circle_datum(varpi=5, d=1))
         pam = linearity_cells(datum, info)
-        assert pam.cells[0].A.rows == 0 and pam.cells[0].A.cols == 1
+        assert pam.cells[0].A == () and len(pam.cells[0].vertices[0]) == 1
         ok, verdicts = check_unimodular(pam)
         assert not ok and not any(verdicts)
 
@@ -366,6 +370,63 @@ class TestInjectivity:
             check_injective(bad, info, mode="grid")
 
 
+class TestIntegerCellMap:
+    """The cell map stays in integers from the refinement to the
+    unimodularity verdicts."""
+
+    # acceptance-test-04's first draw: type (3, 6), D = 18, 42 cells
+    PLANE_4 = ([[6, -3], [-6, 6]], (0, 0), [[6, 0], [-18, 21]])
+
+    def test_no_matrix_or_smith_form_per_cell(self, monkeypatch):
+        # the per-datum constants (theta's coset data, the offsets) are
+        # built by a first call; after it the refinement, the cell maps and
+        # check_unimodular build no Matrix and run no Smith elimination
+        datum, info = with_type(plane_datum(*self.PLANE_4))
+        want = check_unimodular(linearity_cells(datum, info))
+
+        def refuse(*args):
+            raise AssertionError("a Matrix or a Smith form per cell")
+        monkeypatch.setattr(exactlinalg, "_smith", refuse)
+        monkeypatch.setattr(Matrix, "__init__", refuse)
+        pam = linearity_cells(datum, info)
+        assert check_unimodular(pam) == want
+        assert want[0] and len(pam.cells) == 42
+        assert {type(e) for cm in pam.cells for row in cm.A for e in row} \
+            == {int}
+        assert all(len(cm.A) == 17 and all(len(row) == 2 for row in cm.A)
+                   for cm in pam.cells)
+
+    def test_offsets_once_per_datum(self, monkeypatch):
+        # the offset constants, L^-1 among them, are computed once per
+        # datum, not once per representative
+        calls = []
+        inverse = embedding.inverse
+
+        def counted(M):
+            calls.append(M)
+            return inverse(M)
+        monkeypatch.setattr(embedding, "inverse", counted)
+        for k in (1, 2):
+            datum, info = with_type(plane_datum(*self.PLANE_4))
+            assert len(info.reps) == 18
+            linearity_cells(datum, info)
+            assert len(calls) == k
+            linearity_cells(datum, info)
+            assert len(calls) == k
+
+    def test_two_unknowns_stay_exact_on_integer_slopes(self):
+        # integer slope entries with a Fraction offset: every quotient is a
+        # Fraction, never a float, so (1, 2, 1/3) is found on the line of
+        # (3, 6, 1)
+        solve_two = embedding._solve_two_unknowns
+        sol = solve_two([(3, 6, 1), (1, 2, Fraction(1, 3))])
+        assert sol == ("line", (Fraction(1, 3), 0), (-6, 3))
+        assert type(sol[1][0]) is Fraction
+        sol = solve_two([(1, 1, 1), (1, -1, 0)])
+        assert sol == ("point", (Fraction(1, 2), Fraction(1, 2)))
+        assert all(type(c) is Fraction for c in sol[1])
+
+
 class TestInjectivitySweep:
     """The box sweep of exact injectivity against the all-pairs loop."""
 
@@ -391,7 +452,7 @@ class TestInjectivitySweep:
         datum, info = with_type(circle_datum(d=3))
         pam = PiecewiseAffineMap(info.reps, tuple(
             CellMap(((Fraction(lo),), (Fraction(lo + 1),)), (),
-                    Matrix.from_rows([[1], [0]]), (Fraction(off), Fraction(0)))
+                    ((1,), (0,)), (Fraction(off), Fraction(0)))
             for lo, off in ((0, 0), (2, -1))))
         verdict = check_injective(datum, info, pam=pam)
         assert verdict == injective_all_pairs(datum, info, pam)
@@ -424,7 +485,7 @@ def parallel_neighbours(datum, info):
     pairs = [(i, i + 1) for i in range(len(cells) - 1)]
     pairs.append((0, len(cells) - 1))
     return sum(len(invariant_factors(Matrix.from_rows(
-        [list(r) for r in zip(cells[i].A.entries, cells[j].A.entries)])))
+        [[u, w] for (u,), (w,) in zip(cells[i].A, cells[j].A)])))
         < 2 for i, j in pairs)
 
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from tropitheta.exactlinalg import (
     Matrix, det, dot, gram_norm, integer_vector, invariant_factors, inverse,
-    is_positive_definite, is_unimodular_map, ldlt, snf, solve,
+    _int_det, is_positive_definite, is_unimodular_map, is_unimodular_rows,
+    ldlt, snf, solve,
 )
 from tropitheta.errors import NotSymmetric, SingularMatrix, SingularPivot
 from tropitheta.theta import _prepared, lattice_argmin
@@ -250,6 +251,40 @@ class TestUnimodularMap:
         expected = (a.rows >= a.cols
                     and minor_gcd_invariant_factors(rows) == (1,) * a.cols)
         assert is_unimodular_map(a) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_minors_agree_with_smith(self, data):
+        # integer rows up to 17 x 3, including 0 rows and 0 columns, wide
+        # shapes, a column that is a multiple of another (rank below n) and
+        # an even column (an invariant factor 2)
+        n = data.draw(st.integers(0, 3))
+        h = data.draw(st.integers(0, 17))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            min_size=h, max_size=h))
+        if n >= 2 and data.draw(st.booleans()):
+            k = data.draw(st.integers(-2, 2))
+            rows = [r[:-1] + [k * r[0]] for r in rows]
+        if n >= 1 and data.draw(st.booleans()):
+            rows = [[2 * r[0]] + r[1:] for r in rows]
+        a = Matrix(h, n, [e for r in rows for e in r])
+        expected = invariant_factors(a) == (1,) * n
+        assert is_unimodular_rows([tuple(r) for r in rows], n) == expected
+        assert is_unimodular_map(a) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_integer_determinant(self, rows):
+        a = Matrix(len(rows), len(rows), [e for r in rows for e in r])
+        d = _int_det(rows)
+        assert type(d) is int and d == det(a)
+
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(ValueError):
+            is_unimodular_map(Matrix.from_rows([[Fraction(1, 2)], [1]]))
 
 
 class TestLDLT:
