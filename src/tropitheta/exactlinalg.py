@@ -344,17 +344,10 @@ def invariant_factors(A):
     return tuple(D[i][i] for i in range(min(A.rows, A.cols)) if D[i][i])
 
 
-def is_unimodular_map(A):
-    """True iff the h x n integer matrix A has rank n and Z^h / A.Z^n is
-    torsion free, i.e. all n invariant factors are 1."""
-    e = integer_vector(A.entries)
-    return is_unimodular_rows([e[i * A.cols:(i + 1) * A.cols]
-                               for i in range(A.rows)], A.cols)
-
-
 def is_unimodular_rows(rows, n):
-    """is_unimodular_map for integer rows of n entries: the product of the
-    invariant factors is the gcd of the n x n minors, so stop at a gcd of 1."""
+    """True iff the h x n integer matrix A of these rows has rank n and
+    Z^h / A.Z^n is torsion free, i.e. all n invariant factors are 1: their
+    product is the gcd of the n x n minors, so stop at a gcd of 1."""
     g = 0
     return any((g := gcd(g, _int_det(m))) == 1 for m in combinations(rows, n))
 

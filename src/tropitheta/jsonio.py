@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import SchemaError
 from .exactlinalg import Matrix
-from .nalift import FourierData, LiftWindow, ValuedScalar, build_na_datum
+from .nalift import ValuedScalar, build_na_datum
 from .torus import build_torus, validate_datum
 
 
@@ -23,8 +23,13 @@ def rational_to_str(q):
 
 
 def rational_from_str(s):
+    # Fraction also reads exponent notation, and builds "1e10000000"
+    # exactly: a time that grows faster than the exponent
+    text = str(s)
+    if "e" in text or "E" in text:
+        raise SchemaError("not a rational: %r" % (s,))
     try:
-        return Fraction(str(s))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError("not a rational: %r" % (s,)) from exc
 
@@ -37,10 +42,6 @@ def vector_from_json(obj):
     if not isinstance(obj, list):
         raise SchemaError("vector must be a list, got %r" % (obj,))
     return tuple(rational_from_str(c) for c in obj)
-
-
-def matrix_to_json(m):
-    return rows_to_json(m.to_lists(), m.cols)
 
 
 def rows_to_json(rows, cols):
@@ -61,12 +62,6 @@ def matrix_from_json(obj):
                           % (rows, cols, len(entries)))
     return Matrix.from_rows([entries[i * cols:(i + 1) * cols]
                              for i in range(rows)])
-
-
-def datum_to_json(datum):
-    return {"Pmat": matrix_to_json(datum.torus.Pmat),
-            "L": matrix_to_json(datum.L),
-            "ell": vector_to_json(datum.ellVec)}
 
 
 def datum_from_json(obj):
@@ -105,13 +100,6 @@ def scalar_from_json(obj):
     return ValuedScalar(terms)
 
 
-def na_datum_to_json(datum):
-    return {"Pmat": matrix_to_json(datum.torus.Pmat),
-            "L": matrix_to_json(datum.L),
-            "Tmat": [[scalar_to_json(x) for x in row] for row in datum.Tmat],
-            "cBasis": [scalar_to_json(c) for c in datum.cBasis]}
-
-
 def na_datum_from_json(obj):
     if not isinstance(obj, dict):
         raise SchemaError("descent datum must be an object")
@@ -136,13 +124,6 @@ def _ukey(u):
     return ",".join(str(int(c)) for c in u)
 
 
-def _ukey_parse(key):
-    try:
-        return tuple(int(c) for c in str(key).split(","))
-    except ValueError as exc:
-        raise SchemaError("bad coefficient key %r" % (key,)) from exc
-
-
 def fourier_to_json(fd):
     return {"coefficients": {_ukey(u): scalar_to_json(g)
                              for u, g in fd.coeffs.items()},
@@ -150,22 +131,6 @@ def fourier_to_json(fd):
                                   "multiplier": scalar_to_json(mult),
                                   "radius": int(radius)}
                                  for b, mult, radius in fd.window.parts]}}
-
-
-def fourier_from_json(obj, datum):
-    """Rebuild Fourier data over an already parsed descent datum."""
-    if not isinstance(obj, dict) or "coefficients" not in obj \
-            or "window" not in obj:
-        raise SchemaError("fourier data needs coefficients and window")
-    coeffs = {_ukey_parse(k): scalar_from_json(v)
-              for k, v in obj["coefficients"].items()}
-    try:
-        parts = tuple((tuple(int(c) for c in p["b"]),
-                       scalar_from_json(p["multiplier"]), int(p["radius"]))
-                      for p in obj["window"]["parts"])
-    except (TypeError, KeyError, ValueError) as exc:
-        raise SchemaError("bad window description") from exc
-    return FourierData(coeffs, LiftWindow(datum, parts))
 
 
 def dumps(obj):
@@ -195,8 +160,10 @@ def _write_atomic(text, path):
 
 
 def load(path):
+    # ValueError covers json.JSONDecodeError and an integer literal over
+    # the interpreter's digit limit
     try:
         with open(path) as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SchemaError("cannot read %s: %s" % (path, exc)) from exc

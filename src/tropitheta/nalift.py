@@ -35,7 +35,7 @@ from .errors import (
     NotInvertible, NotPolarization, NotQuadratic, PreconditionViolated,
     RootUnavailable, ValuationMismatch, WindowInsufficient,
 )
-from .exactlinalg import Matrix, is_integer_vector, solve, to_vector
+from .exactlinalg import Matrix, to_vector
 from .theta import INF, lattice_argmin, theta_h_vector
 from .torus import polarization_type, validate_datum
 
@@ -102,7 +102,6 @@ def monomial(exponent, coefficient=1):
     return ValuedScalar([(exponent, coefficient)])
 
 
-ZERO = ValuedScalar()
 ONE = monomial(0)
 
 
@@ -117,12 +116,6 @@ def to_scalar(x):
 def vs_val(s):
     """min exponent; INF for the zero scalar."""
     return s.terms[0][0] if s.terms else INF
-
-
-def vs_leading(s):
-    if not s.terms:
-        raise DivisionByZero("the zero scalar has no leading coefficient")
-    return s.terms[0][1]
 
 
 def vs_add(s1, s2):
@@ -390,48 +383,6 @@ def fourier_lift(datum, b, radius):
     _window_minimum(trop, b, [0] * datum.n, radius)
     coeffs = _part_coeffs(datum, b, ONE, radius)
     return FourierData(coeffs, LiftWindow(datum, ((b, ONE, radius),)))
-
-
-def fourier_scale(fd, scalar):
-    """Multiply a Fourier datum by a nonzero valued scalar."""
-    scalar = to_scalar(scalar)
-    if not scalar:
-        raise PreconditionViolated("scaling by zero loses the support")
-    parts = tuple((b, vs_mul(mult, scalar), radius)
-                  for b, mult, radius in fd.window.parts)
-    coeffs = {u: vs_mul(g, scalar) for u, g in fd.coeffs.items()}
-    return FourierData(coeffs, LiftWindow(fd.window.datum, parts))
-
-
-def fourier_sum(fd1, fd2):
-    """Sum of two Fourier data over the same descent datum.  Parts on the
-    same coset representative merge by adding multipliers; parts whose
-    representatives are congruent modulo L but not equal are rejected
-    (their supports overlap with shifted indexing)."""
-    if fd1.window.datum is not fd2.window.datum:
-        raise PreconditionViolated("summands live over different data")
-    datum = fd1.window.datum
-    merged = {}
-    for b, mult, radius in fd1.window.parts + fd2.window.parts:
-        if b in merged:
-            old_mult, old_radius = merged[b]
-            merged[b] = (vs_add(old_mult, mult), min(old_radius, radius))
-        else:
-            merged[b] = (mult, radius)
-    reps = sorted(merged)
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            diff = [reps[i][k] - reps[j][k] for k in range(datum.n)]
-            if is_integer_vector(solve(datum.L, diff)):
-                raise PreconditionViolated(
-                    "representatives %r and %r generate the same coset"
-                    % (reps[i], reps[j]))
-    parts = tuple((b, merged[b][0], merged[b][1])
-                  for b in reps if merged[b][0])
-    coeffs = {}
-    for b, mult, radius in parts:
-        coeffs.update(_part_coeffs(datum, b, mult, radius))
-    return FourierData(coeffs, LiftWindow(datum, parts))
 
 
 def tropicalize_fourier(fd, v):

@@ -44,16 +44,15 @@ from math import floor, gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .errors import NotPolarization, PreconditionViolated, SingularPivot
+from .errors import NotPolarization, SingularPivot
 from .exactlinalg import (
-    dot, gram_norm, inverse, ldlt, solve, to_vector, vec_add, vec_scale,
-    vec_sub,
+    dot, gram_norm, inverse, ldlt, solve, to_vector, vec_add, vec_sub,
 )
 from .torus import ell_point
 
 LAMBDA_GAMMA = "lambda_gamma"
 Q_ELL = "q_ell"
-INF = None  # +infinity coefficient in min-plus combinations
+INF = None  # +infinity: a surjective_lift target, the valuation of zero
 
 
 class ArgminResult(NamedTuple):
@@ -377,108 +376,3 @@ def theta_eval(theta, x):
     if theta.convention == Q_ELL:
         value += q_ell_constant(theta.datum, theta.b)
     return value
-
-
-def quasi_periodicity_check(theta, x, w):
-    """Check theta(x + u') = theta(x) - Q(x, u') - (1/2) Q(u', u') + ell(u')
-    exactly, for the period u' with f'-coordinates w.  The identity is
-    convention independent."""
-    datum = theta.datum
-    x = to_vector(x)
-    w = [Fraction(int(c)) for c in w]
-    lhs = theta_eval(theta, vec_add(x, datum.torus.lattice_point(w)))
-    rhs = (theta_eval(theta, x)
-           - datum.pairing_with_point(w, x)
-           - gram_norm(datum.G, w) / 2
-           + dot(datum.ellVec, w))
-    return lhs == rhs
-
-
-class ThetaCombination:
-    """A min-plus combination min_b { c_b + theta_b }.
-
-    Coefficients are exact rationals or INF (= None); at least one finite
-    coefficient is required for evaluation.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        fixed = []
-        for c, theta in terms:
-            if c is not INF and isinstance(c, (int, Fraction)):
-                c = Fraction(c)
-            fixed.append((c, theta))
-        object.__setattr__(self, "terms", tuple(fixed))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ThetaCombination is immutable")
-
-    def finite_terms(self):
-        return [(c, th) for (c, th) in self.terms if c is not INF]
-
-
-def min_plus_eval(comb, x):
-    """min over the finite terms of c_b + theta_b(x)."""
-    finite = comb.finite_terms()
-    if not finite:
-        raise PreconditionViolated("no finite coefficient")
-    return min(c + theta_eval(th, x) for c, th in finite)
-
-
-def translate_datum(datum, v):
-    """Pull a datum back along translation by the point with f'-coordinates
-    v: ell' = ell - G.v.  Returns (datum', constant) with
-    constant = (1/2) v^T G v.
-
-    The exact translation identity, in the (Q, ell) convention, is
-
-        theta_b^{(Q,ell)}(x + Pmat.v) =
-            theta_b^{(Q,ell')}(x) + ell.v - constant ;
-
-    when v = G^-1.ell (the translation that kills ell) the correction
-    ell.v equals 2*constant, so the identity collapses to
-    theta^{(Q,ell')}(x) + constant = theta^{(Q,ell)}(x + Pmat.v).
-    """
-    v = to_vector(v)
-    new_ell = vec_sub(datum.ellVec, datum.G.matvec(v))
-    return datum.with_ell(new_ell), gram_norm(datum.G, v) / 2
-
-
-def _snf_adapted_type(datum):
-    # diagonal positive L with the divisibility chain, else None
-    L = datum.L
-    n = datum.n
-    if any(L[i, j] != 0 for i in range(n) for j in range(n) if i != j):
-        return None
-    d = [int(L[i, i]) for i in range(n)]
-    if any(x <= 0 for x in d):
-        return None
-    if any(d[i + 1] % d[i] for i in range(n - 1)):
-        return None
-    return d
-
-
-def sublattice_identity_check(datum, x):
-    """Check  min_{b in B1} theta_b(x) = (1/d1^2) theta_0(d1.x)  exactly,
-    where B1 = { (delta_1 b_1, ..., delta_n b_n) : 0 <= b_i < d1 } with
-    delta_i = d_i / d1.  Requires ell = 0 and SNF-adapted bases, i.e. L
-    already diagonal with the divisibility chain; thetas in the (Q, ell)
-    convention with ell = 0."""
-    if not datum.polarized:
-        raise NotPolarization("not a polarization")
-    if any(c != 0 for c in datum.ellVec):
-        raise PreconditionViolated("identity needs ell = 0")
-    d = _snf_adapted_type(datum)
-    if d is None:
-        raise PreconditionViolated("identity needs an SNF-adapted basis")
-    d1 = d[0]
-    deltas = [di // d1 for di in d]
-    x = to_vector(x)
-    lhs = min(
-        theta_eval(ThetaFunction(datum, [deltas[i] * box[i]
-                                         for i in range(datum.n)], Q_ELL), x)
-        for box in itertools.product(range(d1), repeat=datum.n))
-    theta0 = ThetaFunction(datum, (0,) * datum.n, Q_ELL)
-    rhs = theta_eval(theta0, vec_scale(d1, x)) / (d1 * d1)
-    return lhs == rhs

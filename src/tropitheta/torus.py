@@ -28,7 +28,7 @@ from .errors import (
     NonIntegerLambda, NotPolarization, NotSymmetric, SingularEmbedding,
 )
 from .exactlinalg import (
-    det, dot, gram_norm, inverse, is_positive_definite, snf, solve, to_vector,
+    det, dot, inverse, is_positive_definite, snf, solve, to_vector,
 )
 
 
@@ -104,9 +104,6 @@ class TropicalDescentDatum:
     def n(self):
         return self.torus.n
 
-    def with_ell(self, ellVec):
-        return TropicalDescentDatum(self.torus, self.L, ellVec)
-
     def pairing_with_point(self, w, x):
         """Q(u', x) = <lambda(u'), x> = (L.w) . x-hat for u' with
         f'-coordinates w and x in e^v-coordinates."""
@@ -117,18 +114,6 @@ class TropicalDescentDatum:
 
 
 def validate_datum(torus, L, ellVec):
-    return TropicalDescentDatum(torus, L, ellVec)
-
-
-def datum_from_Q(torus, G, ellVec):
-    """Build the datum from a Gram matrix on the f'-basis.  Recovers
-    L = Pmat^-T.G and requires it to be integral, which is exactly the
-    integrality condition Q(M' x N) in Z."""
-    if not G.is_symmetric():
-        raise NotSymmetric("Gram matrix must be symmetric")
-    L = torus.Pinv.transpose() * G
-    if not L.is_integral():
-        raise NonIntegerLambda("Q does not come from an integral lambda")
     return TropicalDescentDatum(torus, L, ellVec)
 
 
@@ -173,27 +158,6 @@ def polarization_type(datum):
     reps = [tuple(int(c) for c in Uinv.matvec(box))
             for box in itertools.product(*[range(d) for d in type_])]
     return PolarizationInfo(type_, U, V, reps)
-
-
-def adapted_datum(datum, info):
-    """The same datum rewritten in bases adapted to the invariant factors.
-
-    With U.L.V = diag(type), the new period basis is f'.V and the new
-    M-basis is e.U^-1, so the polarization matrix becomes diag(type), the
-    period matrix U^-T.Pmat.V, the Gram matrix V^T.G.V, and ell (values on
-    the period basis) transforms by V^T.  M-points b move to U.b and
-    e^v-coordinates to U^-T.x.
-    """
-    Ut = inverse(info.U).transpose()
-    return validate_datum(build_torus(Ut * datum.torus.Pmat * info.V),
-                          info.U * datum.L * info.V,
-                          info.V.transpose().matvec(datum.ellVec))
-
-
-def gamma_eval(datum, a):
-    """gamma(a) = (1/2) a^T G a - ell . a for a in f'-coordinates."""
-    a = to_vector(a)
-    return gram_norm(datum.G, a) / 2 - dot(datum.ellVec, a)
 
 
 def ell_point(datum):

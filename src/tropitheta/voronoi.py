@@ -35,10 +35,10 @@ from .errors import (
 )
 from .exactlinalg import (
     Matrix, det, dot, gram_norm, integer_vector, invariant_factors, inverse,
-    is_positive_definite, is_unimodular_map, snf, solve, to_vector, vec_add,
+    is_positive_definite, is_unimodular_rows, snf, solve, to_vector, vec_add,
     vec_scale,
 )
-from .theta import ArgminResult, _ball, _center, _homogeneous, _nearest
+from .theta import _ball, _center, _homogeneous, _nearest
 from .torus import polarization_type
 
 
@@ -120,50 +120,19 @@ class VoronoiCell:
             return False
         return any(dot(a, x) == c for a, c in self.halfspaces)
 
-    def polytope(self):
-        """Vertex list of the cell (n <= 2; counterclockwise for n = 2)."""
-        return _cell_polytope(self)
-
     def __repr__(self):
         return "VoronoiCell(n=%d, facets=%d)" % (self.lattice.n,
                                                  len(self.relevant))
 
 
-def closest_point(G, x):
-    """Closest lattice points to a rational point, with squared distance.
-
-    The walk of the one class Z^n around x gives both.
-    """
-    lat = GramLattice(G)
-    if len(x) != lat.n:
-        raise ValueError("length mismatch")
-    (points,), (norm,), K = _nearest(lat.G, *_center(to_vector(x)))
-    return ArgminResult(tuple(points), Fraction(norm, K), len(points) > 1)
-
-
-def half_period_system(G, x):
-    """n independent half-lattice vectors q with q + x still in the cell.
-
-    One candidate per two-torsion class t in {0, 1/2}^n: x + t is reduced
-    into the cell by subtracting a closest lattice point and the candidate
-    is the difference to x.  The lattice point nearest x + t is
-    (z + 2t)/2 for the point z of the class 2t mod 2 nearest 2x, so one
-    walk mod 2 gives every candidate, -z/2.  A greedy scan keeps each that
-    raises the rank, read off the Smith form of the doubled candidates
-    (integer, since each lies in (1/2) Z^n).  Not reaching rank n would
-    contradict the construction and raises InternalInvariantViolated.
-    """
-    x = to_vector(x)
-    cell = VoronoiCell(G)
-    if not cell.contains(x):
-        raise PreconditionViolated("base point must lie in the Voronoi cell")
-    return _half_periods(cell, x)
-
-
 def _half_periods(cell, x):
-    # half_period_system for a point x already known to lie in the cell;
-    # the classes 2t come in the order of product((0, 1/2)), and the least
-    # z gives the least nearest point (z + 2t)/2
+    # n independent half-lattice vectors q with q + x in the cell, for x in
+    # the cell: per class t in {0, 1/2}^n the candidate x + t reduced into
+    # the cell, minus x, is -z/2 for the point z of the class 2t mod 2
+    # nearest 2x, so one walk mod 2 gives them all; the classes come in the
+    # order of product((0, 1/2)), the least z gives the least nearest point
+    # (z + 2t)/2, and a greedy scan keeps each candidate that raises the
+    # rank of the doubled ones
     n = cell.lattice.n
     chosen = []
     classes, _, _ = _nearest(cell.lattice.G, *_center([2 * c for c in x]),
@@ -477,7 +446,7 @@ def cell_certificate(datum, info, piece, translate, atilde=None):
             if atilde not in points:
                 raise CertificateFailed(
                     "shared argmin fails for shift %d at %s" % (j, tuple(y)))
-    if not is_unimodular_map(Matrix.from_rows([list(e) for e in ells[1:]])):
+    if not is_unimodular_rows(ells[1:], n):
         raise CertificateFailed("certificate rows are not unimodular")
     return CellCertificate(tuple(ells), atilde)
 

@@ -8,12 +8,20 @@ clipping and centroid ordering that the polygon kernel replaced, and the
 generic-Fraction one-pass split and hull that its integer-homogeneous form
 replaced.  Slow but obviously correct at the sizes the tests use.  The
 last section holds small helpers that only tests call; they compose
-package functions, and five of them are paths that a faster one replaced:
+package functions.  Five of them are paths that a faster one replaced:
 the per-representative thetas (the coset walk), the per-class relevant
 vectors and per-point half periods (the walk mod 2 of voronoi), the
 all-pairs exact injectivity loop (the box sweep of embedding), and the
 Fraction affine pieces (the integer pieces over one denominator per datum
-of embedding).
+of embedding).  The rest were public functions of the package that no
+library code, demo or benchmark layer calls, moved here with their bodies:
+the paper's identity checks (quasi-periodicity, min-plus combinations,
+translation of a datum, the sublattice identity), unimodularity of a
+Matrix, the datum constructions from a Gram matrix and in adapted bases,
+gamma, closest points and half-period systems of a Voronoi cell, the
+leading coefficient, scale and sum of Fourier data (the composition
+oracle of the one-pass surjective lift), and the JSON writers and
+readers that only round-trip tests use.
 """
 
 import functools
@@ -24,15 +32,27 @@ from math import ceil, floor, gcd, isqrt
 from tropitheta.embedding import (
     InjectivityVerdict, _collision_pair, linearity_cells,
 )
-from tropitheta.errors import NotPolarization, PreconditionViolated
+from tropitheta.errors import (
+    DivisionByZero, NonIntegerLambda, NotPolarization, NotSymmetric,
+    PreconditionViolated, SchemaError,
+)
 from tropitheta.exactlinalg import (
-    Matrix, det, dot, invariant_factors, solve, to_vector, vec_add,
+    Matrix, det, dot, integer_vector, invariant_factors, inverse,
+    is_integer_vector, is_unimodular_rows, solve, to_vector, vec_add,
     vec_scale, vec_sub,
 )
-from tropitheta.theta import (
-    _h_constant, lattice_argmin, q_ell_constant, theta_eval,
+from tropitheta.jsonio import (
+    rows_to_json, scalar_from_json, scalar_to_json, vector_to_json,
 )
-from tropitheta.voronoi import VoronoiCell
+from tropitheta.nalift import (
+    FourierData, LiftWindow, _part_coeffs, to_scalar, vs_add, vs_mul,
+)
+from tropitheta.theta import (
+    INF, Q_ELL, ArgminResult, ThetaFunction, _center, _h_constant, _nearest,
+    lattice_argmin, q_ell_constant, theta_eval,
+)
+from tropitheta.torus import TropicalDescentDatum, build_torus, validate_datum
+from tropitheta.voronoi import GramLattice, VoronoiCell, _half_periods
 
 
 def det_expansion(rows):
@@ -619,3 +639,269 @@ def concavity_check(theta, x, y, t):
                   vec_scale(1 - t, to_vector(y)))
     return theta_eval(theta, mid) >= (t * theta_eval(theta, x)
                                       + (1 - t) * theta_eval(theta, y))
+
+
+def is_unimodular_map(A):
+    """True iff the h x n integer matrix A has rank n and Z^h / A.Z^n is
+    torsion free, i.e. all n invariant factors are 1."""
+    e = integer_vector(A.entries)
+    return is_unimodular_rows([e[i * A.cols:(i + 1) * A.cols]
+                               for i in range(A.rows)], A.cols)
+
+
+def datum_from_Q(torus, G, ellVec):
+    """Build the datum from a Gram matrix on the f'-basis.  Recovers
+    L = Pmat^-T.G and requires it to be integral, which is exactly the
+    integrality condition Q(M' x N) in Z."""
+    if not G.is_symmetric():
+        raise NotSymmetric("Gram matrix must be symmetric")
+    L = torus.Pinv.transpose() * G
+    if not L.is_integral():
+        raise NonIntegerLambda("Q does not come from an integral lambda")
+    return TropicalDescentDatum(torus, L, ellVec)
+
+
+def adapted_datum(datum, info):
+    """The same datum rewritten in bases adapted to the invariant factors.
+
+    With U.L.V = diag(type), the new period basis is f'.V and the new
+    M-basis is e.U^-1, so the polarization matrix becomes diag(type), the
+    period matrix U^-T.Pmat.V, the Gram matrix V^T.G.V, and ell (values on
+    the period basis) transforms by V^T.  M-points b move to U.b and
+    e^v-coordinates to U^-T.x.
+    """
+    Ut = inverse(info.U).transpose()
+    return validate_datum(build_torus(Ut * datum.torus.Pmat * info.V),
+                          info.U * datum.L * info.V,
+                          info.V.transpose().matvec(datum.ellVec))
+
+
+def gamma_eval(datum, a):
+    """gamma(a) = (1/2) a^T G a - ell . a for a in f'-coordinates."""
+    a = to_vector(a)
+    return gram_norm(datum.G.to_lists(), a) / 2 - dot(datum.ellVec, a)
+
+
+def quasi_periodicity_check(theta, x, w):
+    """Check theta(x + u') = theta(x) - Q(x, u') - (1/2) Q(u', u') + ell(u')
+    exactly, for the period u' with f'-coordinates w.  The identity is
+    convention independent."""
+    datum = theta.datum
+    x = to_vector(x)
+    w = [Fraction(int(c)) for c in w]
+    lhs = theta_eval(theta, vec_add(x, datum.torus.lattice_point(w)))
+    rhs = (theta_eval(theta, x)
+           - datum.pairing_with_point(w, x)
+           - gram_norm(datum.G.to_lists(), w) / 2
+           + dot(datum.ellVec, w))
+    return lhs == rhs
+
+
+class ThetaCombination:
+    """A min-plus combination min_b { c_b + theta_b }.
+
+    Coefficients are exact rationals or INF (= None); at least one finite
+    coefficient is required for evaluation.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        fixed = []
+        for c, theta in terms:
+            if c is not INF and isinstance(c, (int, Fraction)):
+                c = Fraction(c)
+            fixed.append((c, theta))
+        object.__setattr__(self, "terms", tuple(fixed))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ThetaCombination is immutable")
+
+    def finite_terms(self):
+        return [(c, th) for (c, th) in self.terms if c is not INF]
+
+
+def min_plus_eval(comb, x):
+    """min over the finite terms of c_b + theta_b(x)."""
+    finite = comb.finite_terms()
+    if not finite:
+        raise PreconditionViolated("no finite coefficient")
+    return min(c + theta_eval(th, x) for c, th in finite)
+
+
+def translate_datum(datum, v):
+    """Pull a datum back along translation by the point with f'-coordinates
+    v: ell' = ell - G.v.  Returns (datum', constant) with
+    constant = (1/2) v^T G v.
+
+    The exact translation identity, in the (Q, ell) convention, is
+
+        theta_b^{(Q,ell)}(x + Pmat.v) =
+            theta_b^{(Q,ell')}(x) + ell.v - constant ;
+
+    when v = G^-1.ell (the translation that kills ell) the correction
+    ell.v equals 2*constant, so the identity collapses to
+    theta^{(Q,ell')}(x) + constant = theta^{(Q,ell)}(x + Pmat.v).
+    """
+    v = to_vector(v)
+    new_ell = vec_sub(datum.ellVec, datum.G.matvec(v))
+    return (TropicalDescentDatum(datum.torus, datum.L, new_ell),
+            gram_norm(datum.G.to_lists(), v) / 2)
+
+
+def _snf_adapted_type(datum):
+    # diagonal positive L with the divisibility chain, else None
+    L = datum.L
+    n = datum.n
+    if any(L[i, j] != 0 for i in range(n) for j in range(n) if i != j):
+        return None
+    d = [int(L[i, i]) for i in range(n)]
+    if any(x <= 0 for x in d):
+        return None
+    if any(d[i + 1] % d[i] for i in range(n - 1)):
+        return None
+    return d
+
+
+def sublattice_identity_check(datum, x):
+    """Check  min_{b in B1} theta_b(x) = (1/d1^2) theta_0(d1.x)  exactly,
+    where B1 = { (delta_1 b_1, ..., delta_n b_n) : 0 <= b_i < d1 } with
+    delta_i = d_i / d1.  Requires ell = 0 and SNF-adapted bases, i.e. L
+    already diagonal with the divisibility chain; thetas in the (Q, ell)
+    convention with ell = 0."""
+    if not datum.polarized:
+        raise NotPolarization("not a polarization")
+    if any(c != 0 for c in datum.ellVec):
+        raise PreconditionViolated("identity needs ell = 0")
+    d = _snf_adapted_type(datum)
+    if d is None:
+        raise PreconditionViolated("identity needs an SNF-adapted basis")
+    d1 = d[0]
+    deltas = [di // d1 for di in d]
+    x = to_vector(x)
+    lhs = min(
+        theta_eval(ThetaFunction(datum, [deltas[i] * box[i]
+                                         for i in range(datum.n)], Q_ELL), x)
+        for box in itertools.product(range(d1), repeat=datum.n))
+    theta0 = ThetaFunction(datum, (0,) * datum.n, Q_ELL)
+    rhs = theta_eval(theta0, vec_scale(d1, x)) / (d1 * d1)
+    return lhs == rhs
+
+
+def closest_point(G, x):
+    """Closest lattice points to a rational point, with squared distance.
+
+    The walk of the one class Z^n around x gives both.
+    """
+    lat = GramLattice(G)
+    if len(x) != lat.n:
+        raise ValueError("length mismatch")
+    (points,), (norm,), K = _nearest(lat.G, *_center(to_vector(x)))
+    return ArgminResult(tuple(points), Fraction(norm, K), len(points) > 1)
+
+
+def half_period_system(G, x):
+    """n independent half-lattice vectors q with q + x still in the cell.
+
+    One candidate per two-torsion class t in {0, 1/2}^n: x + t is reduced
+    into the cell by subtracting a closest lattice point and the candidate
+    is the difference to x.  The lattice point nearest x + t is
+    (z + 2t)/2 for the point z of the class 2t mod 2 nearest 2x, so one
+    walk mod 2 gives every candidate, -z/2.  A greedy scan keeps each that
+    raises the rank, read off the Smith form of the doubled candidates
+    (integer, since each lies in (1/2) Z^n).  Not reaching rank n would
+    contradict the construction and raises InternalInvariantViolated.
+    """
+    x = to_vector(x)
+    cell = VoronoiCell(G)
+    if not cell.contains(x):
+        raise PreconditionViolated("base point must lie in the Voronoi cell")
+    return _half_periods(cell, x)
+
+
+def vs_leading(s):
+    if not s.terms:
+        raise DivisionByZero("the zero scalar has no leading coefficient")
+    return s.terms[0][1]
+
+
+def fourier_scale(fd, scalar):
+    """Multiply a Fourier datum by a nonzero valued scalar."""
+    scalar = to_scalar(scalar)
+    if not scalar:
+        raise PreconditionViolated("scaling by zero loses the support")
+    parts = tuple((b, vs_mul(mult, scalar), radius)
+                  for b, mult, radius in fd.window.parts)
+    coeffs = {u: vs_mul(g, scalar) for u, g in fd.coeffs.items()}
+    return FourierData(coeffs, LiftWindow(fd.window.datum, parts))
+
+
+def fourier_sum(fd1, fd2):
+    """Sum of two Fourier data over the same descent datum.  Parts on the
+    same coset representative merge by adding multipliers; parts whose
+    representatives are congruent modulo L but not equal are rejected
+    (their supports overlap with shifted indexing)."""
+    if fd1.window.datum is not fd2.window.datum:
+        raise PreconditionViolated("summands live over different data")
+    datum = fd1.window.datum
+    merged = {}
+    for b, mult, radius in fd1.window.parts + fd2.window.parts:
+        if b in merged:
+            old_mult, old_radius = merged[b]
+            merged[b] = (vs_add(old_mult, mult), min(old_radius, radius))
+        else:
+            merged[b] = (mult, radius)
+    reps = sorted(merged)
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            diff = [reps[i][k] - reps[j][k] for k in range(datum.n)]
+            if is_integer_vector(solve(datum.L, diff)):
+                raise PreconditionViolated(
+                    "representatives %r and %r generate the same coset"
+                    % (reps[i], reps[j]))
+    parts = tuple((b, merged[b][0], merged[b][1])
+                  for b in reps if merged[b][0])
+    coeffs = {}
+    for b, mult, radius in parts:
+        coeffs.update(_part_coeffs(datum, b, mult, radius))
+    return FourierData(coeffs, LiftWindow(datum, parts))
+
+
+def matrix_to_json(m):
+    return rows_to_json(m.to_lists(), m.cols)
+
+
+def datum_to_json(datum):
+    return {"Pmat": matrix_to_json(datum.torus.Pmat),
+            "L": matrix_to_json(datum.L),
+            "ell": vector_to_json(datum.ellVec)}
+
+
+def na_datum_to_json(datum):
+    return {"Pmat": matrix_to_json(datum.torus.Pmat),
+            "L": matrix_to_json(datum.L),
+            "Tmat": [[scalar_to_json(x) for x in row] for row in datum.Tmat],
+            "cBasis": [scalar_to_json(c) for c in datum.cBasis]}
+
+
+def _ukey_parse(key):
+    try:
+        return tuple(int(c) for c in str(key).split(","))
+    except ValueError as exc:
+        raise SchemaError("bad coefficient key %r" % (key,)) from exc
+
+
+def fourier_from_json(obj, datum):
+    """Rebuild Fourier data over an already parsed descent datum."""
+    if not isinstance(obj, dict) or "coefficients" not in obj \
+            or "window" not in obj:
+        raise SchemaError("fourier data needs coefficients and window")
+    coeffs = {_ukey_parse(k): scalar_from_json(v)
+              for k, v in obj["coefficients"].items()}
+    try:
+        parts = tuple((tuple(int(c) for c in p["b"]),
+                       scalar_from_json(p["multiplier"]), int(p["radius"]))
+                      for p in obj["window"]["parts"])
+    except (TypeError, KeyError, ValueError) as exc:
+        raise SchemaError("bad window description") from exc
+    return FourierData(coeffs, LiftWindow(datum, parts))

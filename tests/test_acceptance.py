@@ -10,24 +10,23 @@ from math import factorial
 
 import pytest
 
-from oracles import box_argmin
+from oracles import (
+    ThetaCombination, box_argmin, is_unimodular_map, min_plus_eval,
+    quasi_periodicity_check, sublattice_identity_check,
+)
 
 from tropitheta.embedding import (
     check_injective, check_unimodular, faithful_certificate,
     image_complex_1d, linearity_cells, phi_eval,
 )
 from tropitheta.errors import RootUnavailable
-from tropitheta.exactlinalg import (
-    Matrix, det, is_positive_definite, is_unimodular_map, solve,
-)
+from tropitheta.exactlinalg import Matrix, det, is_positive_definite, solve
 from tropitheta.nalift import (
     build_na_datum, c_trop, divide_datum, fourier_lift, monomial,
     surjective_lift, tropicalize_fourier, vs_mul,
 )
 from tropitheta.theta import (
-    INF, LAMBDA_GAMMA, Q_ELL, ThetaCombination, ThetaFunction,
-    lattice_argmin, min_plus_eval, quasi_periodicity_check,
-    sublattice_identity_check, theta_eval,
+    INF, LAMBDA_GAMMA, Q_ELL, ThetaFunction, lattice_argmin, theta_eval,
 )
 from tropitheta.torus import build_torus, polarization_type, validate_datum
 from tropitheta.voronoi import VoronoiCell, adapted_gram, certified_cells

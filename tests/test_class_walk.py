@@ -21,10 +21,12 @@ from tropitheta.theta import lattice_argmin
 from tropitheta.torus import build_torus, validate_datum
 from tropitheta.voronoi import (
     VoronoiCell, _cell_polytope, _half_periods, certified_cells,
-    closest_point, relevant_vectors,
+    relevant_vectors,
 )
 
-from oracles import half_periods_per_point, relevant_vectors_per_class
+from oracles import (
+    closest_point, half_periods_per_point, relevant_vectors_per_class,
+)
 
 
 @st.composite

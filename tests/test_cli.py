@@ -384,6 +384,14 @@ class TestSchemaErrors:
         path.write_text("{ not json")
         assert run(tmp_path, "type", "--input", str(path)) == 1
 
+    def test_huge_integer_literal_exits_one(self, tmp_path, capsys):
+        # over the interpreter's int digit limit json.load raises a plain
+        # ValueError, which must still read as a schema error
+        path = tmp_path / "huge.json"
+        path.write_text('{"datum": %s}' % ("9" * 5000))
+        assert run(tmp_path, "type", "--input", str(path)) == 1
+        assert capsys.readouterr().err.startswith("schema error: ")
+
     def test_missing_file_exits_one(self, tmp_path):
         assert run(tmp_path, "type", "--input",
                    str(tmp_path / "nope.json")) == 1

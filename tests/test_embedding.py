@@ -17,11 +17,12 @@ from tropitheta.embedding import (
     affine_piece, faithful_certificate, fundamental_domain, image_complex_1d,
     linearity_cells, phi_eval,
 )
-from tropitheta.theta import Q_ELL, ThetaFunction, theta_eval, translate_datum
+from tropitheta.theta import Q_ELL, ThetaFunction, theta_eval
 from tropitheta.torus import build_torus, polarization_type, validate_datum
 
 from oracles import (
     affine_piece_fractions, cell_matrices, injective_all_pairs, polygon_area2,
+    translate_datum,
 )
 
 

@@ -5,14 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from tropitheta.exactlinalg import (
     Matrix, det, dot, gram_norm, integer_vector, invariant_factors, inverse,
-    _int_det, is_positive_definite, is_unimodular_map, is_unimodular_rows,
+    _int_det, is_positive_definite, is_unimodular_rows,
     ldlt, snf, solve,
 )
 from tropitheta.errors import NotSymmetric, SingularMatrix, SingularPivot
 from tropitheta.theta import _prepared, lattice_argmin
 
 from oracles import (
-    det_expansion, minor_gcd_invariant_factors, sylvester_is_positive_definite,
+    det_expansion, is_unimodular_map, minor_gcd_invariant_factors,
+    sylvester_is_positive_definite,
 )
 
 

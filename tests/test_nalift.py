@@ -12,19 +12,17 @@ from tropitheta.errors import (
 )
 from tropitheta.nalift import (
     FourierData, ONE, ValuedScalar, build_na_datum, c_extend, c_trop,
-    divide_datum, fourier_lift, fourier_scale, fourier_sum, monomial,
-    surjective_lift, t_pair, tropicalize_fourier, verify_na_quasi_periodicity,
-    vs_add, vs_inv, vs_leading, vs_mul, vs_pow, vs_root, vs_val,
+    divide_datum, fourier_lift, monomial, surjective_lift, t_pair,
+    tropicalize_fourier, verify_na_quasi_periodicity, vs_add, vs_inv, vs_mul,
+    vs_pow, vs_root, vs_val,
 )
-from tropitheta.theta import (
-    INF, LAMBDA_GAMMA, ThetaCombination, ThetaFunction, min_plus_eval,
-    theta_eval,
-)
+from tropitheta.theta import INF, LAMBDA_GAMMA, ThetaFunction, theta_eval
 from tropitheta.torus import build_torus, polarization_type
 
 from oracles import (
-    c_extend_recursive, fourier_minimum_dot, pairing_brute, series_mul,
-    series_pow,
+    ThetaCombination, c_extend_recursive, fourier_minimum_dot, fourier_scale,
+    fourier_sum, min_plus_eval, pairing_brute, series_mul, series_pow,
+    vs_leading,
 )
 
 

@@ -9,15 +9,15 @@ from tropitheta.exactlinalg import (
 from tropitheta.errors import NotPolarization, PreconditionViolated
 from tropitheta.theta import _ball
 from tropitheta.theta import (
-    INF, LAMBDA_GAMMA, Q_ELL, ThetaCombination, ThetaFunction,
-    lattice_argmin, min_plus_eval, quasi_periodicity_check,
-    sublattice_identity_check, theta_eval, translate_datum,
+    INF, LAMBDA_GAMMA, Q_ELL, ThetaFunction, lattice_argmin, theta_eval,
 )
 from tropitheta.torus import build_torus, validate_datum
 
 from oracles import (
-    box_argmin, certified_box_argmin, concavity_check, ellipsoid_box_scan,
-    floor_plus_sqrt, gamma_rational_check, round_half_up,
+    ThetaCombination, box_argmin, certified_box_argmin, concavity_check,
+    ellipsoid_box_scan, floor_plus_sqrt, gamma_rational_check, min_plus_eval,
+    quasi_periodicity_check, round_half_up, sublattice_identity_check,
+    translate_datum,
 )
 
 

@@ -8,11 +8,10 @@ from tropitheta.errors import (
     NonIntegerLambda, NotPolarization, NotSymmetric, SingularEmbedding,
 )
 from tropitheta.torus import (
-    build_torus, datum_from_Q, ell_point, gamma_eval, polarization_type,
-    validate_datum,
+    build_torus, ell_point, polarization_type, validate_datum,
 )
 
-from oracles import rep_class_coords
+from oracles import datum_from_Q, gamma_eval, rep_class_coords
 
 
 def elliptic(varpi=12, d=2, ell=None):

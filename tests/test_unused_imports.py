@@ -1,6 +1,7 @@
 """Every module of the package, every test file and every demo uses every
 name it imports, the package imports nothing outside the standard library,
-and every private function or class of the package is used in the package.
+every private function or class of the package is used in the package, and
+every public one has a library caller.
 
 The checks are stdlib ast walks.  A name bound by an import at any level of
 a file must appear as a Name somewhere else in that file; the package's
@@ -10,7 +11,11 @@ recorded baseline.  Every absolute import of every package module,
 __init__.py included, must name a module in sys.stdlib_module_names.  A
 function or class whose name starts with one underscore must appear as a
 Name or an attribute in some module of the package, so a helper that lost
-its last caller is seen.
+its last caller is seen.  A public top-level function or class must be
+mentioned in the package outside its own definition, in a demo, or as a
+"<module>.<name>" metric of bench/tracing.py; code that only tests call
+belongs in tests/oracles.py.  The package's __all__ lists each name it
+imports once, and each entry resolves.
 """
 
 import ast
@@ -19,10 +24,17 @@ from pathlib import Path
 
 import pytest
 
+import tropitheta
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tropitheta"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted(p for d in ("tests", "demos") for p in (ROOT / d).glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TRACING = ROOT / "bench" / "tracing.py"
+
+# "module.name" -> why that public definition stays without a library caller
+UNCALLED_PUBLIC = {}
 
 
 def unused_imports(source):
@@ -111,3 +123,74 @@ def test_the_check_sees_an_unused_private_definition():
                "b.py": "import a\n\n\ndef _left():\n    pass\n\n\n"
                        "a._Gone()._method\n"}
     assert unreferenced_private_defs(sources) == [("b.py", 4, "_left")]
+
+
+def _mentions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def uncalled_public_defs(package, scripts, metrics):
+    # (module, line, name) of every public top-level function or class of
+    # the package sources (module -> text) that no Name or attribute
+    # mentions outside its own definition, in the package or in the
+    # scripts (texts), and that metrics (of "module.name") does not name
+    defined = []
+    used = set()
+    for module, source in package.items():
+        for top in ast.parse(source).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)) and not own.startswith("_"):
+                defined.append((module, top.lineno, own))
+            used.update(name for name in _mentions(top) if name != own)
+    for source in scripts:
+        used.update(_mentions(ast.parse(source)))
+    return sorted(d for d in defined if d[2] not in used
+                  and "%s.%s" % (d[0], d[2]) not in metrics)
+
+
+def metric_names(source):
+    # the two-part "module.name" strings of a source
+    return {node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.count(".") == 1
+            and all(part.isidentifier() for part in node.value.split("."))}
+
+
+def test_every_public_definition_has_a_library_caller():
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    found = uncalled_public_defs(package, [p.read_text() for p in DEMOS],
+                                 metric_names(TRACING.read_text()))
+    assert [d for d in found if "%s.%s" % (d[0], d[2]) not in UNCALLED_PUBLIC] \
+        == []
+    assert all(reason for reason in UNCALLED_PUBLIC.values())
+
+
+def test_the_check_sees_an_uncalled_public_definition():
+    package = {"a": "def used():\n    pass\n\n\n"
+                    "def gone():\n    return gone()\n\n\n"
+                    "class Shown:\n    def method(self):\n"
+                    "        return Shown()\n\n\n"
+                    "def traced():\n    pass\n",
+               "b": "from .a import used\n\n\nclass Left:\n    pass\n\n\n"
+                    "used()\n"}
+    scripts = ["from tropitheta.a import Shown\n\nShown().method()\n"]
+    assert uncalled_public_defs(package, scripts, {"a.traced"}) == [
+        ("a", 5, "gone"), ("b", 4, "Left")]
+    assert metric_names('X = {"a.traced": 1, "a.b.c": 2, "a": 3}') \
+        == {"a.traced"}
+
+
+def test_the_export_list_is_what_the_package_imports():
+    names = tropitheta.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(tropitheta, n)] == []
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(n for n in imported
+                  if not n.startswith("_") and n not in names) == []

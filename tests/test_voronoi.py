@@ -10,16 +10,14 @@ from tropitheta.errors import (
     PreconditionViolated,
 )
 from tropitheta.exactlinalg import (
-    Matrix, det, gram_norm, integer_vector, inverse, is_unimodular_map,
-    solve, vec_add,
+    Matrix, det, gram_norm, integer_vector, inverse, solve, vec_add,
 )
 from tropitheta.theta import ThetaFunction, lattice_argmin, theta_argmin, theta_eval, Q_ELL
 from tropitheta.theta import _homogeneous
-from tropitheta.torus import adapted_datum, build_torus, polarization_type, validate_datum
+from tropitheta.torus import build_torus, polarization_type, validate_datum
 from tropitheta.voronoi import (
     Piece, VoronoiCell, adapted_gram, basis_in_simplex, cell_certificate,
-    certified_cells, closest_point, good_decomposition, half_period_system,
-    relevant_vectors,
+    certified_cells, good_decomposition, relevant_vectors,
 )
 from tropitheta.voronoi import (
     _cell_polytope, _cross, _cut_lines, _rational,
@@ -27,9 +25,10 @@ from tropitheta.voronoi import (
 from tropitheta import voronoi
 
 from oracles import (
-    centroid_ccw, clip_split, closest_points_brute, hull_fractions, in_cell,
-    nested_cut_lines, polygon_area2, polygon_vertices, relevant_vectors_brute,
-    split_polygon_fractions,
+    adapted_datum, centroid_ccw, clip_split, closest_point,
+    closest_points_brute, half_period_system, hull_fractions, in_cell,
+    is_unimodular_map, nested_cut_lines, polygon_area2, polygon_vertices,
+    relevant_vectors_brute, split_polygon_fractions,
 )
 
 I2 = Matrix.identity(2)
