@@ -4,7 +4,9 @@ For each degree: the piecewise description of every theta function over
 one period, the slope-difference data of the projective map, and the
 faithfulness verdict.  Degree 1 fails unimodularity (a single theta
 carries no slope differences), degree 2 is unimodular but folds the
-circle in half, degree 3 and 4 are faithful.
+circle in half, degree 3 and 4 are faithful.  Each call takes the datum
+alone; the cell map is built once per degree and the certificate and the
+image polygon read it from the datum.
 """
 
 from fractions import Fraction
@@ -35,7 +37,7 @@ def describe(d):
     info = polarization_type(datum)
     print("degree %d: type %s, representatives %s"
           % (d, info.type, [b[0] for b in info.reps]))
-    pam = linearity_cells(datum, info)
+    pam = linearity_cells(datum)
     for cm in pam.cells:
         lo, hi = cm.vertices[0][0], cm.vertices[-1][0]
         pieces = []
@@ -45,14 +47,14 @@ def describe(d):
             pieces.append("theta_%d: %s"
                           % (b[0], affine(slope, value - slope * lo)))
         print("  on [%s, %s]  %s" % (lo, hi, ",  ".join(pieces)))
-    report = faithful_certificate(datum, info)
+    report = faithful_certificate(datum)
     print("  unimodular %s, injectivity %s, faithful %s"
           % (report.unimodular, report.injective.status, report.faithful))
     if report.injective.witness:
         w1, w2 = report.injective.witness
         print("  identified points: x = %s and x = %s" % (w1[0], w2[0]))
     if d >= 2:
-        img = image_complex_1d(datum, info)
+        img = image_complex_1d(datum)
         print("  image polygon: vertices %s"
               % " ".join(pretty(v) for v in img.vertices))
         print("  edge lattice lengths %s (period / degree = %s)"

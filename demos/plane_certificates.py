@@ -20,7 +20,7 @@ def main():
     info = polarization_type(datum)
     print("type %s with %d theta functions" % (info.type, len(info.reps)))
 
-    pam = linearity_cells(datum, info)
+    pam = linearity_cells(datum)
     unimodular, verdicts = check_unimodular(pam)
     print("%d linearity cells over the fundamental domain" % len(pam.cells))
     print("all slope-difference matrices unimodular: %s" % unimodular)
@@ -31,10 +31,10 @@ def main():
     for k in sorted(areas):
         print("  %d cells with %d vertices" % (areas[k], k))
 
-    inj = check_injective(datum, info, mode="grid", resolution=20)
+    inj = check_injective(datum, mode="grid", resolution=20)
     print("grid injectivity scan: %s" % inj.status)
 
-    info, dec, certs = certified_cells(datum)
+    dec, certs = certified_cells(datum)
     print("\nVoronoi cell of the polarization form: %d relevant vectors"
           % len(dec.cell.relevant))
     print("good decomposition into %d pieces" % len(dec.pieces))

@@ -110,14 +110,15 @@ def _int_vector(obj, what, n):
     return tuple(obj)
 
 
-def _type_json(info):
+def _type_json(datum):
+    info = polarization_type(datum)
     return {"type": [int(d) for d in info.type],
             "reps": [[int(c) for c in b] for b in info.reps]}
 
 
 def cmd_type(args):
     datum = _payload_datum(jsonio.load(args.input))
-    _emit(args, "type.json", _type_json(polarization_type(datum)))
+    _emit(args, "type.json", _type_json(datum))
     return 0
 
 
@@ -140,12 +141,12 @@ def cmd_theta(args):
     return 0
 
 
-def _cells_json(pam, n):
+def _cells_json(datum):
     cells = []
-    for cm in pam.cells:
+    for cm in linearity_cells(datum).cells:
         cells.append({
             "vertices": [jsonio.vector_to_json(v) for v in cm.vertices],
-            "A": jsonio.rows_to_json(cm.A, n),
+            "A": jsonio.rows_to_json(cm.A, datum.n),
             "offset": jsonio.vector_to_json(cm.offset),
             "argmins": [[int(c) for c in a] for a in cm.argmins]})
     return cells
@@ -159,14 +160,13 @@ def _polygon_json(img):
 
 def cmd_embed(args):
     datum = _payload_datum(jsonio.load(args.input))
-    info = polarization_type(datum)
-    pam = linearity_cells(datum, info)
+    pam = linearity_cells(datum)
     unimodular, verdicts = check_unimodular(pam)
-    out = dict(_type_json(info), cells=_cells_json(pam, datum.n),
+    out = dict(_type_json(datum), cells=_cells_json(datum),
                unimodular=unimodular, cell_verdicts=list(verdicts))
     figures = []
     if datum.n == 1:
-        img = image_complex_1d(datum, info, pam)
+        img = image_complex_1d(datum)
         out["image_complex"] = dict(
             _polygon_json(img),
             breakpoints=jsonio.vector_to_json(img.breakpoints),
@@ -196,7 +196,7 @@ def _report_json(report):
 def cmd_certify(args):
     datum = _payload_datum(jsonio.load(args.input))
     report = faithful_certificate(
-        datum, polarization_type(datum), resolution=args.resolution,
+        datum, resolution=args.resolution,
         mode="grid" if args.mode == "sampled" else args.mode)
     _emit(args, "certify.json", _report_json(report))
     if not report.faithful:
@@ -216,9 +216,9 @@ def cmd_voronoi(args):
         if "translates" in payload:
             translates = [_int_vector(t, "translate", datum.n)
                           for t in _list(payload, "translates")]
-        info, dec, certs = certified_cells(datum, translates)
+        dec, certs = certified_cells(datum, translates)
         _emit(args, "voronoi.json", {
-            "type": [int(d) for d in info.type],
+            "type": [int(d) for d in polarization_type(datum).type],
             "relevant_vectors": [[int(c) for c in v]
                                  for v in dec.cell.relevant],
             "pieces": [{
@@ -289,13 +289,12 @@ def cmd_example45(args):
     varpi = jsonio.rational_from_str(args.varpi)
     torus = build_torus(jsonio.Matrix.from_rows([[varpi]]))
     datum = validate_datum(torus, jsonio.Matrix.from_rows([[args.d]]), [0])
-    info = polarization_type(datum)
-    pam = linearity_cells(datum, info)
-    report = faithful_certificate(datum, info, pam=pam)
+    pam = linearity_cells(datum)
+    report = faithful_certificate(datum)
     table = []
     for cm in pam.cells:
         thetas = []
-        for b, a in zip(info.reps, cm.argmins):
+        for b, a in zip(pam.reps, cm.argmins):
             slope, offset = affine_piece(datum, b, a)
             thetas.append({"b": int(b[0]), "slope": slope[0],
                            "offset": jsonio.rational_to_str(offset)})
@@ -305,7 +304,7 @@ def cmd_example45(args):
             "theta": thetas,
             "A": jsonio.rows_to_json(cm.A, datum.n),
             "phi_offset": jsonio.vector_to_json(cm.offset)})
-    img = image_complex_1d(datum, info, pam)
+    img = image_complex_1d(datum)
     out = {"d": args.d,
            "varpi": jsonio.rational_to_str(varpi),
            "piecewise_table": table,

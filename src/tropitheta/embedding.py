@@ -14,8 +14,10 @@ distinct vertex, its vertices.  Unimodularity (by minors) and injectivity
 are certified (n = 1) or sampled on a grid; the exact check solves only the
 cell pairs whose image boxes overlap, found by a sweep, and not neighbours
 with independent slopes.  The minimizers of every theta_b at a point come
-from one coset walk of theta, and a caller builds the cell map once and
-passes it to the checks that read it.
+from one coset walk of theta.  Every function takes the datum alone: the
+polarization type and the cell map are derived from it once and kept in
+its memo, so each check that reads the map reads the one that
+linearity_cells built.
 """
 
 from fractions import Fraction
@@ -28,7 +30,7 @@ from .errors import (DimensionUnsupported, InternalInvariantViolated,
                      NotPolarization, PreconditionViolated)
 from .exactlinalg import content, inverse, is_unimodular_rows, vec_add, vec_sub
 from .theta import _coset_argmins, _homogeneous, coset_argmins
-from .torus import ell_point
+from .torus import ell_point, polarization_type
 from .voronoi import _hull, _rational, _split_polygon
 
 
@@ -71,13 +73,13 @@ def _piece(datum, b, a):
     return datum.memo[key]
 
 
-def phi_eval(datum, info, x):
+def phi_eval(datum, x):
     """phi~ at x: (theta_b(x) - theta_b0(x)) over the nonzero class
     representatives, in the class-invariant convention, from one coset
     walk.  theta_b(x) is half the squared distance norms[b]/K from the
     walk's center to the coset of b plus a term shared by every b, so the
     differences are (norms[b] - norms[b0]) / (2 K)."""
-    res = coset_argmins(datum, info, x)
+    res = coset_argmins(datum, x)
     return tuple(Fraction(n - res.norms[0], 2 * res.K) for n in res.norms[1:])
 
 
@@ -131,7 +133,7 @@ def _incomparable(sets):
     raise InternalInvariantViolated("no separating pair in a mixed piece")
 
 
-def _refine_pieces(datum, info, domain):
+def _refine_pieces(datum, domain):
     """Split the domain until every piece has, for each representative, a
     minimizer shared by all its vertices.  Minimizer regions are convex,
     so vertex agreement makes the piece argmin-constant; disagreement
@@ -139,6 +141,7 @@ def _refine_pieces(datum, info, domain):
     record holds the minimizer sets of every representative, from one
     coset walk per distinct vertex, keyed by and handed to the walk as the
     integer points (X_1, .., X_n, W) of the polytope kernel."""
+    reps = polarization_type(datum).reps
     records = {}
     queue = [list(domain)]
     done = []
@@ -153,10 +156,10 @@ def _refine_pieces(datum, info, domain):
             rec = records.get(v)
             if rec is None:
                 rec = records[v] = tuple(
-                    map(frozenset, _coset_argmins(datum, info, v).minimizers))
+                    map(frozenset, _coset_argmins(datum, v).minimizers))
             recs.append(rec)
         profile = []
-        for k, b in enumerate(info.reps):
+        for k, b in enumerate(reps):
             sets = [rec[k] for rec in recs]
             common = frozenset.intersection(*sets)
             if not common:
@@ -197,28 +200,37 @@ def _profile_map(datum, reps, profile):
             tuple(Fraction(o - o0, E) for _, o in rest))
 
 
-def linearity_cells(datum, info, domain=None):
+def linearity_cells(datum, domain=None):
     """Exact cells of linearity of phi~ over a bounded convex domain
     (default: the closed fundamental parallelotope), n <= 2.
 
     On each cell, phi~ equals A.x + offset exactly; the minimizers behind
-    the affine pieces are recorded per cell.  Not cached: pass it on as pam."""
+    the affine pieces are recorded per cell.  Computed once per datum and
+    domain: the map is kept in the datum's memo under the domain's hull,
+    or under None for the default, so that a repeated call costs one
+    lookup."""
     if not datum.polarized:
         raise NotPolarization("the theta map needs a polarized datum")
     n = datum.n
     if n > 2:
         raise DimensionUnsupported("exact cells implemented for n <= 2")
-    if domain is None:
-        domain = fundamental_domain(datum.torus)
-    dom = _hull(_homogeneous(v) for v in domain)
-    if len(dom) <= n:
-        raise PreconditionViolated(
-            "domain must be a full-dimensional polytope")
-    merged = _merge_pieces(_refine_pieces(datum, info, dom))
-    cells = tuple(CellMap(verts, tuple(profile),
-                          *_profile_map(datum, info.reps, profile))
-                  for verts, profile in merged)
-    return PiecewiseAffineMap(tuple(info.reps), cells)
+    dom = None
+    if domain is not None:
+        dom = tuple(_hull(_homogeneous(v) for v in domain))
+        if len(dom) <= n:
+            raise PreconditionViolated(
+                "domain must be a full-dimensional polytope")
+    key = ("cells", dom)
+    if key not in datum.memo:
+        if dom is None:
+            dom = _hull(_homogeneous(v)
+                        for v in fundamental_domain(datum.torus))
+        reps = polarization_type(datum).reps
+        merged = _merge_pieces(_refine_pieces(datum, dom))
+        datum.memo[key] = PiecewiseAffineMap(reps, tuple(
+            CellMap(verts, tuple(profile), *_profile_map(datum, reps, profile))
+            for verts, profile in merged))
+    return datum.memo[key]
 
 
 def check_unimodular(pam):
@@ -356,7 +368,7 @@ def _image_boxes(cells):
     return boxes
 
 
-def _injective_exact_1d(datum, info, pam):
+def _injective_exact_1d(pam, varpi):
     """phi~(x) = phi~(y) puts the image boxes of the cells of x and y in
     contact, so only pairs of overlapping closed boxes, found by a sweep
     along the first coordinate, are solved.  On the diagonal a nonzero A
@@ -365,8 +377,6 @@ def _injective_exact_1d(datum, info, pam):
     A_j (y - e'): for independent columns only at x = e, y = e', which are
     a period apart, so they are skipped.  Pairs are solved in (i, j) order:
     the first witness is that of the full loop."""
-    pam = pam or linearity_cells(datum, info)
-    varpi = abs(datum.torus.Pmat[0, 0])
     cells = pam.cells
     boxes = _image_boxes(cells)
     order = sorted(range(len(cells)), key=lambda k: boxes[k][0][:1])
@@ -394,7 +404,7 @@ def _injective_exact_1d(datum, info, pam):
     return InjectivityVerdict("certified", None)
 
 
-def _injective_grid(datum, info, resolution):
+def _injective_grid(datum, resolution):
     # grid points inside the fundamental parallelotope never differ by a
     # period, so exact collisions are genuine; phi~ = (norms - norms_0)/(2 K)
     # is keyed as integers in lowest terms
@@ -402,7 +412,7 @@ def _injective_grid(datum, info, resolution):
         raise PreconditionViolated("the grid resolution must be at least 1")
     seen = {}
     for v in _grid(datum.torus.Pmat, resolution):
-        res = _coset_argmins(datum, info, v)
+        res = _coset_argmins(datum, v)
         key = [nk - res.norms[0] for nk in res.norms[1:]] + [2 * res.K]
         key = tuple(c // gcd(*key) for c in key)
         if key in seen:
@@ -421,19 +431,20 @@ def _grid(P, resolution):
         yield (*(sum(map(mul, row, idx)) for row in rows), den * resolution)
 
 
-def check_injective(datum, info, mode="exact", resolution=20, pam=None):
+def check_injective(datum, mode="exact", resolution=20):
     """Injectivity of the theta map on the torus: "exact" (n = 1)
     certifies or refutes with a witness by comparing the affine pieces of
-    the cell pairs of pam (computed here when not given) whose image boxes
-    overlap; "grid" samples and can only refute or report sampled-ok."""
+    the cell pairs of the datum's cell map whose image boxes overlap;
+    "grid" samples and can only refute or report sampled-ok."""
     if not datum.polarized:
         raise NotPolarization("the theta map needs a polarized datum")
     if mode == "exact":
         if datum.n != 1:
             raise DimensionUnsupported("exact injectivity implemented for n = 1")
-        return _injective_exact_1d(datum, info, pam)
+        return _injective_exact_1d(linearity_cells(datum),
+                                   abs(datum.torus.Pmat[0, 0]))
     if mode == "grid":
-        return _injective_grid(datum, info, resolution)
+        return _injective_grid(datum, resolution)
     raise ValueError("unknown mode %r" % (mode,))
 
 
@@ -454,14 +465,13 @@ def _lattice_length(edge):
     return tuple(x // g for x in ints), Fraction(g, den)
 
 
-def image_complex_1d(datum, info, pam=None):
+def image_complex_1d(datum):
     """The image polygon of phi~ over one period (n = 1): vertices in
-    parameter order, primitive edge directions, and lattice lengths.  pam
-    is the cell map of the datum, computed here when not given."""
+    parameter order, primitive edge directions, and lattice lengths, read
+    off the datum's cell map."""
     if datum.n != 1:
         raise DimensionUnsupported("image complexes implemented for n = 1")
-    pam = pam or linearity_cells(datum, info)
-    cells = pam.cells
+    cells = linearity_cells(datum).cells
     # phi~ = A.x + offset holds on each closed cell, so each vertex is read
     # off a cell that its parameter bounds
     ends = [(cm, cm.vertices[-1]) for cm, nxt in zip(cells, cells[1:])
@@ -485,40 +495,37 @@ def image_complex_1d(datum, info, pam=None):
                         tuple(directions), tuple(lengths))
 
 
-def _sampled_unimodular(datum, info, resolution):
+def _sampled_unimodular(datum, resolution):
     profiles = set()
     for v in _grid(datum.torus.Pmat, resolution):
-        mins = _coset_argmins(datum, info, v).minimizers
+        mins = _coset_argmins(datum, v).minimizers
         # a point with a tie sits on a wall; its mixed profile need not
         # come from any single cell, so only unique minimizers count
         if all(len(m) == 1 for m in mins):
             profiles.add(tuple(m[0] for m in mins))
     if not profiles:
         return False, ()
+    reps = polarization_type(datum).reps
     verdicts = tuple(
-        is_unimodular_rows(_profile_map(datum, info.reps, prof)[0], datum.n)
+        is_unimodular_rows(_profile_map(datum, reps, prof)[0], datum.n)
         for prof in sorted(profiles))
     return all(verdicts), verdicts
 
 
-def faithful_certificate(datum, info, resolution=20, pam=None, mode=None):
+def faithful_certificate(datum, resolution=20, mode=None):
     """Unimodularity and injectivity combined: both certified for n = 1,
     cells exact with sampled injectivity for n = 2, both sampled above.
     For n <= 2, mode ("exact" or "grid", as in check_injective) forces the
     injectivity check, and None chooses it by dimension; above, mode is
-    ignored.  pam, the cell map for n <= 2, is computed here when not
-    given."""
+    ignored."""
     if datum.n <= 2:
-        pam = pam or linearity_cells(datum, info)
-        unimodular, verdicts = check_unimodular(pam)
+        unimodular, verdicts = check_unimodular(linearity_cells(datum))
         if mode is None:
             mode = "exact" if datum.n == 1 else "grid"
-        inj = check_injective(datum, info, mode=mode, resolution=resolution,
-                              pam=pam)
+        inj = check_injective(datum, mode=mode, resolution=resolution)
     else:
-        unimodular, verdicts = _sampled_unimodular(datum, info,
-                                                   min(resolution, 6))
-        inj = check_injective(datum, info, mode="grid",
+        unimodular, verdicts = _sampled_unimodular(datum, min(resolution, 6))
+        inj = check_injective(datum, mode="grid",
                               resolution=min(resolution, 6))
     faithful = bool(unimodular) and inj.status != "refuted"
     return FaithfulReport(unimodular, verdicts, inj, faithful)

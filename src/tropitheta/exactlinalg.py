@@ -51,19 +51,6 @@ class Matrix:
     def identity(cls, n):
         return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, diag):
-        diag = list(diag)
-        n = len(diag)
-        return cls(n, n, [
-            _frac(diag[i]) if i == j else Fraction(0)
-            for i in range(n) for j in range(n)
-        ])
-
     def __getitem__(self, ij):
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):

@@ -23,13 +23,16 @@ def rational_to_str(q):
 
 
 def rational_from_str(s):
-    # Fraction also reads exponent notation, and builds "1e10000000"
-    # exactly: a time that grows faster than the exponent
-    text = str(s)
-    if "e" in text or "E" in text:
+    # A JSON integer (not a bool) or a string.  A JSON float has lost its
+    # exact value before it gets here, so it is refused; so are strings in
+    # exponent notation, which Fraction builds exactly ("1e10000000": a
+    # time that grows faster than the exponent), and "_" digit separators
+    if type(s) is int:
+        return Fraction(s)
+    if type(s) is not str or "e" in s or "E" in s or "_" in s:
         raise SchemaError("not a rational: %r" % (s,))
     try:
-        return Fraction(text)
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError("not a rational: %r" % (s,)) from exc
 

@@ -35,6 +35,7 @@ from .errors import (
     NotInvertible, NotPolarization, NotQuadratic, PreconditionViolated,
     RootUnavailable, ValuationMismatch, WindowInsufficient,
 )
+from .embedding import linearity_cells
 from .exactlinalg import Matrix, to_vector
 from .theta import INF, lattice_argmin, theta_h_vector
 from .torus import polarization_type, validate_datum
@@ -451,12 +452,10 @@ class LiftReport(NamedTuple):
     verified: bool
 
 
-def _combination_samples(trop, info):
+def _combination_samples(trop):
     if trop.n <= 2:
-        from .embedding import linearity_cells
-        pam = linearity_cells(trop, info)
         samples = []
-        for cm in pam.cells:
+        for cm in linearity_cells(trop).cells:
             verts = cm.vertices
             bary = tuple(sum(p[i] for p in verts) / len(verts)
                          for i in range(trop.n))
@@ -479,16 +478,16 @@ def surjective_lift(datum, targets, radius):
     distinct cosets of L.Z^n, so the parts have disjoint supports and no
     leading terms cancel: every residue multiplier is 1."""
     trop = _polarized_trop(datum)
-    info = polarization_type(trop)
+    reps = polarization_type(trop).reps
     targets = list(targets)
-    if len(targets) != len(info.reps):
+    if len(targets) != len(reps):
         raise PreconditionViolated("expected %d targets, got %d"
-                                   % (len(info.reps), len(targets)))
-    slots = [(b, Fraction(c)) for b, c in zip(info.reps, targets)
+                                   % (len(reps), len(targets)))
+    slots = [(b, Fraction(c)) for b, c in zip(reps, targets)
              if c is not INF]
     if not slots:
         raise PreconditionViolated("at least one finite target is needed")
-    samples = _combination_samples(trop, info)
+    samples = _combination_samples(trop)
     radius = int(radius)
     parts = tuple((b, monomial(c), radius) for b, c in sorted(slots))
     coeffs = {}

@@ -34,7 +34,9 @@ since G.L^-1 = Pmat^T, the (Q, ell) minimand is
 over the coset y in L^-1.b + Z^n: half the squared G-distance from the
 center G^-1.ell - Pmat^-1.x to the coset, plus a term that does not
 depend on b.  So coset_argmins is one call per point, in coordinates
-where the cosets are the classes mod the type.
+where the cosets are the classes mod the type.  It takes the datum alone:
+the type and the walk's constants are derived from it once and kept in
+its memo.
 """
 
 import itertools
@@ -48,7 +50,7 @@ from .errors import NotPolarization, SingularPivot
 from .exactlinalg import (
     dot, gram_norm, inverse, ldlt, solve, to_vector, vec_add, vec_sub,
 )
-from .torus import ell_point
+from .torus import ell_point, polarization_type
 
 LAMBDA_GAMMA = "lambda_gamma"
 Q_ELL = "q_ell"
@@ -251,13 +253,13 @@ def _ball(G, bound):
     return out
 
 
-def _coset_data(datum, info):
-    # Constants of the coset walk, once per datum and representative
-    # system: G'' = U^-T.Pmat.L^-1.U^-1, the type d, the rows of V, and
-    # the center t*(x) = (c0 - C.x)/den with C = den.U.L.Pmat^-1 and
+def _coset_data(datum):
+    # Constants of the coset walk, once per datum: with U.L.V = diag(d) from
+    # the polarization type, G'' = U^-T.Pmat.L^-1.U^-1, d, the rows of V,
+    # and the center t*(x) = (c0 - C.x)/den with C = den.U.L.Pmat^-1 and
     # c0 = den.U.L.G^-1.ell integral.
-    key = ("cosets", info.reps)
-    if key not in datum.memo:
+    if "cosets" not in datum.memo:
+        info = polarization_type(datum)
         U, V = info.U, info.V
         Uinv = inverse(U)
         G2 = Uinv.transpose() * datum.torus.Pmat * inverse(datum.L) * Uinv
@@ -265,30 +267,30 @@ def _coset_data(datum, info):
         n = datum.n
         ints, den = _center((UL * datum.torus.Pinv).entries
                             + tuple(UL.matvec(solve(datum.G, datum.ellVec))))
-        datum.memo[key] = (
+        datum.memo["cosets"] = (
             G2, info.type,
             tuple(tuple(int(V[i, j]) for j in range(n)) for i in range(n)),
             tuple(tuple(ints[i:i + n]) for i in range(0, n * n, n)),
             tuple(ints[n * n:]), den)
-    return datum.memo[key]
+    return datum.memo["cosets"]
 
 
-def coset_argmins(datum, info, x):
+def coset_argmins(datum, x):
     """The minimizers of every theta_b at x, and phi~ there, from one
-    call of _nearest: per representative, in the order of info.reps, so
-    phi~ = (norms[k] - norms[0]) / (2 K).
+    call of _nearest: per representative, in the order of the reps of
+    polarization_type(datum), so phi~ = (norms[k] - norms[0]) / (2 K).
 
-    In t = U.(L.a + b), with U.L.V = diag(d) from info, the cosets are the
+    In t = U.(L.a + b), with U.L.V = diag(d) from the type, the cosets are the
     classes mod d (reps[k] = U^-1.box_k), the Gram matrix
     G'' = U^-T.Pmat.L^-1.U^-1 is congruent to G, the center is
     t*(x) = U.L.(G^-1.ell - Pmat^-1.x), and a = V.((t - box)/d).
     """
-    return _coset_argmins(datum, info, _homogeneous(x))
+    return _coset_argmins(datum, _homogeneous(x))
 
 
-def _coset_argmins(datum, info, v):
+def _coset_argmins(datum, v):
     # coset_argmins at the point v = (X_1, .., X_n, W), that is X / W, W > 0
-    G2, d, V, C, c0, den = _coset_data(datum, info)
+    G2, d, V, C, c0, den = _coset_data(datum)
     if len(v) != len(d) + 1:
         raise ValueError("length mismatch")
     *xn, xd = v

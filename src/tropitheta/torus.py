@@ -28,7 +28,7 @@ from .errors import (
     NonIntegerLambda, NotPolarization, NotSymmetric, SingularEmbedding,
 )
 from .exactlinalg import (
-    det, dot, inverse, is_positive_definite, snf, solve, to_vector,
+    det, inverse, is_positive_definite, snf, solve, to_vector,
 )
 
 
@@ -49,14 +49,6 @@ class TorusPresentation:
     def __setattr__(self, name, value):
         raise AttributeError("TorusPresentation is immutable")
 
-    def lattice_point(self, w):
-        """e^v-coordinates of the M'-point with f'-coordinates w."""
-        return self.Pmat.matvec(w)
-
-    def lattice_coords(self, x):
-        """f'-coordinates of a point given in e^v-coordinates."""
-        return self.Pinv.matvec(x)
-
     def __repr__(self):
         return "TorusPresentation(%r)" % (self.Pmat,)
 
@@ -71,8 +63,20 @@ class TropicalDescentDatum:
 
     `polarized` records whether G is positive definite; evaluation of
     theta functions requires it, the data model does not.  `LT` is L^T, and
-    `memo` holds constants that depend on the datum alone, such as the
-    per-representative theta shifts, filled lazily by the theta layer.
+    `memo` holds what depends on the datum alone, each entry filled on
+    first use by the function that owns it:
+
+      * "type": the PolarizationInfo (torus.polarization_type);
+      * "cosets": the constants of the coset walk (theta._coset_data);
+      * "offsets": the integer data of the affine pieces
+        (embedding._offsets);
+      * ("piece", b, a): theta_b's affine piece at the minimizer a
+        (embedding._piece);
+      * ("cells", domain): the cell map over a domain's hull, None for
+        the fundamental domain (embedding.linearity_cells);
+      * "adapted_gram": V^T.G.V (voronoi.adapted_gram);
+      * ("q_ell", b) and ("h0", b): the per-representative theta shifts
+        (theta.q_ell_constant, theta._h_constant).
     """
 
     __slots__ = ("torus", "L", "LT", "ellVec", "G", "polarized", "memo")
@@ -103,11 +107,6 @@ class TropicalDescentDatum:
     @property
     def n(self):
         return self.torus.n
-
-    def pairing_with_point(self, w, x):
-        """Q(u', x) = <lambda(u'), x> = (L.w) . x-hat for u' with
-        f'-coordinates w and x in e^v-coordinates."""
-        return dot(self.L.matvec(w), x)
 
     def __repr__(self):
         return "TropicalDescentDatum(L=%r, ell=%r)" % (self.L, self.ellVec)
@@ -148,16 +147,18 @@ def polarization_type(datum):
     U.L.V = diag(d_1 .. d_n) gives lambda(M') = L.Z^n = U^-1.diag(d).Z^n,
     so multiplication by U identifies M / lambda(M') with Z^n / diag(d).Z^n
     and the box vectors 0 <= l_i < d_i pull back along U^-1 to a complete
-    system of representatives.
+    system of representatives.  Computed once per datum.
     """
-    if not datum.polarized:
-        raise NotPolarization("datum is not a polarization")
-    U, D, V = snf(datum.L)
-    type_ = [int(D[i, i]) for i in range(datum.n)]
-    Uinv = inverse(U)
-    reps = [tuple(int(c) for c in Uinv.matvec(box))
-            for box in itertools.product(*[range(d) for d in type_])]
-    return PolarizationInfo(type_, U, V, reps)
+    if "type" not in datum.memo:
+        if not datum.polarized:
+            raise NotPolarization("datum is not a polarization")
+        U, D, V = snf(datum.L)
+        type_ = [int(D[i, i]) for i in range(datum.n)]
+        Uinv = inverse(U)
+        reps = [tuple(int(c) for c in Uinv.matvec(box))
+                for box in itertools.product(*[range(d) for d in type_])]
+        datum.memo["type"] = PolarizationInfo(type_, U, V, reps)
+    return datum.memo["type"]
 
 
 def ell_point(datum):

@@ -114,12 +114,6 @@ class VoronoiCell:
         x = to_vector(x)
         return all(dot(a, x) <= c for a, c in self.halfspaces)
 
-    def on_boundary(self, x):
-        x = to_vector(x)
-        if not self.contains(x):
-            return False
-        return any(dot(a, x) == c for a, c in self.halfspaces)
-
     def __repr__(self):
         return "VoronoiCell(n=%d, facets=%d)" % (self.lattice.n,
                                                  len(self.relevant))
@@ -401,13 +395,17 @@ class CellCertificate(NamedTuple):
     atilde: tuple  # shared lattice argmin over the translated piece
 
 
-def adapted_gram(datum, info):
+def adapted_gram(datum):
     """Gram matrix of the polarization in the basis adapted to the
-    invariant factors: V^T G V for the Smith transform V."""
-    return info.V.transpose() * datum.G * info.V
+    invariant factors: V^T G V for the Smith transform V of its type.
+    Computed once per datum."""
+    if "adapted_gram" not in datum.memo:
+        V = polarization_type(datum).V
+        datum.memo["adapted_gram"] = V.transpose() * datum.G * V
+    return datum.memo["adapted_gram"]
 
 
-def cell_certificate(datum, info, piece, translate, atilde=None):
+def cell_certificate(datum, piece, translate, atilde=None):
     """Certify the shared-argmin data of one decomposition piece.
 
     The piece's basis vectors p^(j) turn into integer shifts l^(j) with
@@ -420,9 +418,9 @@ def cell_certificate(datum, info, piece, translate, atilde=None):
     form a unimodular matrix.  Raises CertificateFailed otherwise, naming
     the violating shift and point.
     """
-    Ga = adapted_gram(datum, info)
+    Ga = adapted_gram(datum)
     n = Ga.rows
-    d = info.type
+    d = polarization_type(datum).type
     translate = integer_vector(translate)
     ells = [tuple([0] * n)]
     for p in piece.basis:
@@ -454,12 +452,11 @@ def cell_certificate(datum, info, piece, translate, atilde=None):
 def certified_cells(datum, translates=None):
     """Full pipeline: polarization type, adapted Gram matrix, good
     decomposition, one certificate per piece and translate.  Returns
-    (info, decomposition, certificates)."""
-    info = polarization_type(datum)
-    Ga = adapted_gram(datum, info)
-    dec = good_decomposition(Ga, info.type)
+    (decomposition, certificates)."""
+    Ga = adapted_gram(datum)
+    dec = good_decomposition(Ga, polarization_type(datum).type)
     if translates is None:
         translates = [tuple([0] * Ga.rows)]
-    certs = [cell_certificate(datum, info, piece, c)
+    certs = [cell_certificate(datum, piece, c)
              for piece in dec.pieces for c in translates]
-    return info, dec, certs
+    return dec, certs

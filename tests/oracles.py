@@ -21,7 +21,10 @@ Matrix, the datum constructions from a Gram matrix and in adapted bases,
 gamma, closest points and half-period systems of a Voronoi cell, the
 leading coefficient, scale and sum of Fourier data (the composition
 oracle of the one-pass surjective lift), and the JSON writers and
-readers that only round-trip tests use.
+readers that only round-trip tests use.  The same holds for the methods
+that only tests called, now functions of their object: the lattice point
+and coordinates of a torus, the pairing of a datum with a point, the
+zero and diagonal matrices, and the boundary test of a Voronoi cell.
 """
 
 import functools
@@ -29,9 +32,7 @@ import itertools
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
-from tropitheta.embedding import (
-    InjectivityVerdict, _collision_pair, linearity_cells,
-)
+from tropitheta.embedding import InjectivityVerdict, _collision_pair
 from tropitheta.errors import (
     DivisionByZero, NonIntegerLambda, NotPolarization, NotSymmetric,
     PreconditionViolated, SchemaError,
@@ -51,7 +52,9 @@ from tropitheta.theta import (
     INF, Q_ELL, ArgminResult, ThetaFunction, _center, _h_constant, _nearest,
     lattice_argmin, q_ell_constant, theta_eval,
 )
-from tropitheta.torus import TropicalDescentDatum, build_torus, validate_datum
+from tropitheta.torus import (
+    TropicalDescentDatum, build_torus, polarization_type, validate_datum,
+)
 from tropitheta.voronoi import GramLattice, VoronoiCell, _half_periods
 
 
@@ -528,6 +531,41 @@ def in_cell(G, x):
     return VoronoiCell(G).contains(x)
 
 
+def on_boundary(cell, x):
+    """x lies in the VoronoiCell cell and on one of its facet lines."""
+    x = to_vector(x)
+    return cell.contains(x) and any(dot(a, x) == c
+                                    for a, c in cell.halfspaces)
+
+
+def zero_matrix(rows, cols):
+    """The rows x cols Matrix of zeros, also with no rows or no columns."""
+    return Matrix(rows, cols, [0] * (rows * cols))
+
+
+def diagonal_matrix(diag):
+    """The square Matrix with the entries of diag on its diagonal."""
+    n = len(diag)
+    return Matrix(n, n, [diag[i] if i == j else 0
+                         for i in range(n) for j in range(n)])
+
+
+def lattice_point(torus, w):
+    """e^v-coordinates of the M'-point with f'-coordinates w: Pmat.w."""
+    return torus.Pmat.matvec(w)
+
+
+def lattice_coords(torus, x):
+    """f'-coordinates of a point given in e^v-coordinates: Pmat^-1.x."""
+    return torus.Pinv.matvec(x)
+
+
+def pairing_with_point(datum, w, x):
+    """Q(u', x) = <lambda(u'), x> = (L.w) . x-hat for u' with
+    f'-coordinates w and x in e^v-coordinates."""
+    return dot(datum.L.matvec(w), x)
+
+
 def cell_matrices(pam):
     """The per-cell matrices of slope differences, as Matrix objects built
     from the integer rows of the cell map (n columns, also for 0 rows)."""
@@ -536,11 +574,10 @@ def cell_matrices(pam):
             for cm in pam.cells]
 
 
-def injective_all_pairs(datum, info, pam):
-    """Exact injectivity for n = 1 by solving every pair of cells i <= j
-    in order: the quadratic loop that the box sweep of embedding replaced."""
-    pam = pam or linearity_cells(datum, info)
-    varpi = abs(datum.torus.Pmat[0, 0])
+def injective_all_pairs(pam, varpi):
+    """Exact injectivity for n = 1 of the cell map pam of period varpi by
+    solving every pair of cells i <= j in order: the quadratic loop that
+    the box sweep of embedding replaced."""
     cells = pam.cells
     for i in range(len(cells)):
         for j in range(i, len(cells)):
@@ -558,15 +595,16 @@ def affine_piece_fractions(datum, b, a):
     return tuple(int(bi + c) for bi, c in zip(b, datum.L.matvec(a))), offset
 
 
-def per_representative_thetas(datum, info, x):
+def per_representative_thetas(datum, x):
     """The minimizer sets of every theta_b at x and phi~(x), one
     lattice_argmin per representative: h = L^T.x + Pmat^T.b - ell, and
     theta_b(x) = value + b.x + q_ell(b) in the (Q, ell) convention."""
     lx = datum.LT.matvec(x)
+    reps = polarization_type(datum).reps
     res = [lattice_argmin(datum.G, vec_add(lx, _h_constant(datum, b)))
-           for b in info.reps]
+           for b in reps]
     thetas = [r.value + dot(b, x) + q_ell_constant(datum, b)
-              for r, b in zip(res, info.reps)]
+              for r, b in zip(res, reps)]
     return (tuple(r.minimizers for r in res),
             tuple(t - thetas[0] for t in thetas[1:]))
 
@@ -661,7 +699,7 @@ def datum_from_Q(torus, G, ellVec):
     return TropicalDescentDatum(torus, L, ellVec)
 
 
-def adapted_datum(datum, info):
+def adapted_datum(datum):
     """The same datum rewritten in bases adapted to the invariant factors.
 
     With U.L.V = diag(type), the new period basis is f'.V and the new
@@ -670,6 +708,7 @@ def adapted_datum(datum, info):
     the period basis) transforms by V^T.  M-points b move to U.b and
     e^v-coordinates to U^-T.x.
     """
+    info = polarization_type(datum)
     Ut = inverse(info.U).transpose()
     return validate_datum(build_torus(Ut * datum.torus.Pmat * info.V),
                           info.U * datum.L * info.V,
@@ -689,9 +728,9 @@ def quasi_periodicity_check(theta, x, w):
     datum = theta.datum
     x = to_vector(x)
     w = [Fraction(int(c)) for c in w]
-    lhs = theta_eval(theta, vec_add(x, datum.torus.lattice_point(w)))
+    lhs = theta_eval(theta, vec_add(x, lattice_point(datum.torus, w)))
     rhs = (theta_eval(theta, x)
-           - datum.pairing_with_point(w, x)
+           - pairing_with_point(datum, w, x)
            - gram_norm(datum.G.to_lists(), w) / 2
            + dot(datum.ellVec, w))
     return lhs == rhs

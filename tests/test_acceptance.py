@@ -12,7 +12,7 @@ import pytest
 
 from oracles import (
     ThetaCombination, box_argmin, is_unimodular_map, min_plus_eval,
-    quasi_periodicity_check, sublattice_identity_check,
+    on_boundary, quasi_periodicity_check, sublattice_identity_check,
 )
 
 from tropitheta.embedding import (
@@ -74,7 +74,6 @@ def random_plane_datum(rng):
 
 def test_01_degree_two_elliptic_pieces_and_refutation():
     datum = elliptic(2)
-    info = polarization_type(datum)
     theta0 = ThetaFunction(datum, (0,), Q_ELL)
     theta1 = ThetaFunction(datum, (1,), Q_ELL)
     for i in range(13):
@@ -82,7 +81,7 @@ def test_01_degree_two_elliptic_pieces_and_refutation():
         want0 = Fraction(0) if x <= 6 else -2 * x + 12
         assert theta_eval(theta0, (x,)) == want0
         assert theta_eval(theta1, (x,)) == -x + 3
-    pam = linearity_cells(datum, info)
+    pam = linearity_cells(datum)
     intervals = [(cm.vertices[0][0], cm.vertices[-1][0])
                  for cm in pam.cells]
     assert intervals == [(0, 6), (6, 12)]
@@ -90,24 +89,23 @@ def test_01_degree_two_elliptic_pieces_and_refutation():
     assert slopes == [-1, 1]
     unimodular, verdicts = check_unimodular(pam)
     assert unimodular is True and verdicts == (True, True)
-    inj = check_injective(datum, info, mode="exact")
+    inj = check_injective(datum, mode="exact")
     assert inj.status == "refuted"
     w1, w2 = inj.witness
     assert w1 != w2
-    assert phi_eval(datum, info, w1) == phi_eval(datum, info, w2)
+    assert phi_eval(datum, w1) == phi_eval(datum, w2)
     # the witness pair realizes x -> varpi - x
     assert (w1[0] + w2[0]) % 12 == 0
 
 
 def test_02_degree_three_elliptic_faithful_triangle():
     datum = elliptic(3)
-    info = polarization_type(datum)
-    img = image_complex_1d(datum, info)
+    img = image_complex_1d(datum)
     assert img.breakpoints == (2, 6, 10)
     assert img.vertices == ((4, 0), (-4, -4), (0, 4))
     assert img.lattice_lengths == (4, 4, 4)
     assert all(l == Fraction(12, 3) for l in img.lattice_lengths)
-    report = faithful_certificate(datum, info)
+    report = faithful_certificate(datum)
     assert report.unimodular is True
     assert report.injective.status == "certified"
     assert report.faithful is True
@@ -115,13 +113,12 @@ def test_02_degree_three_elliptic_faithful_triangle():
 
 def test_03_degree_four_elliptic_faithful_quadrangle():
     datum = elliptic(4)
-    info = polarization_type(datum)
-    img = image_complex_1d(datum, info)
+    img = image_complex_1d(datum)
     assert img.breakpoints == (3, 6, 9)
     assert len(img.vertices) == 4
     assert img.lattice_lengths == (3, 3, 3, 3)
     assert all(l == Fraction(12, 4) for l in img.lattice_lengths)
-    report = faithful_certificate(datum, info)
+    report = faithful_certificate(datum)
     assert report.faithful is True
 
 
@@ -129,12 +126,11 @@ def test_04_random_plane_data_unimodular_and_grid_injective():
     rng = random.Random(7)
     for _ in range(10):
         datum = random_plane_datum(rng)
-        info = polarization_type(datum)
-        assert info.type[0] == 3
-        pam = linearity_cells(datum, info)
+        assert polarization_type(datum).type[0] == 3
+        pam = linearity_cells(datum)
         unimodular, verdicts = check_unimodular(pam)
         assert unimodular is True and all(verdicts)
-        inj = check_injective(datum, info, mode="grid", resolution=20)
+        inj = check_injective(datum, mode="grid", resolution=20)
         assert inj.status == "sampled-ok"
 
 
@@ -221,8 +217,8 @@ def test_09_relevant_vectors_and_exact_tiling():
                         if cell.contains((x0 - s[0], x1 - s[1]))]
                 assert len(hits) >= 1
                 interior = [s for s in hits
-                            if not cell.on_boundary((x0 - s[0],
-                                                     x1 - s[1]))]
+                            if not on_boundary(cell, (x0 - s[0],
+                                                      x1 - s[1]))]
                 # interiors of distinct translates never overlap
                 assert len(interior) <= 1
                 if interior:
@@ -256,9 +252,10 @@ def test_10_simplex_basis_random():
 
 def test_11_certified_decompositions():
     for datum in (elliptic(2), plane([[4, 2], [2, 4]], [[2, 0], [0, 2]])):
-        info, dec, certs = certified_cells(datum)
+        dec, certs = certified_cells(datum)
         assert len(certs) == len(dec.pieces) >= 1
-        Ga = adapted_gram(datum, info)
+        Ga = adapted_gram(datum)
+        d = polarization_type(datum).type
         n = Ga.rows
         for piece, cert in zip(dec.pieces, certs):
             assert len(cert.ells) == n + 1
@@ -268,7 +265,7 @@ def test_11_certified_decompositions():
             # independent shared-argmin recheck at every vertex
             translate = tuple(-c for c in cert.atilde)
             for ell in cert.ells:
-                frac = [Fraction(ell[i], info.type[i]) for i in range(n)]
+                frac = [Fraction(ell[i], d[i]) for i in range(n)]
                 for y in piece.vertices:
                     t = [translate[i] + y[i] + frac[i] for i in range(n)]
                     res = lattice_argmin(Ga, Ga.matvec(t))
@@ -290,14 +287,14 @@ def test_12_tropicalization_bridge_elliptic():
 def test_13_surjective_lift_two_targets():
     nad = na_elliptic(d=3, varpi=12)
     trop = c_trop(nad)
-    info = polarization_type(trop)
-    thetas = [ThetaFunction(trop, b, LAMBDA_GAMMA) for b in info.reps]
+    thetas = [ThetaFunction(trop, b, LAMBDA_GAMMA)
+              for b in polarization_type(trop).reps]
     for targets in ([0, 0, 0], [0, Fraction(1, 2), INF]):
         fd, report = surjective_lift(nad, targets, 4)
         assert report.verified is True
         comb = ThetaCombination(list(zip(targets, thetas)))
         # interior samples of every linearity cell of the combination
-        assert len(report.samples) == 2 * len(linearity_cells(trop, info).cells)
+        assert len(report.samples) == 2 * len(linearity_cells(trop).cells)
         for v in report.samples:
             assert tropicalize_fourier(fd, v) == min_plus_eval(comb, v)
 

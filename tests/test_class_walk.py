@@ -154,7 +154,7 @@ class TestOneWalkPerCall:
         datum = validate_datum(build_torus(Matrix.from_rows(Pmat)),
                                Matrix.from_rows(L), [0] * n)
         counts = _counted(monkeypatch)
-        _, dec, certs = certified_cells(datum)
+        dec, certs = certified_cells(datum)
         # relevant vectors, the cut-line ball, one walk per piece for its
         # half periods, and one per shift and sample of each certificate
         samples = sum(len(p.vertices) + 1 for p in dec.pieces)

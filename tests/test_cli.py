@@ -392,6 +392,20 @@ class TestSchemaErrors:
         assert run(tmp_path, "type", "--input", str(path)) == 1
         assert capsys.readouterr().err.startswith("schema error: ")
 
+    @pytest.mark.parametrize("entry", [0.1, 1e15, "1_000"])
+    def test_json_float_or_separator_entry_exits_one(self, tmp_path, entry):
+        path = job(tmp_path, {"datum": dict(
+            elliptic_json(3),
+            Pmat={"rows": 1, "cols": 1, "entries": [entry]})})
+        assert run(tmp_path, "type", "--input", path) == 1
+
+    def test_json_integer_entries_are_read(self, tmp_path):
+        path = job(tmp_path, {"datum": {
+            "Pmat": {"rows": 1, "cols": 1, "entries": [12]},
+            "L": {"rows": 1, "cols": 1, "entries": [3]}, "ell": [0]}})
+        assert run(tmp_path, "type", "--input", path) == 0
+        assert read(tmp_path, "type.json")["type"] == [3]
+
     def test_missing_file_exits_one(self, tmp_path):
         assert run(tmp_path, "type", "--input",
                    str(tmp_path / "nope.json")) == 1
@@ -529,9 +543,9 @@ class TestOneParser:
                             lambda: built.append(1) or build())
         cli._parser.cache_clear()
 
-        def recorded(datum, info, resolution, mode):
+        def recorded(datum, resolution, mode):
             modes.append((mode, resolution))
-            return certificate(datum, info, resolution=resolution, mode=mode)
+            return certificate(datum, resolution=resolution, mode=mode)
         monkeypatch.setattr(cli, "faithful_certificate", recorded)
         path = job(tmp_path, {"datum": elliptic_json(3)})
         assert run(tmp_path, "certify", "--input", path, "--mode", "exact",

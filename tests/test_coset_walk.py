@@ -21,7 +21,7 @@ from tropitheta.embedding import (
 )
 from tropitheta.exactlinalg import Matrix
 from tropitheta.theta import coset_argmins
-from tropitheta.torus import build_torus, polarization_type, validate_datum
+from tropitheta.torus import build_torus, validate_datum
 from tropitheta.theta import _homogeneous
 
 from oracles import per_representative_thetas
@@ -77,10 +77,10 @@ def points(n, den=7):
     return st.lists(rationals(-40, 40, den), min_size=n, max_size=n).map(tuple)
 
 
-def assert_matches_the_oracle(datum, info, x):
-    mins, phi = per_representative_thetas(datum, info, x)
-    assert coset_argmins(datum, info, x).minimizers == mins
-    assert phi_eval(datum, info, x) == phi
+def assert_matches_the_oracle(datum, x):
+    mins, phi = per_representative_thetas(datum, x)
+    assert coset_argmins(datum, x).minimizers == mins
+    assert phi_eval(datum, x) == phi
 
 
 class TestAgainstThePerRepresentativePath:
@@ -88,17 +88,17 @@ class TestAgainstThePerRepresentativePath:
     @settings(max_examples=60, deadline=None)
     @given(datum=circle_data(), x=points(1))
     def test_circles(self, datum, x):
-        assert_matches_the_oracle(datum, polarization_type(datum), x)
+        assert_matches_the_oracle(datum, x)
 
     @settings(max_examples=60, deadline=None)
     @given(datum=plane_data(), x=points(2))
     def test_planes(self, datum, x):
-        assert_matches_the_oracle(datum, polarization_type(datum), x)
+        assert_matches_the_oracle(datum, x)
 
     @settings(max_examples=30, deadline=None)
     @given(datum=space_data(), x=points(3))
     def test_spaces(self, datum, x):
-        assert_matches_the_oracle(datum, polarization_type(datum), x)
+        assert_matches_the_oracle(datum, x)
 
     @settings(max_examples=30, deadline=None)
     @given(datum=st.one_of(circle_data(), plane_data(), space_data()),
@@ -106,16 +106,15 @@ class TestAgainstThePerRepresentativePath:
     def test_half_integer_points(self, datum, data):
         # coarse points sit on walls between minimizers more often
         x = data.draw(points(datum.n, den=2))
-        assert_matches_the_oracle(datum, polarization_type(datum), x)
+        assert_matches_the_oracle(datum, x)
 
     @settings(max_examples=15, deadline=None)
     @given(datum=st.one_of(circle_data(), plane_data()))
     def test_cell_vertices(self, datum):
         # every cell vertex lies where the minimizers of some theta_b tie
-        info = polarization_type(datum)
-        for cm in linearity_cells(datum, info).cells:
+        for cm in linearity_cells(datum).cells:
             for v in cm.vertices:
-                assert_matches_the_oracle(datum, info, v)
+                assert_matches_the_oracle(datum, v)
 
     def test_ties_are_all_kept(self):
         # Pmat = 12, L = 2, ell = 0: theta_b minimizes 12 a^2 + (2x + 12b) a,
@@ -123,10 +122,9 @@ class TestAgainstThePerRepresentativePath:
         # has the one minimizer a = -1
         datum = validate_datum(build_torus(Matrix.from_rows([[12]])),
                                Matrix.from_rows([[2]]), [0])
-        info = polarization_type(datum)
-        res = coset_argmins(datum, info, (Fraction(6),))
+        res = coset_argmins(datum, (Fraction(6),))
         assert res.minimizers == (((-1,), (0,)), ((-1,),))
-        assert_matches_the_oracle(datum, info, (Fraction(6),))
+        assert_matches_the_oracle(datum, (Fraction(6),))
 
 
 def _patched(monkeypatch):
@@ -143,9 +141,9 @@ def _patched(monkeypatch):
     monkeypatch.setattr(theta, "_walk", counted_walk)
     kernel = theta._coset_argmins
 
-    def recorded(datum, info, v):
+    def recorded(datum, v):
         counts["points"].append(tuple(v))
-        return kernel(datum, info, v)
+        return kernel(datum, v)
     monkeypatch.setattr(embedding, "_coset_argmins", recorded)
     argmin = theta.lattice_argmin
 
@@ -186,9 +184,8 @@ class TestOneWalkPerPoint:
     def test_linearity_cells_walk_once_per_distinct_vertex(self,
                                                            monkeypatch):
         datum = _plane()
-        info = polarization_type(datum)
         counts = _patched(monkeypatch)
-        pam = linearity_cells(datum, info)
+        pam = linearity_cells(datum)
         assert counts["argmin"] == 0
         assert counts["walks"] == len(counts["points"]) \
             == len(set(counts["points"]))
@@ -198,9 +195,8 @@ class TestOneWalkPerPoint:
 
     def test_the_grid_walks_once_per_grid_point(self, monkeypatch):
         datum = _plane(ell=("0", "0"))
-        info = polarization_type(datum)
         counts = _patched(monkeypatch)
-        verdict = check_injective(datum, info, mode="grid", resolution=5)
+        verdict = check_injective(datum, mode="grid", resolution=5)
         assert verdict.status == "sampled-ok"
         assert counts["walks"] == 25 and counts["argmin"] == 0
         assert len(set(counts["points"])) == 25
@@ -210,7 +206,7 @@ class TestOneWalkPerPoint:
         path = _plane_job(tmp_path)
         counts = _patched(monkeypatch)
         datum = _plane()
-        linearity_cells(datum, polarization_type(datum))
+        linearity_cells(datum)
         cells = counts["walks"]
         assert cli.main(["certify", "--input", path, "--resolution", "3",
                          "--output", str(tmp_path / "out")]) == 0

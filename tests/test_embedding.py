@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -11,7 +12,9 @@ from tropitheta.exactlinalg import (
 from tropitheta.errors import (
     DimensionUnsupported, NotPolarization, PreconditionViolated,
 )
-from tropitheta import embedding, exactlinalg
+from tropitheta import (
+    cli, embedding, exactlinalg, nalift, theta, torus, voronoi,
+)
 from tropitheta.embedding import (
     CellMap, PiecewiseAffineMap, check_injective, check_unimodular,
     affine_piece, faithful_certificate, fundamental_domain, image_complex_1d,
@@ -38,10 +41,6 @@ def plane_datum(L_rows, ell=(0, 0), Pmat_rows=None):
     return validate_datum(build_torus(P), Matrix.from_rows(L_rows), ell)
 
 
-def with_type(datum):
-    return datum, polarization_type(datum)
-
-
 def cell_interval(cm):
     return (cm.vertices[0][0], cm.vertices[-1][0])
 
@@ -50,13 +49,13 @@ def row_tuples(m):
     return tuple(tuple(m[r, c] for c in range(m.cols)) for r in range(m.rows))
 
 
-def assert_affine_on_cell(datum, info, cm, samples):
+def assert_affine_on_cell(datum, cm, samples):
     A = Matrix(len(cm.A), datum.n, [e for row in cm.A for e in row])
     for x in samples:
         want = tuple(
             sum(A[r, c] * x[c] for c in range(A.cols)) + cm.offset[r]
             for r in range(A.rows))
-        assert phi_eval(datum, info, x) == want
+        assert phi_eval(datum, x) == want
 
 
 def interior_samples_1d(cm, k=5):
@@ -66,40 +65,41 @@ def interior_samples_1d(cm, k=5):
 
 class TestPhiEval:
     def test_normalization_subtracts_base_theta(self):
-        datum, info = with_type(circle_datum(d=3))
+        datum = circle_datum(d=3)
         x = (Fraction(5, 2),)
-        b0 = info.reps[0]
+        reps = polarization_type(datum).reps
+        b0 = reps[0]
         vals = [theta_eval(ThetaFunction(datum, b, Q_ELL), x)
-                for b in info.reps]
+                for b in reps]
         base = theta_eval(ThetaFunction(datum, b0, Q_ELL), x)
-        assert phi_eval(datum, info, x) == tuple(v - base for v in vals[1:])
+        assert phi_eval(datum, x) == tuple(v - base for v in vals[1:])
 
     def test_circle_values(self):
-        d2, i2 = with_type(circle_datum(d=2))
-        assert phi_eval(d2, i2, (0,)) == (Fraction(3),)
-        d3, i3 = with_type(circle_datum(d=3))
-        assert phi_eval(d3, i3, (2,)) == (Fraction(4), Fraction(0))
-        assert phi_eval(d3, i3, (0,)) == (Fraction(2), Fraction(2))
+        d2 = circle_datum(d=2)
+        assert phi_eval(d2, (0,)) == (Fraction(3),)
+        d3 = circle_datum(d=3)
+        assert phi_eval(d3, (2,)) == (Fraction(4), Fraction(0))
+        assert phi_eval(d3, (0,)) == (Fraction(2), Fraction(2))
 
     def test_coordinate_count_is_type_minus_one(self):
         for d in (2, 3, 4):
-            datum, info = with_type(circle_datum(d=d))
-            assert len(phi_eval(datum, info, (1,))) == d - 1
-        datum, info = with_type(plane_datum([[3, 0], [0, 3]]))
-        assert len(phi_eval(datum, info, (0, 0))) == 8
+            datum = circle_datum(d=d)
+            assert len(phi_eval(datum, (1,))) == d - 1
+        datum = plane_datum([[3, 0], [0, 3]])
+        assert len(phi_eval(datum, (0, 0))) == 8
 
     def test_periodic_on_the_circle(self):
-        datum, info = with_type(circle_datum(d=3))
+        datum = circle_datum(d=3)
         for x in (Fraction(0), Fraction(1, 3), Fraction(5, 2), Fraction(7)):
-            assert (phi_eval(datum, info, (x + 12,))
-                    == phi_eval(datum, info, (x,)))
+            assert (phi_eval(datum, (x + 12,))
+                    == phi_eval(datum, (x,)))
 
     def test_periodic_on_the_plane(self):
-        datum, info = with_type(plane_datum([[3, 0], [0, 3]]))
+        datum = plane_datum([[3, 0], [0, 3]])
         x = (Fraction(1, 3), Fraction(2, 7))
-        v = phi_eval(datum, info, x)
-        assert phi_eval(datum, info, (x[0] + 1, x[1])) == v
-        assert phi_eval(datum, info, (x[0], x[1] + 1)) == v
+        v = phi_eval(datum, x)
+        assert phi_eval(datum, (x[0] + 1, x[1])) == v
+        assert phi_eval(datum, (x[0], x[1] + 1)) == v
 
 
 class TestFundamentalDomain:
@@ -128,15 +128,15 @@ class TestFundamentalDomain:
 class TestCircleCells:
     # full tables over one period, checked against hand computation
     def test_d2(self):
-        datum, info = with_type(circle_datum(d=2))
-        pam = linearity_cells(datum, info)
+        datum = circle_datum(d=2)
+        pam = linearity_cells(datum)
         assert [cell_interval(c) for c in pam.cells] == [(0, 6), (6, 12)]
         assert [c.A for c in pam.cells] == [((-1,),), ((1,),)]
         assert [c.offset for c in pam.cells] == [(3,), (-9,)]
 
     def test_d3(self):
-        datum, info = with_type(circle_datum(d=3))
-        pam = linearity_cells(datum, info)
+        datum = circle_datum(d=3)
+        pam = linearity_cells(datum)
         assert ([cell_interval(c) for c in pam.cells]
                 == [(0, 2), (2, 6), (6, 10), (10, 12)])
         assert ([c.A for c in pam.cells]
@@ -146,8 +146,8 @@ class TestCircleCells:
                 == [(2, 2), (8, 2), (-10, -16), (-10, 14)])
 
     def test_d4(self):
-        datum, info = with_type(circle_datum(d=4))
-        pam = linearity_cells(datum, info)
+        datum = circle_datum(d=4)
+        pam = linearity_cells(datum)
         assert ([cell_interval(c) for c in pam.cells]
                 == [(0, 3), (3, 6), (6, 9), (9, 12)])
         assert ([c.A for c in pam.cells]
@@ -159,8 +159,8 @@ class TestCircleCells:
                     (-21 * h, -18, -45 * h), (-21 * h, -18, 27 * h)])
 
     def test_cell_matrices_accessor(self):
-        datum, info = with_type(circle_datum(d=3))
-        pam = linearity_cells(datum, info)
+        datum = circle_datum(d=3)
+        pam = linearity_cells(datum)
         mats = cell_matrices(pam)
         assert [row_tuples(m) for m in mats] == [c.A for c in pam.cells]
         assert row_tuples(mats[1]) == ((-2,), (-1,))
@@ -170,16 +170,16 @@ class TestCircleCells:
 
     def test_interior_samples_match_the_affine_formula(self):
         for d in (2, 3, 4):
-            datum, info = with_type(circle_datum(d=d))
-            pam = linearity_cells(datum, info)
+            datum = circle_datum(d=d)
+            pam = linearity_cells(datum)
             for cm in pam.cells:
-                assert_affine_on_cell(datum, info, cm,
+                assert_affine_on_cell(datum, cm,
                                       interior_samples_1d(cm))
 
     def test_cells_tile_the_period(self):
         for d in (2, 3, 4, 5):
-            datum, info = with_type(circle_datum(d=d))
-            pam = linearity_cells(datum, info)
+            datum = circle_datum(d=d)
+            pam = linearity_cells(datum)
             ivs = [cell_interval(c) for c in pam.cells]
             assert ivs[0][0] == 0 and ivs[-1][1] == 12
             for left, right in zip(ivs, ivs[1:]):
@@ -187,8 +187,8 @@ class TestCircleCells:
             assert all(lo < hi for lo, hi in ivs)
 
     def test_restricted_domain(self):
-        datum, info = with_type(circle_datum(d=3))
-        pam = linearity_cells(datum, info, domain=[(0,), (4,)])
+        datum = circle_datum(d=3)
+        pam = linearity_cells(datum, domain=[(0,), (4,)])
         assert [cell_interval(c) for c in pam.cells] == [(0, 2), (2, 4)]
         assert pam.cells[1].A == ((-2,), (-1,))
 
@@ -197,21 +197,21 @@ class TestCircleCells:
            num=st.integers(-8, 8), den=st.integers(1, 5))
     def test_random_circle_data_tile_and_agree(self, d, num, den):
         ell = [Fraction(num, den)]
-        datum, info = with_type(circle_datum(d=d, ell=ell))
-        pam = linearity_cells(datum, info)
+        datum = circle_datum(d=d, ell=ell)
+        pam = linearity_cells(datum)
         ivs = [cell_interval(c) for c in pam.cells]
         assert ivs[0][0] == 0 and ivs[-1][1] == 12
         for left, right in zip(ivs, ivs[1:]):
             assert left[1] == right[0]
         for cm in pam.cells:
             lo, hi = cell_interval(cm)
-            assert_affine_on_cell(datum, info, cm, [((lo + hi) / 2,)])
+            assert_affine_on_cell(datum, cm, [((lo + hi) / 2,)])
 
 
 class TestPlaneCells:
     def test_diag_three(self):
-        datum, info = with_type(plane_datum([[3, 0], [0, 3]]))
-        pam = linearity_cells(datum, info)
+        datum = plane_datum([[3, 0], [0, 3]])
+        pam = linearity_cells(datum)
         assert len(pam.cells) == 16
         assert sum(abs(polygon_area2(c.vertices))
                    for c in pam.cells) == 2
@@ -220,7 +220,7 @@ class TestPlaneCells:
             assert len(cm.vertices) >= 3
             bary = tuple(sum(v[i] for v in cm.vertices)
                          / len(cm.vertices) for i in range(2))
-            assert_affine_on_cell(datum, info, cm,
+            assert_affine_on_cell(datum, cm,
                                   list(cm.vertices) + [bary])
 
     def test_sheared_datum_with_offsets(self):
@@ -230,37 +230,33 @@ class TestPlaneCells:
         P = Matrix.from_rows(W) * Matrix.from_rows(L)
         datum = validate_datum(build_torus(P), Matrix.from_rows(L),
                                [Fraction(1, 2), Fraction(-1, 3)])
-        info = polarization_type(datum)
-        assert info.type == (1, 9)
-        pam = linearity_cells(datum, info)
+        assert polarization_type(datum).type == (1, 9)
+        pam = linearity_cells(datum)
         assert (sum(abs(polygon_area2(c.vertices)) for c in pam.cells)
                 == 2 * det(P))
         assert check_unimodular(pam)[0]
         for cm in pam.cells:
-            assert_affine_on_cell(datum, info, cm, list(cm.vertices))
+            assert_affine_on_cell(datum, cm, list(cm.vertices))
 
     def test_not_polarized_rejected(self):
         t = build_torus(Matrix.identity(2))
         bad = validate_datum(t, Matrix.from_rows([[0, 1], [1, 0]]), (0, 0))
-        _, info = with_type(plane_datum([[3, 0], [0, 3]]))
         with pytest.raises(NotPolarization):
-            linearity_cells(bad, info)
+            linearity_cells(bad)
 
     def test_three_dimensions_unsupported(self):
         L = Matrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
         datum = validate_datum(build_torus(Matrix.identity(3)), L, [0, 0, 0])
-        info = polarization_type(datum)
         with pytest.raises(DimensionUnsupported):
-            linearity_cells(datum, info)
+            linearity_cells(datum)
 
     def test_degenerate_domains_rejected(self):
-        datum, info = with_type(circle_datum(d=2))
+        datum = circle_datum(d=2)
         with pytest.raises(PreconditionViolated):
-            linearity_cells(datum, info, domain=[(3,), (3,)])
-        datum2, info2 = with_type(plane_datum([[3, 0], [0, 3]]))
+            linearity_cells(datum, domain=[(3,), (3,)])
+        datum2 = plane_datum([[3, 0], [0, 3]])
         with pytest.raises(PreconditionViolated):
-            linearity_cells(datum2, info2,
-                            domain=[(0, 0), (1, 1), (2, 2)])
+            linearity_cells(datum2, domain=[(0, 0), (1, 1), (2, 2)])
 
 
 class TestUnimodularity:
@@ -268,33 +264,32 @@ class TestUnimodularity:
         for d, expect in [(2, (True, True)),
                           (3, (True, True, True, True)),
                           (4, (True, True, True, True))]:
-            datum, info = with_type(circle_datum(d=d))
-            ok, verdicts = check_unimodular(linearity_cells(datum, info))
+            datum = circle_datum(d=d)
+            ok, verdicts = check_unimodular(linearity_cells(datum))
             assert ok and verdicts == expect
 
     def test_single_theta_has_no_rows(self):
-        datum, info = with_type(circle_datum(varpi=5, d=1))
-        pam = linearity_cells(datum, info)
+        datum = circle_datum(varpi=5, d=1)
+        pam = linearity_cells(datum)
         assert pam.cells[0].A == () and len(pam.cells[0].vertices[0]) == 1
         ok, verdicts = check_unimodular(pam)
         assert not ok and not any(verdicts)
 
     def test_principal_plane_fails(self):
-        datum, info = with_type(plane_datum([[1, 0], [0, 1]]))
-        assert not check_unimodular(linearity_cells(datum, info))[0]
+        datum = plane_datum([[1, 0], [0, 1]])
+        assert not check_unimodular(linearity_cells(datum))[0]
 
     def test_diag_three_all_cells(self):
-        datum, info = with_type(plane_datum([[3, 0], [0, 3]]))
-        ok, verdicts = check_unimodular(linearity_cells(datum, info))
+        datum = plane_datum([[3, 0], [0, 3]])
+        ok, verdicts = check_unimodular(linearity_cells(datum))
         assert ok and len(verdicts) == 16 and all(verdicts)
 
     def test_unimodular_maps_separate_representatives(self):
         # when every cell matrix has a unimodular row subset the
         # representatives must be pairwise distinct modulo L
-        for datum, info in (with_type(circle_datum(d=3)),
-                            with_type(plane_datum([[3, 0], [0, 3]]))):
-            assert check_unimodular(linearity_cells(datum, info))[0]
-            reps = info.reps
+        for datum in (circle_datum(d=3), plane_datum([[3, 0], [0, 3]])):
+            assert check_unimodular(linearity_cells(datum))[0]
+            reps = polarization_type(datum).reps
             for i in range(len(reps)):
                 for j in range(i + 1, len(reps)):
                     diff = vec_sub(reps[i], reps[j])
@@ -303,18 +298,18 @@ class TestUnimodularity:
 
 class TestInjectivity:
     def test_d2_refuted_with_mirror_witness(self):
-        datum, info = with_type(circle_datum(d=2))
-        verdict = check_injective(datum, info, mode="exact")
+        datum = circle_datum(d=2)
+        verdict = check_injective(datum, mode="exact")
         assert verdict.status == "refuted"
         assert verdict.witness == ((3,), (9,))
         x, y = verdict.witness
-        assert phi_eval(datum, info, x) == phi_eval(datum, info, y)
+        assert phi_eval(datum, x) == phi_eval(datum, y)
         assert (Fraction(x[0] - y[0], 12)).denominator != 1
 
     def test_d3_and_d4_certified(self):
         for d in (3, 4):
-            datum, info = with_type(circle_datum(d=d))
-            verdict = check_injective(datum, info, mode="exact")
+            datum = circle_datum(d=d)
+            verdict = check_injective(datum, mode="exact")
             assert verdict.status == "certified"
             assert verdict.witness is None
 
@@ -324,51 +319,50 @@ class TestInjectivity:
         # pushed the collision line out of a fixed parameter window and
         # certified degree 2
         for d, status in ((2, "refuted"), (3, "certified")):
-            datum, info = with_type(circle_datum(varpi=varpi, d=d))
-            verdict = check_injective(datum, info, mode="exact")
+            datum = circle_datum(varpi=varpi, d=d)
+            verdict = check_injective(datum, mode="exact")
             assert verdict.status == status
             if status == "refuted":
                 x, y = verdict.witness
-                assert phi_eval(datum, info, x) == phi_eval(datum, info, y)
+                assert phi_eval(datum, x) == phi_eval(datum, y)
                 assert (Fraction(x[0] - y[0]) / varpi).denominator != 1
 
     def test_grid_refutes_d2(self):
-        datum, info = with_type(circle_datum(d=2))
-        verdict = check_injective(datum, info, mode="grid", resolution=20)
+        datum = circle_datum(d=2)
+        verdict = check_injective(datum, mode="grid", resolution=20)
         assert verdict.status == "refuted"
         x, y = verdict.witness
-        assert phi_eval(datum, info, x) == phi_eval(datum, info, y)
+        assert phi_eval(datum, x) == phi_eval(datum, y)
         assert (Fraction(x[0] - y[0], 12)).denominator != 1
 
     def test_grid_cannot_certify(self):
-        datum, info = with_type(circle_datum(d=3))
-        verdict = check_injective(datum, info, mode="grid", resolution=10)
+        datum = circle_datum(d=3)
+        verdict = check_injective(datum, mode="grid", resolution=10)
         assert verdict.status == "sampled-ok"
 
     def test_grid_refutes_the_plane_involution(self):
         # type (2, 2): phi is invariant under x -> -x
-        datum, info = with_type(plane_datum([[2, 0], [0, 2]]))
-        verdict = check_injective(datum, info, mode="grid", resolution=8)
+        datum = plane_datum([[2, 0], [0, 2]])
+        verdict = check_injective(datum, mode="grid", resolution=8)
         assert verdict.status == "refuted"
         x, y = verdict.witness
-        assert phi_eval(datum, info, x) == phi_eval(datum, info, y)
+        assert phi_eval(datum, x) == phi_eval(datum, y)
 
     def test_exact_mode_needs_the_circle(self):
-        datum, info = with_type(plane_datum([[3, 0], [0, 3]]))
+        datum = plane_datum([[3, 0], [0, 3]])
         with pytest.raises(DimensionUnsupported):
-            check_injective(datum, info, mode="exact")
+            check_injective(datum, mode="exact")
 
     def test_unknown_mode(self):
-        datum, info = with_type(circle_datum(d=2))
+        datum = circle_datum(d=2)
         with pytest.raises(ValueError):
-            check_injective(datum, info, mode="annealing")
+            check_injective(datum, mode="annealing")
 
     def test_not_polarized_rejected(self):
         t = build_torus(Matrix.identity(2))
         bad = validate_datum(t, Matrix.from_rows([[0, 1], [1, 0]]), (0, 0))
-        _, info = with_type(plane_datum([[3, 0], [0, 3]]))
         with pytest.raises(NotPolarization):
-            check_injective(bad, info, mode="grid")
+            check_injective(bad, mode="grid")
 
 
 class TestIntegerCellMap:
@@ -379,17 +373,19 @@ class TestIntegerCellMap:
     PLANE_4 = ([[6, -3], [-6, 6]], (0, 0), [[6, 0], [-18, 21]])
 
     def test_no_matrix_or_smith_form_per_cell(self, monkeypatch):
-        # the per-datum constants (theta's coset data, the offsets) are
-        # built by a first call; after it the refinement, the cell maps and
-        # check_unimodular build no Matrix and run no Smith elimination
-        datum, info = with_type(plane_datum(*self.PLANE_4))
-        want = check_unimodular(linearity_cells(datum, info))
+        # the per-datum constants (the type, theta's coset data, the
+        # offsets) are built by a first map on a small domain; after it the
+        # refinement, the cell maps and check_unimodular build no Matrix
+        # and run no Smith elimination
+        want = check_unimodular(linearity_cells(plane_datum(*self.PLANE_4)))
+        datum = plane_datum(*self.PLANE_4)
+        linearity_cells(datum, domain=[(0, 0), (1, 0), (0, 1)])
 
         def refuse(*args):
             raise AssertionError("a Matrix or a Smith form per cell")
         monkeypatch.setattr(exactlinalg, "_smith", refuse)
         monkeypatch.setattr(Matrix, "__init__", refuse)
-        pam = linearity_cells(datum, info)
+        pam = linearity_cells(datum)
         assert check_unimodular(pam) == want
         assert want[0] and len(pam.cells) == 42
         assert {type(e) for cm in pam.cells for row in cm.A for e in row} \
@@ -408,11 +404,11 @@ class TestIntegerCellMap:
             return inverse(M)
         monkeypatch.setattr(embedding, "inverse", counted)
         for k in (1, 2):
-            datum, info = with_type(plane_datum(*self.PLANE_4))
-            assert len(info.reps) == 18
-            linearity_cells(datum, info)
+            datum = plane_datum(*self.PLANE_4)
+            assert len(polarization_type(datum).reps) == 18
+            linearity_cells(datum)
             assert len(calls) == k
-            linearity_cells(datum, info)
+            linearity_cells(datum)
             assert len(calls) == k
 
     def test_two_unknowns_stay_exact_on_integer_slopes(self):
@@ -441,22 +437,20 @@ class TestInjectivitySweep:
         # L takes the sign of the period, so the datum is polarized; d <= 2
         # is refuted, and at d = 1 phi~ has no coordinates and every cell
         # has A = 0, so the diagonal is solved too
-        datum, info = with_type(circle_datum(sign * varpi, sign * d, [ell]))
-        pam = linearity_cells(datum, info)
-        verdict = check_injective(datum, info, pam=pam)
-        assert verdict == injective_all_pairs(datum, info, pam)
+        datum = circle_datum(sign * varpi, sign * d, [ell])
+        verdict = check_injective(datum)
+        assert verdict == injective_all_pairs(linearity_cells(datum), varpi)
         assert verdict.status == ("refuted" if d <= 2 else "certified")
 
     def test_boxes_that_only_touch_are_solved(self):
         # phi~ = x on [0, 1] and x - 1 on [2, 3]: the images [0, 1] and
         # [1, 2] share one value, and 1 - 2 is not a period of 12
-        datum, info = with_type(circle_datum(d=3))
-        pam = PiecewiseAffineMap(info.reps, tuple(
+        pam = PiecewiseAffineMap(((0,), (1,), (2,)), tuple(
             CellMap(((Fraction(lo),), (Fraction(lo + 1),)), (),
                     ((1,), (0,)), (Fraction(off), Fraction(0)))
             for lo, off in ((0, 0), (2, -1))))
-        verdict = check_injective(datum, info, pam=pam)
-        assert verdict == injective_all_pairs(datum, info, pam)
+        verdict = embedding._injective_exact_1d(pam, 12)
+        assert verdict == injective_all_pairs(pam, 12)
         assert verdict.witness == ((1,), (2,))
 
     def test_solves_at_most_two_pairs_per_cell(self, monkeypatch):
@@ -473,16 +467,16 @@ class TestInjectivitySweep:
 
         monkeypatch.setattr(embedding, "_collision_pair", counted)
         for d, parallel in ((3, 1), (5, 1), (64, 0)):
-            datum, info = with_type(circle_datum(d=d))
+            datum = circle_datum(d=d)
             calls.clear()
-            assert check_injective(datum, info).status == "certified"
-            assert len(calls) == parallel_neighbours(datum, info) == parallel
+            assert check_injective(datum).status == "certified"
+            assert len(calls) == parallel_neighbours(datum) == parallel
 
 
-def parallel_neighbours(datum, info):
+def parallel_neighbours(datum):
     # the pairs of cells i, i + 1 and of the first and last cell whose
     # slope columns have rank below 2
-    cells = linearity_cells(datum, info).cells
+    cells = linearity_cells(datum).cells
     pairs = [(i, i + 1) for i in range(len(cells) - 1)]
     pairs.append((0, len(cells) - 1))
     return sum(len(invariant_factors(Matrix.from_rows(
@@ -492,8 +486,8 @@ def parallel_neighbours(datum, info):
 
 class TestImageComplex:
     def test_d2_degenerate_segment(self):
-        datum, info = with_type(circle_datum(d=2))
-        img = image_complex_1d(datum, info)
+        datum = circle_datum(d=2)
+        img = image_complex_1d(datum)
         assert img.breakpoints == (6,)
         assert img.parameters == (0, 6)
         assert img.vertices == ((3,), (-3,))
@@ -501,8 +495,8 @@ class TestImageComplex:
         assert img.lattice_lengths == (6, 6)
 
     def test_d3_triangle(self):
-        datum, info = with_type(circle_datum(d=3))
-        img = image_complex_1d(datum, info)
+        datum = circle_datum(d=3)
+        img = image_complex_1d(datum)
         assert img.breakpoints == (2, 6, 10)
         assert img.parameters == (2, 6, 10)
         assert img.vertices == ((4, 0), (-4, -4), (0, 4))
@@ -510,8 +504,8 @@ class TestImageComplex:
         assert img.lattice_lengths == (4, 4, 4)
 
     def test_d4_quadrangle(self):
-        datum, info = with_type(circle_datum(d=4))
-        img = image_complex_1d(datum, info)
+        datum = circle_datum(d=4)
+        img = image_complex_1d(datum)
         h = Fraction(1, 2)
         assert img.breakpoints == (3, 6, 9)
         assert img.parameters == (0, 3, 6, 9)
@@ -523,15 +517,15 @@ class TestImageComplex:
 
     def test_total_lattice_length_is_the_period(self):
         for d in (2, 3, 4):
-            datum, info = with_type(circle_datum(d=d))
-            img = image_complex_1d(datum, info)
+            datum = circle_datum(d=d)
+            img = image_complex_1d(datum)
             assert sum(img.lattice_lengths) == 12
 
     def test_edges_close_up(self):
         from math import gcd
         for d in (2, 3, 4):
-            datum, info = with_type(circle_datum(d=d))
-            img = image_complex_1d(datum, info)
+            datum = circle_datum(d=d)
+            img = image_complex_1d(datum)
             m = len(img.vertices)
             for k in range(m):
                 prim, ln = img.directions[k], img.lattice_lengths[k]
@@ -545,10 +539,10 @@ class TestImageComplex:
                            for k in range(m)) == 0
 
     def test_vertices_match_the_map(self):
-        datum, info = with_type(circle_datum(d=4))
-        img = image_complex_1d(datum, info)
+        datum = circle_datum(d=4)
+        img = image_complex_1d(datum)
         for p, v in zip(img.parameters, img.vertices):
-            assert phi_eval(datum, info, (p,)) == v
+            assert phi_eval(datum, (p,)) == v
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(1, 9),
@@ -561,16 +555,16 @@ class TestImageComplex:
         # a negative period with a negative lambda is still polarized; its
         # domain [varpi, 0] is ordered by the hull
         sign = -1 if flip else 1
-        datum, info = with_type(circle_datum(varpi=sign * varpi,
-                                             d=sign * d, ell=[ell]))
-        img = image_complex_1d(datum, info)
-        assert img.vertices == tuple(phi_eval(datum, info, (p,))
+        datum = circle_datum(varpi=sign * varpi,
+                                             d=sign * d, ell=[ell])
+        img = image_complex_1d(datum)
+        assert img.vertices == tuple(phi_eval(datum, (p,))
                                      for p in img.parameters)
 
     def test_plane_unsupported(self):
-        datum, info = with_type(plane_datum([[3, 0], [0, 3]]))
+        datum = plane_datum([[3, 0], [0, 3]])
         with pytest.raises(DimensionUnsupported):
-            image_complex_1d(datum, info)
+            image_complex_1d(datum)
 
 
 class TestFaithfulCertificate:
@@ -579,19 +573,19 @@ class TestFaithfulCertificate:
                   3: (True, "certified", True),
                   4: (True, "certified", True)}
         for d, (uni, status, faith) in expect.items():
-            datum, info = with_type(circle_datum(d=d))
-            rep = faithful_certificate(datum, info)
+            datum = circle_datum(d=d)
+            rep = faithful_certificate(datum)
             assert (rep.unimodular, rep.injective.status, rep.faithful) \
                 == (uni, status, faith)
 
     def test_single_theta_not_faithful(self):
-        datum, info = with_type(circle_datum(varpi=5, d=1))
-        rep = faithful_certificate(datum, info, resolution=4)
+        datum = circle_datum(varpi=5, d=1)
+        rep = faithful_certificate(datum, resolution=4)
         assert not rep.unimodular and not rep.faithful
 
     def test_diag_three_plane(self):
-        datum, info = with_type(plane_datum([[3, 0], [0, 3]]))
-        rep = faithful_certificate(datum, info, resolution=8)
+        datum = plane_datum([[3, 0], [0, 3]])
+        rep = faithful_certificate(datum, resolution=8)
         assert rep.unimodular
         assert rep.injective.status == "sampled-ok"
         assert rep.faithful
@@ -602,8 +596,7 @@ class TestFaithfulCertificate:
             L = Matrix.from_rows([[dd, 0, 0], [0, dd, 0], [0, 0, dd]])
             datum = validate_datum(build_torus(Matrix.identity(3)), L,
                                    [0, 0, 0])
-            info = polarization_type(datum)
-            rep = faithful_certificate(datum, info, resolution=4)
+            rep = faithful_certificate(datum, resolution=4)
             assert rep.unimodular
             assert rep.injective.status == status
             assert rep.faithful is faith
@@ -615,50 +608,46 @@ class TestFaithfulCertificate:
         # sampled-ok; n = 3 samples both halves on a grid
         L = Matrix.from_rows([[2 if i == j else 0 for j in range(n)]
                               for i in range(n)])
-        datum, info = with_type(validate_datum(
-            build_torus(Matrix.identity(n)), L, [0] * n))
+        datum = validate_datum(
+            build_torus(Matrix.identity(n)), L, [0] * n)
         with pytest.raises(PreconditionViolated):
-            faithful_certificate(datum, info, resolution=resolution)
+            faithful_certificate(datum, resolution=resolution)
         with pytest.raises(PreconditionViolated):
-            check_injective(datum, info, mode="grid", resolution=resolution)
+            check_injective(datum, mode="grid", resolution=resolution)
 
     def test_mode_forces_the_injectivity_check(self):
-        datum, info = with_type(circle_datum(d=3))
-        assert faithful_certificate(datum, info, resolution=8, mode="grid") \
+        datum = circle_datum(d=3)
+        assert faithful_certificate(datum, resolution=8, mode="grid") \
             .injective.status == "sampled-ok"
-        assert faithful_certificate(datum, info, mode="exact") \
+        assert faithful_certificate(datum, mode="exact") \
             .injective.status == "certified"
-        plane, plane_info = with_type(plane_datum([[3, 0], [0, 3]]))
+        plane = plane_datum([[3, 0], [0, 3]])
         with pytest.raises(DimensionUnsupported):
-            faithful_certificate(plane, plane_info, mode="exact")
+            faithful_certificate(plane, mode="exact")
         # above n = 2 both halves are sampled whatever the mode
         L = Matrix.from_rows([[3, 0, 0], [0, 3, 0], [0, 0, 3]])
         space = validate_datum(build_torus(Matrix.identity(3)), L, [0, 0, 0])
-        space_info = polarization_type(space)
-        assert faithful_certificate(space, space_info, resolution=4,
-                                    mode="exact") \
-            == faithful_certificate(space, space_info, resolution=4)
+        assert faithful_certificate(space, resolution=4, mode="exact") \
+            == faithful_certificate(space, resolution=4)
 
     def test_translation_preserves_the_verdict(self):
         # replacing ell by ell - G.v translates phi, so the report
         # must not change
-        datum, info = with_type(circle_datum(d=2))
+        datum = circle_datum(d=2)
         moved = translate_datum(datum, [Fraction(1, 4)])[0]
-        r0 = faithful_certificate(datum, info)
-        r1 = faithful_certificate(moved, polarization_type(moved))
+        r0 = faithful_certificate(datum)
+        r1 = faithful_certificate(moved)
         assert ((r0.unimodular, r0.injective.status, r0.faithful)
                 == (r1.unimodular, r1.injective.status, r1.faithful))
         x, y = r1.injective.witness
-        assert phi_eval(moved, polarization_type(moved), x) \
-            == phi_eval(moved, polarization_type(moved), y)
+        assert phi_eval(moved, x) == phi_eval(moved, y)
 
     def test_translation_preserves_the_verdict_plane(self):
-        datum, info = with_type(plane_datum([[3, 0], [0, 3]]))
+        datum = plane_datum([[3, 0], [0, 3]])
         moved = translate_datum(datum,
                                 [Fraction(1, 3), Fraction(1, 5)])[0]
-        r0 = faithful_certificate(datum, info, resolution=8)
-        r1 = faithful_certificate(moved, polarization_type(moved),
-                                  resolution=8)
+        r0 = faithful_certificate(datum, resolution=8)
+        r1 = faithful_certificate(moved, resolution=8)
         assert ((r0.unimodular, r0.injective.status, r0.faithful)
                 == (r1.unimodular, r1.injective.status, r1.faithful))
 
@@ -698,33 +687,31 @@ def interior_points(cm):
 
 
 class TestFastPathsAgainstTheSlowPath:
-    """phi_eval, the cached affine pieces and a passed cell map against
-    per-representative theta_eval and recomputed cell maps."""
+    """phi_eval, the cached affine pieces and the memoized cell map against
+    per-representative theta_eval and the map of a fresh datum."""
 
     @settings(max_examples=25, deadline=None)
     @given(datum=skewed_data(),
            nums=st.lists(st.integers(-40, 40), min_size=2, max_size=2),
            den=st.integers(1, 7))
     def test_phi_eval_is_a_difference_of_thetas(self, datum, nums, den):
-        info = polarization_type(datum)
         x = tuple(Fraction(c, den) for c in nums[:datum.n])
         thetas = [theta_eval(ThetaFunction(datum, b, Q_ELL), x)
-                  for b in info.reps]
-        assert phi_eval(datum, info, x) == tuple(t - thetas[0]
-                                                 for t in thetas[1:])
+                  for b in polarization_type(datum).reps]
+        assert phi_eval(datum, x) == tuple(t - thetas[0]
+                                           for t in thetas[1:])
 
     @settings(max_examples=25, deadline=None)
     @given(datum=skewed_data(), data=st.data())
     def test_integer_pieces_and_bisectors(self, datum, data):
         # the integer pieces against the Fraction ones, and the integer
         # bisector line N.x = c on the side where the first piece is lower
-        info = polarization_type(datum)
         vec = st.lists(st.integers(-4, 4), min_size=datum.n,
                        max_size=datum.n).map(tuple)
         a1, a2 = data.draw(vec), data.draw(vec)
         x = tuple(Fraction(data.draw(st.integers(-40, 40)), 7)
                   for _ in range(datum.n))
-        for b in info.reps:
+        for b in polarization_type(datum).reps:
             (s1, o1), (s2, o2) = (affine_piece(datum, b, a) for a in (a1, a2))
             assert (s1, o1) == affine_piece_fractions(datum, b, a1)
             assert (s2, o2) == affine_piece_fractions(datum, b, a2)
@@ -748,16 +735,83 @@ class TestFastPathsAgainstTheSlowPath:
 
     @settings(max_examples=25, deadline=None)
     @given(datum=skewed_data())
-    def test_cells_are_affine_and_a_passed_map_changes_nothing(self, datum):
-        info = polarization_type(datum)
-        pam = linearity_cells(datum, info)
+    def test_cells_are_affine_and_the_map_memoized(self, datum):
+        # the checks that read the memoized map agree with those on a
+        # fresh copy of the datum, which builds its own
+        pam = linearity_cells(datum)
         for cm in pam.cells:
-            assert_affine_on_cell(datum, info, cm, interior_points(cm))
-        assert linearity_cells(datum, info) == pam
-        assert (faithful_certificate(datum, info, resolution=4, pam=pam)
-                == faithful_certificate(datum, info, resolution=4))
+            assert_affine_on_cell(datum, cm, interior_points(cm))
+        fresh = validate_datum(datum.torus, datum.L, datum.ellVec)
+        assert linearity_cells(fresh) == pam
+        assert (faithful_certificate(datum, resolution=4)
+                == faithful_certificate(fresh, resolution=4))
         if datum.n == 1:
-            assert image_complex_1d(datum, info, pam) \
-                == image_complex_1d(datum, info)
-            assert check_injective(datum, info, pam=pam) \
-                == check_injective(datum, info)
+            assert image_complex_1d(datum) == image_complex_1d(fresh)
+            assert check_injective(datum) == check_injective(fresh)
+        assert linearity_cells(datum) is pam
+
+
+class TestPerDatumMemos:
+    """The polarization type and the cell maps are functions of the datum:
+    each is built once and read from the datum's memo after, and no
+    function takes them as a parameter."""
+
+    DATA = [lambda: circle_datum(d=5), lambda: plane_datum([[3, 0], [0, 3]])]
+
+    def count(self, monkeypatch, name):
+        calls = []
+        original = getattr(embedding, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(embedding, name, counted)
+        return calls
+
+    def test_the_type_is_built_once(self):
+        datum = plane_datum([[3, 0], [0, 3]])
+        assert polarization_type(datum) is polarization_type(datum)
+
+    @pytest.mark.parametrize("make", DATA, ids=["circle", "plane"])
+    def test_a_second_call_walks_nothing(self, make, monkeypatch):
+        datum = make()
+        walks = self.count(monkeypatch, "_coset_argmins")
+        pam = linearity_cells(datum)
+        assert walks
+        walks.clear()
+        assert linearity_cells(datum) is pam
+        assert walks == []
+
+    def test_a_restricted_domain_gets_its_own_map(self):
+        datum = circle_datum(d=3)
+        pam = linearity_cells(datum)
+        part = linearity_cells(datum, domain=[(0,), (4,)])
+        assert [cell_interval(c) for c in part.cells] == [(0, 2), (2, 4)]
+        assert linearity_cells(datum) is pam
+        assert len(pam.cells) == 4
+        # the key is the domain's hull, whatever order or extra points
+        assert linearity_cells(datum, domain=[(4,), (1,), (0,)]) is part
+
+    @pytest.mark.parametrize("make", DATA, ids=["circle", "plane"])
+    def test_the_checks_build_no_second_map(self, make, monkeypatch):
+        datum = make()
+        refinements = self.count(monkeypatch, "_refine_pieces")
+        pam = linearity_cells(datum)
+        faithful_certificate(datum, resolution=4)
+        if datum.n == 1:
+            image_complex_1d(datum)
+            check_injective(datum)
+        assert len(refinements) == 1
+        assert linearity_cells(datum) is pam
+
+    def test_no_function_takes_a_type_or_a_cell_map(self):
+        # a type or a cell map of another datum cannot be handed in; only
+        # check_unimodular and the n = 1 sweep take a map, as their subject
+        allowed = {"check_unimodular", "_injective_exact_1d"}
+        for module in (torus, theta, embedding, voronoi, nalift, cli):
+            for name, fn in vars(module).items():
+                if inspect.isfunction(fn) \
+                        and fn.__module__ == module.__name__:
+                    params = set(inspect.signature(fn).parameters)
+                    assert "info" not in params, name
+                    assert "pam" not in params or name in allowed, name

@@ -37,7 +37,8 @@ class TestRationals:
         assert jsonio.rational_to_str(Fraction(-3, 9)) == "-1/3"
 
     @pytest.mark.parametrize("bad", ["", "x", "1/0", "1.5.2", None,
-                                     "1e10000000", "1E5"])
+                                     "1e10000000", "1E5", 0.1, 1e15, 1e16,
+                                     "1_000", True, [1]])
     def test_rejects_garbage(self, bad):
         with pytest.raises(SchemaError):
             jsonio.rational_from_str(bad)

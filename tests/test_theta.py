@@ -15,7 +15,8 @@ from tropitheta.torus import build_torus, validate_datum
 
 from oracles import (
     ThetaCombination, box_argmin, certified_box_argmin, concavity_check,
-    ellipsoid_box_scan, floor_plus_sqrt, gamma_rational_check, min_plus_eval,
+    diagonal_matrix, ellipsoid_box_scan, floor_plus_sqrt,
+    gamma_rational_check, lattice_point, min_plus_eval,
     quasi_periodicity_check, round_half_up, sublattice_identity_check,
     translate_datum,
 )
@@ -145,7 +146,7 @@ class TestLatticeArgmin:
             st.lists(st.integers(-2, 2), min_size=n, max_size=n),
             min_size=n, max_size=n))
         B = Matrix.from_rows(rows)
-        G = B.transpose() * B + Matrix.diagonal([1] * n)
+        G = B.transpose() * B + diagonal_matrix([1] * n)
         num = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
         den = data.draw(st.integers(1, 2))
         h = tuple(Fraction(x, den) for x in num)
@@ -348,7 +349,7 @@ class TestQuasiPeriodicity:
             st.lists(st.integers(-2, 2), min_size=2, max_size=2),
             min_size=2, max_size=2))
         B = Matrix.from_rows(rows)
-        L = B.transpose() * B + Matrix.diagonal([1, 1])
+        L = B.transpose() * B + diagonal_matrix([1, 1])
         ell = data.draw(st.lists(st.integers(-4, 4), min_size=2, max_size=2))
         datum = pd2_datum(int(L[0, 0]), int(L[0, 1]), int(L[1, 1]),
                           tuple(ell))
@@ -427,7 +428,7 @@ class TestTranslateDatum:
         moved, const = translate_datum(datum, v)
         t_old = ThetaFunction(datum, (1,), Q_ELL)
         t_new = ThetaFunction(moved, (1,), Q_ELL)
-        shift = datum.torus.lattice_point(v)
+        shift = lattice_point(datum.torus, v)
         for x in ((0,), (Fraction(5, 2),), (-7,)):
             assert (theta_eval(t_new, x) + const
                     == theta_eval(t_old, vec_add(x, shift)))
@@ -443,7 +444,7 @@ class TestTranslateDatum:
         t_old = ThetaFunction(datum, (b,), Q_ELL)
         t_new = ThetaFunction(moved, (b,), Q_ELL)
         x = (Fraction(xnum, xden),)
-        lhs = theta_eval(t_old, vec_add(x, datum.torus.lattice_point(v)))
+        lhs = theta_eval(t_old, vec_add(x, lattice_point(datum.torus, v)))
         rhs = theta_eval(t_new, x) + dot(datum.ellVec, v) - const
         assert lhs == rhs
 

@@ -26,8 +26,9 @@ from tropitheta import voronoi
 
 from oracles import (
     adapted_datum, centroid_ccw, clip_split, closest_point,
-    closest_points_brute, half_period_system, hull_fractions, in_cell,
-    is_unimodular_map, nested_cut_lines, polygon_area2, polygon_vertices,
+    closest_points_brute, diagonal_matrix, half_period_system,
+    hull_fractions, in_cell, is_unimodular_map, lattice_point,
+    nested_cut_lines, on_boundary, polygon_area2, polygon_vertices,
     relevant_vectors_brute, split_polygon_fractions,
 )
 
@@ -175,7 +176,7 @@ class TestCellMembership:
     def test_square_boundary_tie(self):
         x = frac_vec(Fraction(1, 2), Fraction(1, 2))
         assert in_cell(I2, x)
-        assert VoronoiCell(I2).on_boundary(x)
+        assert on_boundary(VoronoiCell(I2), x)
         res = closest_point(I2, x)
         assert res.minimizers == ((0, 0), (0, 1), (1, 0), (1, 1))
         assert res.value == Fraction(1, 2) and res.tie
@@ -224,7 +225,7 @@ class TestCellMembership:
                                 covers.append(y)
                     assert covers
                     if len(covers) > 1:
-                        assert all(cell.on_boundary(y) for y in covers)
+                        assert all(on_boundary(cell, y) for y in covers)
 
 
 class TestHalfPeriodSystem:
@@ -375,7 +376,7 @@ class TestCellTheta:
         for a in range(-4, 5):
             for b in range(-4, 5):
                 w = (Fraction(a, 3), Fraction(b, 3))
-                x = datum.torus.lattice_point(w)
+                x = lattice_point(datum.torus, w)
                 assert (theta_eval(theta, x) == 0) == cell.contains(w)
 
 
@@ -385,12 +386,12 @@ class TestCellCertificate:
                               Matrix.from_rows([[2]]), [0])
 
     def square2(self):
-        return validate_datum(build_torus(I2), Matrix.diagonal([2, 2]),
+        return validate_datum(build_torus(I2), diagonal_matrix([2, 2]),
                               [0, 0])
 
     def test_elliptic_certificates(self):
         datum = self.elliptic()
-        info, dec, certs = certified_cells(
+        dec, certs = certified_cells(
             datum, translates=[(0,), (1,), (-3,)])
         assert len(dec.pieces) == 2 and len(certs) == 6
         for cert in certs:
@@ -401,7 +402,7 @@ class TestCellCertificate:
 
     def test_square_certificates(self):
         datum = self.square2()
-        info, dec, certs = certified_cells(
+        dec, certs = certified_cells(
             datum, translates=[(0, 0), (2, -1)])
         assert len(certs) == 2 * len(dec.pieces)
         for cert in certs:
@@ -410,38 +411,44 @@ class TestCellCertificate:
                 Matrix.from_rows([list(e) for e in cert.ells[1:]]))
             assert cert.atilde in ((0, 0), (-2, 1))
 
+    def test_the_adapted_gram_is_built_once(self):
+        datum = self.square2()
+        Ga = adapted_gram(datum)
+        assert adapted_gram(datum) is Ga
+        V = polarization_type(datum).V
+        assert Ga == V.transpose() * datum.G * V
+
     def test_tampered_argmin_fails(self):
         datum = self.elliptic()
-        info, dec, _ = certified_cells(datum)
+        dec, _ = certified_cells(datum)
         with pytest.raises(CertificateFailed):
-            cell_certificate(datum, info, dec.pieces[0], (0,), atilde=(1,))
+            cell_certificate(datum, dec.pieces[0], (0,), atilde=(1,))
         with pytest.raises(CertificateFailed):
-            cell_certificate(datum, info, dec.pieces[1], (0,), atilde=(-1,))
+            cell_certificate(datum, dec.pieces[1], (0,), atilde=(-1,))
 
     def test_mismatched_basis_rejected(self):
         datum = self.elliptic()
-        info = polarization_type(datum)
         bad = Piece(((Fraction(0),), (Fraction(1, 4),)),
                     ((Fraction(1, 2),),), ((Fraction(1, 3),),))
         with pytest.raises(PreconditionViolated):
-            cell_certificate(datum, info, bad, (0,))
+            cell_certificate(datum, bad, (0,))
 
     def test_certificate_matches_theta_argmin(self):
         # the certificate objective and the theta minimization in the
         # adapted bases share the linear term h = G (y + l/d), hence the
         # same minimizer sets
         datum = self.square2()
-        info, dec, certs = certified_cells(datum)
-        ad = adapted_datum(datum, info)
-        Ga = adapted_gram(datum, info)
-        d = info.type
+        dec, certs = certified_cells(datum)
+        ad = adapted_datum(datum)
+        Ga = adapted_gram(datum)
+        d = polarization_type(datum).type
         for piece, cert in zip(dec.pieces, certs):
             for ell in cert.ells:
                 theta = ThetaFunction(ad, ell)
                 for y in piece.vertices:
                     t = [y[i] + Fraction(ell[i], d[i]) for i in range(len(d))]
                     direct = lattice_argmin(Ga, Ga.matvec(t))
-                    x = ad.torus.lattice_point(y)
+                    x = lattice_point(ad.torus, y)
                     assert theta_argmin(theta, x).minimizers == direct.minimizers
 
 
