@@ -5,17 +5,18 @@ one period, the slope-difference data of the projective map, and the
 faithfulness verdict.  Degree 1 fails unimodularity (a single theta
 carries no slope differences), degree 2 is unimodular but folds the
 circle in half, degree 3 and 4 are faithful.  Each call takes the datum
-alone; the cell map is built once per degree and the certificate and the
-image polygon read it from the datum.
+alone; the cell map is built once per degree, each theta function is read
+off it as the affine piece of its minimizer on the cell, and the
+certificate and the image polygon read it from the datum.
 """
 
 from fractions import Fraction
 
 from tropitheta import (
-    Matrix, Q_ELL, ThetaFunction, build_torus, faithful_certificate,
-    image_complex_1d, linearity_cells, polarization_type, theta_eval,
-    validate_datum,
+    Matrix, build_torus, faithful_certificate, image_complex_1d,
+    linearity_cells, polarization_type, validate_datum,
 )
+from tropitheta.theta import affine_piece
 
 VARPI = 12
 
@@ -42,10 +43,8 @@ def describe(d):
         lo, hi = cm.vertices[0][0], cm.vertices[-1][0]
         pieces = []
         for b, a in zip(info.reps, cm.argmins):
-            slope = b[0] + d * a[0]
-            value = theta_eval(ThetaFunction(datum, b, Q_ELL), (lo,))
-            pieces.append("theta_%d: %s"
-                          % (b[0], affine(slope, value - slope * lo)))
+            (slope,), offset = affine_piece(datum, b, a)
+            pieces.append("theta_%d: %s" % (b[0], affine(slope, offset)))
         print("  on [%s, %s]  %s" % (lo, hi, ",  ".join(pieces)))
     report = faithful_certificate(datum)
     print("  unimodular %s, injectivity %s, faithful %s"

@@ -12,8 +12,7 @@ import sys
 
 from . import jsonio, svg
 from .embedding import (
-    affine_piece, check_unimodular, faithful_certificate, image_complex_1d,
-    linearity_cells,
+    check_unimodular, faithful_certificate, image_complex_1d, linearity_cells,
 )
 from .errors import (
     CertificateFailed, PreconditionFailure, PreconditionViolated, SchemaError,
@@ -22,7 +21,9 @@ from .exactlinalg import det
 from .nalift import (
     fourier_lift, surjective_lift, verify_na_quasi_periodicity,
 )
-from .theta import INF, Q_ELL, LAMBDA_GAMMA, ThetaFunction, theta_eval
+from .theta import (
+    INF, Q_ELL, LAMBDA_GAMMA, ThetaFunction, affine_piece, theta_eval,
+)
 from .torus import build_torus, polarization_type, validate_datum
 from .voronoi import VoronoiCell, certified_cells
 

@@ -8,13 +8,14 @@ exactly for n <= 2 by probing minimizer sets at polytope vertices and
 splitting along bisectors, in the integers of the one convex-polytope kernel
 of voronoi: a vertex is (X_1, .., X_n, W) and a bisector a line a.X = c.W,
 as each affine piece of theta_b is an integer slope and an integer offset
-over one denominator E of the datum, computed once.  A cell map keeps its
+over one denominator E of the datum (theta._piece).  A cell map keeps its
 slopes as integer rows and builds Fractions for its offsets and, once per
 distinct vertex, its vertices.  Unimodularity (by minors) and injectivity
-are certified (n = 1) or sampled on a grid; the exact check solves only the
-cell pairs whose image boxes overlap, found by a sweep, and not neighbours
-with independent slopes.  The minimizers of every theta_b at a point come
-from one coset walk of theta.  Every function takes the datum alone: the
+are certified (n = 1) or sampled on a grid, both from one pass over the
+grid for n >= 3; the exact check solves only the cell pairs whose image
+boxes overlap, found by a sweep, and not neighbours with independent
+slopes.  The minimizers of every theta_b at a point come from one coset
+walk of theta.  Every function takes the datum alone: the
 polarization type and the cell map are derived from it once and kept in
 its memo, so each check that reads the map reads the one that
 linearity_cells built.
@@ -28,49 +29,12 @@ from typing import NamedTuple
 
 from .errors import (DimensionUnsupported, InternalInvariantViolated,
                      NotPolarization, PreconditionViolated)
-from .exactlinalg import content, inverse, is_unimodular_rows, vec_add, vec_sub
-from .theta import _coset_argmins, _homogeneous, coset_argmins
-from .torus import ell_point, polarization_type
+from .exactlinalg import content, is_unimodular_rows, vec_add, vec_sub
+from .theta import (
+    _coset_argmins, _homogeneous, _offsets, _piece, coset_argmins,
+)
+from .torus import per_datum, polarization_type
 from .voronoi import _hull, _rational, _split_polygon
-
-
-def affine_piece(datum, b, a):
-    """(slope, offset) of theta_b, in the class-invariant convention, where
-    a is its minimizer: theta_b(x) = (b + L.a).x + (1/2) a^T G a
-    + (Pmat^T.b - ell).a + q_ell(b), the slope b + L.a a tuple of ints."""
-    slope, offset = _piece(datum, b, a)
-    return slope, Fraction(offset, _offsets(datum)[0])
-
-
-def _offsets(datum):
-    # As G = Pmat^T.L, theta_b's offset at a is (1/2) z^T G z with
-    # z = a + L^-1.b - G^-1.ell; with a delta that clears z for every b and
-    # G = Gn/g, that is (delta z)^T Gn (delta z) / E over E = 2 g delta^2.
-    # Returns (E, delta, Gn, L, delta L^-1, delta G^-1.ell) once per datum
-    if "offsets" not in datum.memo:
-        r, Linv = ell_point(datum), inverse(datum.L)
-        delta = lcm(*(x.denominator for x in Linv.entries + r))
-        g = lcm(*(x.denominator for x in datum.G.entries))
-        datum.memo["offsets"] = (
-            2 * g * delta * delta, delta,
-            [[int(g * c) for c in row] for row in datum.G.to_lists()],
-            [[int(c) for c in row] for row in datum.L.to_lists()],
-            [[int(delta * c) for c in row] for row in Linv.to_lists()],
-            [int(delta * c) for c in r])
-    return datum.memo["offsets"]
-
-
-def _piece(datum, b, a):
-    # theta_b's affine piece at the minimizer a in integers: the slope
-    # b + L.a and E times the offset; computed once per datum, b and a
-    key = ("piece", b, a)
-    if key not in datum.memo:
-        _, delta, Gn, L, Li, dr = _offsets(datum)
-        z = [delta * x + sum(map(mul, r, b)) - c for x, r, c in zip(a, Li, dr)]
-        datum.memo[key] = (
-            tuple(bi + sum(map(mul, row, a)) for bi, row in zip(b, L)),
-            sum(zi * sum(map(mul, row, z)) for zi, row in zip(z, Gn)))
-    return datum.memo[key]
 
 
 def phi_eval(datum, x):
@@ -206,9 +170,7 @@ def linearity_cells(datum, domain=None):
 
     On each cell, phi~ equals A.x + offset exactly; the minimizers behind
     the affine pieces are recorded per cell.  Computed once per datum and
-    domain: the map is kept in the datum's memo under the domain's hull,
-    or under None for the default, so that a repeated call costs one
-    lookup."""
+    domain hull, so that a repeated call costs one lookup."""
     if not datum.polarized:
         raise NotPolarization("the theta map needs a polarized datum")
     n = datum.n
@@ -220,17 +182,19 @@ def linearity_cells(datum, domain=None):
         if len(dom) <= n:
             raise PreconditionViolated(
                 "domain must be a full-dimensional polytope")
-    key = ("cells", dom)
-    if key not in datum.memo:
-        if dom is None:
-            dom = _hull(_homogeneous(v)
-                        for v in fundamental_domain(datum.torus))
-        reps = polarization_type(datum).reps
-        merged = _merge_pieces(_refine_pieces(datum, dom))
-        datum.memo[key] = PiecewiseAffineMap(reps, tuple(
-            CellMap(verts, tuple(profile), *_profile_map(datum, reps, profile))
-            for verts, profile in merged))
-    return datum.memo[key]
+    return _cell_map(datum, dom)
+
+
+@per_datum
+def _cell_map(datum, dom):
+    # the cell map over the hull dom, None for the fundamental domain
+    if dom is None:
+        dom = _hull(_homogeneous(v) for v in fundamental_domain(datum.torus))
+    reps = polarization_type(datum).reps
+    merged = _merge_pieces(_refine_pieces(datum, dom))
+    return PiecewiseAffineMap(reps, tuple(
+        CellMap(verts, tuple(profile), *_profile_map(datum, reps, profile))
+        for verts, profile in merged))
 
 
 def check_unimodular(pam):
@@ -404,22 +368,32 @@ def _injective_exact_1d(pam, varpi):
     return InjectivityVerdict("certified", None)
 
 
-def _injective_grid(datum, resolution):
-    # grid points inside the fundamental parallelotope never differ by a
-    # period, so exact collisions are genuine; phi~ = (norms - norms_0)/(2 K)
-    # is keyed as integers in lowest terms
+def _grid_pass(datum, resolution):
+    # One coset walk per grid point: the sampled injectivity verdict, from
+    # the first collision of phi~, and the set of minimizer profiles of the
+    # points without ties.  Grid points inside the fundamental parallelotope
+    # never differ by a period, so exact collisions are genuine;
+    # phi~ = (norms - norms_0)/(2 K) is keyed as integers in lowest terms.
+    # A point with a tie sits on a wall, and its mixed profile need not
+    # come from any single cell.
     if resolution < 1:
         raise PreconditionViolated("the grid resolution must be at least 1")
     seen = {}
+    witness = None
+    profiles = set()
     for v in _grid(datum.torus.Pmat, resolution):
         res = _coset_argmins(datum, v)
-        key = [nk - res.norms[0] for nk in res.norms[1:]] + [2 * res.K]
-        key = tuple(c // gcd(*key) for c in key)
-        if key in seen:
-            return InjectivityVerdict("refuted", (_rational(seen[key]),
-                                                  _rational(v)))
-        seen[key] = v
-    return InjectivityVerdict("sampled-ok", None)
+        if all(len(m) == 1 for m in res.minimizers):
+            profiles.add(tuple(m[0] for m in res.minimizers))
+        if witness is None:
+            key = [nk - res.norms[0] for nk in res.norms[1:]] + [2 * res.K]
+            key = tuple(c // gcd(*key) for c in key)
+            if key in seen:
+                witness = (_rational(seen[key]), _rational(v))
+            seen[key] = v
+    if witness is None:
+        return InjectivityVerdict("sampled-ok", None), profiles
+    return InjectivityVerdict("refuted", witness), profiles
 
 
 def _grid(P, resolution):
@@ -444,7 +418,7 @@ def check_injective(datum, mode="exact", resolution=20):
         return _injective_exact_1d(linearity_cells(datum),
                                    abs(datum.torus.Pmat[0, 0]))
     if mode == "grid":
-        return _injective_grid(datum, resolution)
+        return _grid_pass(datum, resolution)[0]
     raise ValueError("unknown mode %r" % (mode,))
 
 
@@ -495,23 +469,6 @@ def image_complex_1d(datum):
                         tuple(directions), tuple(lengths))
 
 
-def _sampled_unimodular(datum, resolution):
-    profiles = set()
-    for v in _grid(datum.torus.Pmat, resolution):
-        mins = _coset_argmins(datum, v).minimizers
-        # a point with a tie sits on a wall; its mixed profile need not
-        # come from any single cell, so only unique minimizers count
-        if all(len(m) == 1 for m in mins):
-            profiles.add(tuple(m[0] for m in mins))
-    if not profiles:
-        return False, ()
-    reps = polarization_type(datum).reps
-    verdicts = tuple(
-        is_unimodular_rows(_profile_map(datum, reps, prof)[0], datum.n)
-        for prof in sorted(profiles))
-    return all(verdicts), verdicts
-
-
 def faithful_certificate(datum, resolution=20, mode=None):
     """Unimodularity and injectivity combined: both certified for n = 1,
     cells exact with sampled injectivity for n = 2, both sampled above.
@@ -524,8 +481,12 @@ def faithful_certificate(datum, resolution=20, mode=None):
             mode = "exact" if datum.n == 1 else "grid"
         inj = check_injective(datum, mode=mode, resolution=resolution)
     else:
-        unimodular, verdicts = _sampled_unimodular(datum, min(resolution, 6))
-        inj = check_injective(datum, mode="grid",
-                              resolution=min(resolution, 6))
+        # one walk of the grid samples both checks
+        inj, profiles = _grid_pass(datum, min(resolution, 6))
+        reps = polarization_type(datum).reps
+        verdicts = tuple(
+            is_unimodular_rows(_profile_map(datum, reps, prof)[0], datum.n)
+            for prof in sorted(profiles))
+        unimodular = bool(verdicts) and all(verdicts)
     faithful = bool(unimodular) and inj.status != "refuted"
     return FaithfulReport(unimodular, verdicts, inj, faithful)

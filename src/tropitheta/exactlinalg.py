@@ -60,9 +60,6 @@ class Matrix:
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def col(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_lists(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -381,11 +378,6 @@ def is_positive_definite(G):
         return ldlt(G).definite
     except SingularPivot:
         return False
-
-
-def gram_norm(G, v):
-    """v^T G v, exact."""
-    return dot(v, G.matvec(v))
 
 
 def integer_vector(v):

@@ -10,6 +10,7 @@ files.
 
 import json
 import os
+import re
 from fractions import Fraction
 
 from .errors import SchemaError
@@ -18,23 +19,26 @@ from .nalift import ValuedScalar, build_na_datum
 from .torus import build_torus, validate_datum
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_to_str(q):
     return str(Fraction(q))
 
 
 def rational_from_str(s):
-    # A JSON integer (not a bool) or a string.  A JSON float has lost its
-    # exact value before it gets here, so it is refused; so are strings in
-    # exponent notation, which Fraction builds exactly ("1e10000000": a
-    # time that grows faster than the exponent), and "_" digit separators
+    # A JSON integer (not a bool) or a string of the form -?[0-9]+(/[0-9]+)?
+    # in ASCII.  A JSON float has lost its exact value before it gets here,
+    # so it is refused; so is every other form that Fraction reads: decimal
+    # points, exponents ("1e10000000": a time that grows faster than the
+    # exponent), signs, blanks, "_" separators and non-ASCII digits
     if type(s) is int:
         return Fraction(s)
-    if type(s) is not str or "e" in s or "E" in s or "_" in s:
+    match = _RATIONAL.fullmatch(s) if type(s) is str else None
+    den = int(match[2] or 1) if match else 0
+    if not den:
         raise SchemaError("not a rational: %r" % (s,))
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError("not a rational: %r" % (s,)) from exc
+    return Fraction(int(match[1]), den)
 
 
 def vector_to_json(v):

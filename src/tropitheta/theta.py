@@ -37,6 +37,12 @@ depend on b.  So coset_argmins is one call per point, in coordinates
 where the cosets are the classes mod the type.  It takes the datum alone:
 the type and the walk's constants are derived from it once and kept in
 its memo.
+
+At its minimizer a, theta_b is affine: slope b + L.a and offset
+(1/2) z^T G z with z = a + L^-1.b - r, kept as integers over one
+denominator E of the datum (affine_piece).  The coset walk and the
+pieces share one r and one L^-1, and the shift between the conventions
+is the offset at a = 0.
 """
 
 import itertools
@@ -47,10 +53,8 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import NotPolarization, SingularPivot
-from .exactlinalg import (
-    dot, gram_norm, inverse, ldlt, solve, to_vector, vec_add, vec_sub,
-)
-from .torus import ell_point, polarization_type
+from .exactlinalg import dot, inverse, ldlt, to_vector, vec_add, vec_sub
+from .torus import ell_point, per_datum, polarization_type
 
 LAMBDA_GAMMA = "lambda_gamma"
 Q_ELL = "q_ell"
@@ -253,26 +257,28 @@ def _ball(G, bound):
     return out
 
 
+@per_datum
+def _lambda_inverse(datum):
+    return inverse(datum.L)
+
+
+@per_datum
 def _coset_data(datum):
-    # Constants of the coset walk, once per datum: with U.L.V = diag(d) from
-    # the polarization type, G'' = U^-T.Pmat.L^-1.U^-1, d, the rows of V,
-    # and the center t*(x) = (c0 - C.x)/den with C = den.U.L.Pmat^-1 and
-    # c0 = den.U.L.G^-1.ell integral.
-    if "cosets" not in datum.memo:
-        info = polarization_type(datum)
-        U, V = info.U, info.V
-        Uinv = inverse(U)
-        G2 = Uinv.transpose() * datum.torus.Pmat * inverse(datum.L) * Uinv
-        UL = U * datum.L
-        n = datum.n
-        ints, den = _center((UL * datum.torus.Pinv).entries
-                            + tuple(UL.matvec(solve(datum.G, datum.ellVec))))
-        datum.memo["cosets"] = (
-            G2, info.type,
+    # Constants of the coset walk: with U.L.V = diag(d) from the
+    # polarization type, G'' = U^-T.Pmat.L^-1.U^-1, d, the rows of V, and
+    # the center t*(x) = (c0 - C.x)/den with C = den.U.L.Pmat^-1 and
+    # c0 = den.U.L.r integral, r = G^-1.ell the ell point.
+    info = polarization_type(datum)
+    U, V, Uinv = info.U, info.V, info.Uinv
+    G2 = Uinv.transpose() * datum.torus.Pmat * _lambda_inverse(datum) * Uinv
+    UL = U * datum.L
+    n = datum.n
+    ints, den = _center((UL * datum.torus.Pinv).entries
+                        + UL.matvec(ell_point(datum)))
+    return (G2, info.type,
             tuple(tuple(int(V[i, j]) for j in range(n)) for i in range(n)),
             tuple(tuple(ints[i:i + n]) for i in range(0, n * n, n)),
             tuple(ints[n * n:]), den)
-    return datum.memo["cosets"]
 
 
 def coset_argmins(datum, x):
@@ -337,26 +343,52 @@ class ThetaFunction:
         return "ThetaFunction(b=%r, %s)" % (self.b, self.convention)
 
 
+def affine_piece(datum, b, a):
+    """(slope, offset) of theta_b, in the class-invariant convention, where
+    a is its minimizer: theta_b(x) = (b + L.a).x + (1/2) a^T G a
+    + (Pmat^T.b - ell).a + q_ell(b), the slope b + L.a a tuple of ints."""
+    slope, offset = _piece(datum, b, a)
+    return slope, Fraction(offset, _offsets(datum)[0])
+
+
+@per_datum
+def _offsets(datum):
+    # As G = Pmat^T.L, theta_b's offset at a is (1/2) z^T G z with
+    # z = a + L^-1.b - r, r = G^-1.ell; with a delta that clears z for
+    # every b and G = Gn/g, that is (delta z)^T Gn (delta z) / E over
+    # E = 2 g delta^2.  Returns (E, delta, Gn, L, delta L^-1, delta r)
+    r, Linv = ell_point(datum), _lambda_inverse(datum)
+    delta = lcm(*(x.denominator for x in Linv.entries + r))
+    g = lcm(*(x.denominator for x in datum.G.entries))
+    return (2 * g * delta * delta, delta,
+            [[int(g * c) for c in row] for row in datum.G.to_lists()],
+            [[int(c) for c in row] for row in datum.L.to_lists()],
+            [[int(delta * c) for c in row] for row in Linv.to_lists()],
+            [int(delta * c) for c in r])
+
+
+@per_datum
+def _piece(datum, b, a):
+    # theta_b's affine piece at the minimizer a in integers: the slope
+    # b + L.a and E times the offset
+    _, delta, Gn, L, Li, dr = _offsets(datum)
+    z = [delta * x + sum(map(mul, r, b)) - c for x, r, c in zip(a, Li, dr)]
+    return (tuple(bi + sum(map(mul, row, a)) for bi, row in zip(b, L)),
+            sum(zi * sum(map(mul, row, z)) for zi, row in zip(z, Gn)))
+
+
+@per_datum
 def q_ell_constant(datum, b):
     """(1/2) Q(lambda^-1(b) - r, lambda^-1(b) - r), the shift between the
-    two conventions.  Computed once per datum and representative."""
-    key = ("q_ell", tuple(b))
-    if key not in datum.memo:
-        beta = solve(datum.L, [Fraction(int(c)) for c in b])
-        diff = vec_sub(beta, ell_point(datum))
-        datum.memo[key] = gram_norm(datum.G, diff) / 2
-    return datum.memo[key]
+    two conventions: the offset of theta_b's affine piece at a = 0."""
+    return affine_piece(datum, b, (0,) * datum.n)[1]
 
 
+@per_datum
 def _h_constant(datum, b):
     # Pmat^T.b - ell, the part of h that depends on the representative b
-    # but not on x; computed once per datum and representative
-    key = ("h0", tuple(b))
-    if key not in datum.memo:
-        bf = [Fraction(int(c)) for c in b]
-        datum.memo[key] = vec_sub(datum.torus.Pmat.transpose().matvec(bf),
-                                  datum.ellVec)
-    return datum.memo[key]
+    # but not on x
+    return vec_sub(datum.torus.Pmat.transpose().matvec(b), datum.ellVec)
 
 
 def theta_h_vector(datum, b, x):

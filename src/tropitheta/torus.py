@@ -22,14 +22,14 @@ b^T G a exactly.  Symmetry of G encodes the symmetry of <lambda(.), .>,
 and the datum is a polarization when G is positive definite.
 """
 
+import functools
 import itertools
 
 from .errors import (
     NonIntegerLambda, NotPolarization, NotSymmetric, SingularEmbedding,
+    SingularMatrix,
 )
-from .exactlinalg import (
-    det, inverse, is_positive_definite, snf, solve, to_vector,
-)
+from .exactlinalg import inverse, is_positive_definite, snf, solve, to_vector
 
 
 class TorusPresentation:
@@ -40,11 +40,13 @@ class TorusPresentation:
     def __init__(self, Pmat):
         if not Pmat.is_square:
             raise SingularEmbedding("period matrix must be square")
-        if det(Pmat) == 0:
+        try:
+            Pinv = inverse(Pmat)
+        except SingularMatrix:
             raise SingularEmbedding("period matrix is singular")
         object.__setattr__(self, "n", Pmat.rows)
         object.__setattr__(self, "Pmat", Pmat)
-        object.__setattr__(self, "Pinv", inverse(Pmat))
+        object.__setattr__(self, "Pinv", Pinv)
 
     def __setattr__(self, name, value):
         raise AttributeError("TorusPresentation is immutable")
@@ -63,20 +65,8 @@ class TropicalDescentDatum:
 
     `polarized` records whether G is positive definite; evaluation of
     theta functions requires it, the data model does not.  `LT` is L^T, and
-    `memo` holds what depends on the datum alone, each entry filled on
-    first use by the function that owns it:
-
-      * "type": the PolarizationInfo (torus.polarization_type);
-      * "cosets": the constants of the coset walk (theta._coset_data);
-      * "offsets": the integer data of the affine pieces
-        (embedding._offsets);
-      * ("piece", b, a): theta_b's affine piece at the minimizer a
-        (embedding._piece);
-      * ("cells", domain): the cell map over a domain's hull, None for
-        the fundamental domain (embedding.linearity_cells);
-      * "adapted_gram": V^T.G.V (voronoi.adapted_gram);
-      * ("q_ell", b) and ("h0", b): the per-representative theta shifts
-        (theta.q_ell_constant, theta._h_constant).
+    `memo` holds what depends on the datum alone: the values of the
+    functions decorated with per_datum.
     """
 
     __slots__ = ("torus", "L", "LT", "ellVec", "G", "polarized", "memo")
@@ -116,17 +106,32 @@ def validate_datum(torus, L, ellVec):
     return TropicalDescentDatum(torus, L, ellVec)
 
 
+def per_datum(fn):
+    """fn(datum, *args), computed once per datum and arguments: the value
+    is kept in datum.memo under fn and the (hashable) arguments."""
+    @functools.wraps(fn)
+    def memoized(datum, *args):
+        key = (fn, *args)
+        try:
+            return datum.memo[key]
+        except KeyError:
+            value = datum.memo[key] = fn(datum, *args)
+            return value
+    return memoized
+
+
 class PolarizationInfo:
     """Smith data of a polarization: the type (d_1 .. d_n), the unimodular
-    transforms with U.L.V = diag(type), and a complete system of
+    transforms with U.L.V = diag(type) and U^-1, and a complete system of
     representatives of M / lambda(M') in e-coordinates."""
 
-    __slots__ = ("type", "U", "V", "D", "reps")
+    __slots__ = ("type", "U", "V", "Uinv", "D", "reps")
 
-    def __init__(self, type_, U, V, reps):
+    def __init__(self, type_, U, V, Uinv, reps):
         object.__setattr__(self, "type", tuple(int(d) for d in type_))
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
+        object.__setattr__(self, "Uinv", Uinv)
         D = 1
         for d in self.type:
             D *= d
@@ -141,26 +146,26 @@ class PolarizationInfo:
         return "PolarizationInfo(type=%r, D=%d)" % (self.type, self.D)
 
 
+@per_datum
 def polarization_type(datum):
     """Type and representatives of a polarization.
 
     U.L.V = diag(d_1 .. d_n) gives lambda(M') = L.Z^n = U^-1.diag(d).Z^n,
     so multiplication by U identifies M / lambda(M') with Z^n / diag(d).Z^n
     and the box vectors 0 <= l_i < d_i pull back along U^-1 to a complete
-    system of representatives.  Computed once per datum.
+    system of representatives.
     """
-    if "type" not in datum.memo:
-        if not datum.polarized:
-            raise NotPolarization("datum is not a polarization")
-        U, D, V = snf(datum.L)
-        type_ = [int(D[i, i]) for i in range(datum.n)]
-        Uinv = inverse(U)
-        reps = [tuple(int(c) for c in Uinv.matvec(box))
-                for box in itertools.product(*[range(d) for d in type_])]
-        datum.memo["type"] = PolarizationInfo(type_, U, V, reps)
-    return datum.memo["type"]
+    if not datum.polarized:
+        raise NotPolarization("datum is not a polarization")
+    U, D, V = snf(datum.L)
+    type_ = [int(D[i, i]) for i in range(datum.n)]
+    Uinv = inverse(U)
+    reps = [tuple(int(c) for c in Uinv.matvec(box))
+            for box in itertools.product(*[range(d) for d in type_])]
+    return PolarizationInfo(type_, U, V, Uinv, reps)
 
 
+@per_datum
 def ell_point(datum):
     """The unique r (f'-coordinates) with ell(.) = Q(., r): solves G.r = ell."""
     if not datum.polarized:

@@ -34,53 +34,27 @@ from .errors import (
     NotPolarization, PreconditionViolated,
 )
 from .exactlinalg import (
-    Matrix, det, dot, gram_norm, integer_vector, invariant_factors, inverse,
-    is_positive_definite, is_unimodular_rows, snf, solve, to_vector, vec_add,
-    vec_scale,
+    Matrix, det, dot, integer_vector, invariant_factors, inverse,
+    is_unimodular_rows, snf, solve, to_vector, vec_add, vec_scale,
 )
 from .theta import _ball, _center, _homogeneous, _nearest
-from .torus import polarization_type
-
-
-def _as_matrix(G):
-    return G if isinstance(G, Matrix) else Matrix.from_rows(G)
-
-
-class GramLattice:
-    """Z^n carrying the inner product [u, v] = u^T G v."""
-
-    __slots__ = ("G", "n")
-
-    def __init__(self, G):
-        G = _as_matrix(G)
-        if not G.is_square or not G.is_symmetric():
-            raise NotPolarization("Gram matrix must be symmetric")
-        if not is_positive_definite(G):
-            raise NotPolarization("Gram matrix must be positive definite")
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "n", G.rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GramLattice is immutable")
-
-    def norm(self, v):
-        return gram_norm(self.G, v)
-
-    def __repr__(self):
-        return "GramLattice(n=%d)" % self.n
+from .torus import per_datum, polarization_type
 
 
 def relevant_vectors(G):
-    """The Voronoi-relevant vectors of Z^n under G, sorted.
+    """The Voronoi-relevant vectors of Z^n under the Gram Matrix G, sorted.
 
     v is relevant exactly when +-v are the only minimal-norm vectors of
     the coset v + 2Z^n (Voronoi's criterion), so one walk finds the
     shortest vectors of every class mod 2, and each nonzero class
     contributes its pair precisely when its minimum is a two-way tie.
+    Raises NotPolarization unless G is symmetric (checked here) and
+    positive definite (checked by the walk).
     """
-    lat = GramLattice(G)
+    if not G.is_symmetric():
+        raise NotPolarization("Gram matrix must be symmetric")
     out = []
-    classes, _, _ = _nearest(lat.G, [0] * lat.n, 1, (2,) * lat.n)
+    classes, _, _ = _nearest(G, [0] * G.rows, 1, (2,) * G.rows)
     for vs in classes[1:]:
         if len(vs) == 2:
             if vs[0] != tuple(-c for c in vs[1]):
@@ -93,19 +67,21 @@ class VoronoiCell:
     """H-representation of the Voronoi cell of Z^n around the origin.
 
     The cell is { x : (G v) . x <= v^T G v / 2 for every relevant v };
-    halfspaces stores the pairs (G v, v^T G v / 2) in the order of the
-    sorted relevant vectors.
+    halfspaces stores the pairs (a, c) = (G v, v . a / 2) in the order of
+    the sorted relevant vectors.
     """
 
-    __slots__ = ("lattice", "relevant", "halfspaces")
+    __slots__ = ("G", "relevant", "halfspaces")
 
     def __init__(self, G):
-        lat = GramLattice(G)
-        rel = tuple(relevant_vectors(lat.G))
-        hs = tuple((tuple(lat.G.matvec(v)), lat.norm(v) / 2) for v in rel)
-        object.__setattr__(self, "lattice", lat)
+        rel = tuple(relevant_vectors(G))
+        hs = []
+        for v in rel:
+            a = G.matvec(v)
+            hs.append((a, dot(v, a) / 2))
+        object.__setattr__(self, "G", G)
         object.__setattr__(self, "relevant", rel)
-        object.__setattr__(self, "halfspaces", hs)
+        object.__setattr__(self, "halfspaces", tuple(hs))
 
     def __setattr__(self, name, value):
         raise AttributeError("VoronoiCell is immutable")
@@ -115,7 +91,7 @@ class VoronoiCell:
         return all(dot(a, x) <= c for a, c in self.halfspaces)
 
     def __repr__(self):
-        return "VoronoiCell(n=%d, facets=%d)" % (self.lattice.n,
+        return "VoronoiCell(n=%d, facets=%d)" % (self.G.rows,
                                                  len(self.relevant))
 
 
@@ -127,10 +103,9 @@ def _half_periods(cell, x):
     # order of product((0, 1/2)), the least z gives the least nearest point
     # (z + 2t)/2, and a greedy scan keeps each candidate that raises the
     # rank of the doubled ones
-    n = cell.lattice.n
+    n = cell.G.rows
     chosen = []
-    classes, _, _ = _nearest(cell.lattice.G, *_center([2 * c for c in x]),
-                             (2,) * n)
+    classes, _, _ = _nearest(cell.G, *_center([2 * c for c in x]), (2,) * n)
     for zs in classes:
         q = tuple(Fraction(-c, 2) for c in zs[0])
         doubled = Matrix.from_rows([[2 * c for c in r] for r in chosen + [q]])
@@ -273,7 +248,7 @@ def _split_polygon(poly, a, c):
 
 def _cell_polytope(cell):
     hs = cell.halfspaces
-    n = cell.lattice.n
+    n = cell.G.rows
     if n == 1:
         hi = min(c / a[0] for a, c in hs if a[0] > 0)
         lo = max(c / a[0] for a, c in hs if a[0] < 0)
@@ -306,11 +281,11 @@ def _cut_lines(cell):
     # such t arises from s = -t, p = 0.  So one enumeration of the integer
     # vectors 2t with (2t)^T G (2t) <= 4B, the Fincke-Pohst walk of theta
     # over the ball of G around the origin, gives every cut line.
-    lat = cell.lattice
-    n = lat.n
-    bound = n * sum(lat.G[i, i] for i in range(n))  # diam(cell)^2 <= n tr G
+    G = cell.G
+    n = G.rows
+    bound = n * sum(G[i, i] for i in range(n))  # diam(cell)^2 <= n tr G
     lines = set()
-    for s2 in _ball(lat.G, 4 * bound):
+    for s2 in _ball(G, 4 * bound):
         shift = vec_scale(Fraction(1, 2), s2)
         for a, c in cell.halfspaces:
             lines.add(_normalize_line(a, c + dot(shift, a)))
@@ -352,8 +327,7 @@ def good_decomposition(G, d):
     sigma back into the cell; every containment is verified through the
     halfspaces at the piece's vertices.  Only n <= 2 is implemented.
     """
-    lat = GramLattice(G)
-    n = lat.n
+    n = G.rows
     if n > 2:
         raise DimensionUnsupported("decompositions implemented for n <= 2")
     d = [int(x) for x in d]
@@ -363,7 +337,7 @@ def good_decomposition(G, d):
         raise PreconditionViolated("type must be a divisibility chain")
     if d[0] < 2 * factorial(n - 1):
         raise PreconditionViolated("d_1 must be at least 2 (n-1)!")
-    cell = VoronoiCell(lat.G)
+    cell = VoronoiCell(G)
     delta = [x // d[0] for x in d]
     pieces = []
     for poly in _split_cell(cell):
@@ -395,14 +369,12 @@ class CellCertificate(NamedTuple):
     atilde: tuple  # shared lattice argmin over the translated piece
 
 
+@per_datum
 def adapted_gram(datum):
     """Gram matrix of the polarization in the basis adapted to the
-    invariant factors: V^T G V for the Smith transform V of its type.
-    Computed once per datum."""
-    if "adapted_gram" not in datum.memo:
-        V = polarization_type(datum).V
-        datum.memo["adapted_gram"] = V.transpose() * datum.G * V
-    return datum.memo["adapted_gram"]
+    invariant factors: V^T G V for the Smith transform V of its type."""
+    V = polarization_type(datum).V
+    return V.transpose() * datum.G * V
 
 
 def cell_certificate(datum, piece, translate, atilde=None):

@@ -13,7 +13,7 @@ the per-representative thetas (the coset walk), the per-class relevant
 vectors and per-point half periods (the walk mod 2 of voronoi), the
 all-pairs exact injectivity loop (the box sweep of embedding), and the
 Fraction affine pieces (the integer pieces over one denominator per datum
-of embedding).  The rest were public functions of the package that no
+of theta).  The rest were public functions of the package that no
 library code, demo or benchmark layer calls, moved here with their bodies:
 the paper's identity checks (quasi-periodicity, min-plus combinations,
 translation of a datum, the sublattice identity), unimodularity of a
@@ -21,10 +21,12 @@ Matrix, the datum constructions from a Gram matrix and in adapted bases,
 gamma, closest points and half-period systems of a Voronoi cell, the
 leading coefficient, scale and sum of Fourier data (the composition
 oracle of the one-pass surjective lift), and the JSON writers and
-readers that only round-trip tests use.  The same holds for the methods
-that only tests called, now functions of their object: the lattice point
-and coordinates of a torus, the pairing of a datum with a point, the
-zero and diagonal matrices, and the boundary test of a Voronoi cell.
+readers that only round-trip tests use, and the Gram norm v^T G v, which
+the one product G v of each Voronoi halfspace replaced.  The same holds
+for the methods that only tests called, now functions of their object:
+the lattice point and coordinates of a torus, the pairing of a datum with
+a point, the zero and diagonal matrices, a column of a Matrix, and the
+boundary test of a Voronoi cell.
 """
 
 import functools
@@ -55,7 +57,7 @@ from tropitheta.theta import (
 from tropitheta.torus import (
     TropicalDescentDatum, build_torus, polarization_type, validate_datum,
 )
-from tropitheta.voronoi import GramLattice, VoronoiCell, _half_periods
+from tropitheta.voronoi import VoronoiCell, _half_periods
 
 
 def det_expansion(rows):
@@ -204,9 +206,11 @@ def ellipsoid_box_scan(G_rows, bound):
                   if gram_norm(G_rows, v) <= bound)
 
 
-def gram_norm(G_rows, v):
+def gram_norm(G, v):
+    """v^T G v, exact, for a Matrix or a list of rows G."""
+    rows = G.to_lists() if isinstance(G, Matrix) else G
     n = len(v)
-    return sum(Fraction(G_rows[i][j]) * v[i] * v[j]
+    return sum(Fraction(rows[i][j]) * v[i] * v[j]
                for i in range(n) for j in range(n))
 
 
@@ -550,6 +554,11 @@ def diagonal_matrix(diag):
                          for i in range(n) for j in range(n)])
 
 
+def col(M, j):
+    """Column j of the Matrix M, as a tuple."""
+    return tuple(M[i, j] for i in range(M.rows))
+
+
 def lattice_point(torus, w):
     """e^v-coordinates of the M'-point with f'-coordinates w: Pmat.w."""
     return torus.Pmat.matvec(w)
@@ -832,10 +841,9 @@ def closest_point(G, x):
 
     The walk of the one class Z^n around x gives both.
     """
-    lat = GramLattice(G)
-    if len(x) != lat.n:
+    if len(x) != G.rows:
         raise ValueError("length mismatch")
-    (points,), (norm,), K = _nearest(lat.G, *_center(to_vector(x)))
+    (points,), (norm,), K = _nearest(G, *_center(to_vector(x)))
     return ArgminResult(tuple(points), Fraction(norm, K), len(points) > 1)
 
 

@@ -21,7 +21,11 @@ integer-homogeneous polygon kernel replaced the Fraction one.  The D = 1
 jobs (a point-5 circle and a plane of type (1,1), whose cell maps have no
 rows) pin the 0-row slope matrices, written with the datum's n as "cols";
 their digests were recorded before the cell map kept its slope matrices as
-integer rows.
+integer rows.  The theta jobs (both conventions, n = 1, 2, 3, a nonzero
+ell and, for n >= 2, a non-diagonal L), the type jobs on those data and
+the voronoi jobs on a bare Gram matrix (n = 2, 3, 4) pin the constants
+derived once per datum and the cell's halfspaces; their digests were
+recorded before those constants were shared.
 """
 
 import hashlib
@@ -75,6 +79,34 @@ PLANE_4_ELL = {"datum": dict(PLANE_4["datum"], ell=["1/3", "-1/2"])}
 POINT_5 = {"datum": {"Pmat": _mat([[5]]), "L": _mat([[1]]), "ell": ["0"]}}
 PLANE_1 = {"datum": {"Pmat": _mat([[3, 1], [1, 2]]),
                      "L": _mat([[1, 0], [0, 1]]), "ell": ["0", "0"]}}
+
+# data with a nonzero ell and, for n >= 2, a non-diagonal L, built as
+# Pmat = W.L for a symmetric positive definite W; the theta jobs take a b
+# that is no representative
+LINE_3_ELL = {"datum": {"Pmat": _mat([["45/2"]]), "L": _mat([[3]]),
+                        "ell": ["5/4"]}}
+PLANE_6_ELL = {"datum": {"Pmat": _mat([[10, "13/2"], [1, "25/2"]]),
+                         "L": _mat([[2, 1], [0, 3]]), "ell": ["-2/3", "7/2"]}}
+SPACE_5_ELL = {"datum": {
+    "Pmat": _mat([[7, 9, 1], ["1/2", 13, 5], [8, -1, "31/2"]]),
+    "L": _mat([[1, 1, 0], [0, 2, 1], [1, 0, 2]]),
+    "ell": ["1/3", "-5/2", "2"]}}
+
+
+def _theta(datum, b, points):
+    return dict(datum, b=b, points=points)
+
+
+THETA_1 = _theta(LINE_3_ELL, [2], [["0"], ["7/5"], ["-13/4"], ["45/2"]])
+THETA_2 = _theta(PLANE_6_ELL, [3, -1],
+                 [["0", "0"], ["5/3", "-1/2"], ["-7", "11/4"]])
+THETA_3 = _theta(SPACE_5_ELL, [1, -2, 2],
+                 [["0", "0", "0"], ["1/2", "-3/4", "2"], ["-5", "4/3", "7"]])
+# Gram matrices alone, for the relevant vectors and halfspaces of the cell
+GRAM_2 = {"G": _mat([[3, "-1/2"], ["-1/2", 2]])}
+GRAM_3 = {"G": _mat([[4, 1, -1], [1, 3, "1/2"], [-1, "1/2", 5]])}
+GRAM_4 = {"G": _mat([[3, -1, 1, 0], [-1, 7, 1, 0], [1, 1, 4, -2],
+                     [0, 0, -2, 4]])}
 
 NA_ELLIPTIC_3 = {"na_datum": {
     "Pmat": {"rows": 1, "cols": 1, "entries": ["12"]},
@@ -214,6 +246,39 @@ JOBS = [
     ("lift-series-targets", ["lift"], NA_SERIES_TARGETS, 0, {
         "lift.json":
             "06b44aacdafd3751bdbb2bf00c58257936bb866ad2a1368989a52501b1057335"}),
+    ("theta-q-ell-1", ["theta", "--mode", "q_ell"], THETA_1, 0, {
+        "theta.json":
+            "c5a5a3578d00d7834ea38586602e387738fde17ae216dc7dd8243d5e1d37e68a"}),
+    ("theta-lambda-gamma-1", ["theta", "--mode", "lambda_gamma"], THETA_1, 0, {
+        "theta.json":
+            "c0ae0817ba776a04a3a0aa170bf4a3bb341b4b972c412659074d1b75912917d5"}),
+    ("theta-q-ell-2", ["theta", "--mode", "q_ell"], THETA_2, 0, {
+        "theta.json":
+            "6394f8d1e758e32d64ae01d5bcb02f4711a4e34d303ba4ddd4ec06b00bde4c60"}),
+    ("theta-lambda-gamma-2", ["theta", "--mode", "lambda_gamma"], THETA_2, 0, {
+        "theta.json":
+            "724d5d610d8b4b735688902ea5b0f00b33b0fbd47bab76871cb9097ff8637472"}),
+    ("theta-q-ell-3", ["theta", "--mode", "q_ell"], THETA_3, 0, {
+        "theta.json":
+            "37781057f5b1f34496569bc4a3f17ae2a09635ff6e0afc98c0bc27cf6f042cc1"}),
+    ("theta-lambda-gamma-3", ["theta", "--mode", "lambda_gamma"], THETA_3, 0, {
+        "theta.json":
+            "1dffd9c95f46810a31ab21dd749adea58f97718ec9ba4007e6baaf1e8d561310"}),
+    ("type-6", ["type"], PLANE_6_ELL, 0, {
+        "type.json":
+            "2fa030c8e25f55f58cdd195128a538fb9c92f59e1aecb6961c7758e88b784c92"}),
+    ("type-5", ["type"], SPACE_5_ELL, 0, {
+        "type.json":
+            "a8b23eea900f8783f6b30f7873541b32db08e557815a757fc0fdf4e972e88064"}),
+    ("voronoi-gram-2", ["voronoi"], GRAM_2, 0, {
+        "voronoi.json":
+            "f35ddf0f354b6fd1396991c9bdc6e73ea404fa53c2e64cf1bcd0416d2f84cc36"}),
+    ("voronoi-gram-3", ["voronoi"], GRAM_3, 0, {
+        "voronoi.json":
+            "13963019b76e982cc193d1d8a1d6b7c055d584d970b55cbdb60d7d44f70d8355"}),
+    ("voronoi-gram-4", ["voronoi"], GRAM_4, 0, {
+        "voronoi.json":
+            "627b27295f580b5b0a1827591de8aa24c98949a482c317e912a977ed8cd43539"}),
 ]
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropitheta import theta, voronoi
-from tropitheta.exactlinalg import Matrix, gram_norm
+from tropitheta.exactlinalg import Matrix
 from tropitheta.theta import lattice_argmin
 from tropitheta.torus import build_torus, validate_datum
 from tropitheta.voronoi import (
@@ -25,7 +25,8 @@ from tropitheta.voronoi import (
 )
 
 from oracles import (
-    closest_point, half_periods_per_point, relevant_vectors_per_class,
+    closest_point, gram_norm, half_periods_per_point,
+    relevant_vectors_per_class,
 )
 
 

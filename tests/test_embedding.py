@@ -1,4 +1,5 @@
 import inspect
+import json
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -17,10 +18,10 @@ from tropitheta import (
 )
 from tropitheta.embedding import (
     CellMap, PiecewiseAffineMap, check_injective, check_unimodular,
-    affine_piece, faithful_certificate, fundamental_domain, image_complex_1d,
+    faithful_certificate, fundamental_domain, image_complex_1d,
     linearity_cells, phi_eval,
 )
-from tropitheta.theta import Q_ELL, ThetaFunction, theta_eval
+from tropitheta.theta import Q_ELL, ThetaFunction, affine_piece, theta_eval
 from tropitheta.torus import build_torus, polarization_type, validate_datum
 
 from oracles import (
@@ -393,23 +394,34 @@ class TestIntegerCellMap:
         assert all(len(cm.A) == 17 and all(len(row) == 2 for row in cm.A)
                    for cm in pam.cells)
 
-    def test_offsets_once_per_datum(self, monkeypatch):
-        # the offset constants, L^-1 among them, are computed once per
-        # datum, not once per representative
+    @pytest.mark.parametrize("argv, payload, count", [
+        # Pmat^-1, the LDL^T of G, U^-1, L^-1, r = G^-1.ell, and the LDL^T
+        # and inverse of the coset walk's Gram matrix
+        (["certify", "--resolution", "8"], {"datum": {
+            "Pmat": {"rows": 2, "cols": 2, "entries": ["8", "16", "-16", "0"]},
+            "L": {"rows": 2, "cols": 2, "entries": ["3", "6", "-3", "0"]},
+            "ell": ["0", "0"]}}, 7),
+        # the LDL^T and inverse of G, by the walk
+        (["voronoi"], {"G": {"rows": 3, "cols": 3, "entries": [
+            "4", "1", "-1", "1", "3", "1/2", "-1", "1/2", "5"]}}, 2)],
+        ids=["certify-plane", "voronoi-gram"])
+    def test_eliminations_per_job(self, monkeypatch, tmp_path, argv,
+                                  payload, count):
+        # each constant of the datum or the Gram matrix is derived once:
+        # one rational elimination apiece
         calls = []
-        inverse = embedding.inverse
+        eliminate = exactlinalg._eliminate
 
-        def counted(M):
+        def counted(M, extra=None):
             calls.append(M)
-            return inverse(M)
-        monkeypatch.setattr(embedding, "inverse", counted)
-        for k in (1, 2):
-            datum = plane_datum(*self.PLANE_4)
-            assert len(polarization_type(datum).reps) == 18
-            linearity_cells(datum)
-            assert len(calls) == k
-            linearity_cells(datum)
-            assert len(calls) == k
+            return eliminate(M, extra)
+        monkeypatch.setattr(exactlinalg, "_eliminate", counted)
+        theta._prepared.cache_clear()
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(argv[:1] + ["--input", str(path)] + argv[1:]
+                        + ["--output", str(tmp_path / "out")]) == 0
+        assert len(calls) == count
 
     def test_two_unknowns_stay_exact_on_integer_slopes(self):
         # integer slope entries with a Fraction offset: every quotient is a
@@ -629,6 +641,24 @@ class TestFaithfulCertificate:
         space = validate_datum(build_torus(Matrix.identity(3)), L, [0, 0, 0])
         assert faithful_certificate(space, resolution=4, mode="exact") \
             == faithful_certificate(space, resolution=4)
+
+    def test_one_grid_walk_above_the_plane(self, monkeypatch):
+        # n = 3 samples unimodularity and injectivity on one pass over the
+        # 6^3 grid: one coset walk per point
+        calls = []
+        walk = embedding._coset_argmins
+
+        def counted(datum, v):
+            calls.append(v)
+            return walk(datum, v)
+        monkeypatch.setattr(embedding, "_coset_argmins", counted)
+        P = Matrix.from_rows([[4, 1, 0], [1, 5, 1], [0, 1, 6]])
+        L = Matrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+        datum = validate_datum(build_torus(P), L, [Fraction(1, 3), 0,
+                                                   Fraction(-1, 2)])
+        rep = faithful_certificate(datum)
+        assert len(calls) == len(set(calls)) == 216
+        assert rep.faithful and rep.injective.status == "sampled-ok"
 
     def test_translation_preserves_the_verdict(self):
         # replacing ell by ell - G.v translates phi, so the report

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropitheta.exactlinalg import (
-    Matrix, det, dot, gram_norm, integer_vector, invariant_factors, inverse,
+    Matrix, det, dot, integer_vector, invariant_factors, inverse,
     _int_det, is_positive_definite, is_unimodular_rows,
     ldlt, snf, solve,
 )
@@ -12,7 +12,7 @@ from tropitheta.errors import NotSymmetric, SingularMatrix, SingularPivot
 from tropitheta.theta import _prepared, lattice_argmin
 
 from oracles import (
-    det_expansion, diagonal_matrix, is_unimodular_map,
+    col, det_expansion, diagonal_matrix, gram_norm, is_unimodular_map,
     minor_gcd_invariant_factors, sylvester_is_positive_definite, zero_matrix,
 )
 
@@ -57,7 +57,7 @@ class TestMatrix:
         m = Matrix.from_rows([[1, 2], [3, 4]])
         assert m[0, 1] == 2
         assert m.row(1) == (3, 4)
-        assert m.col(0) == (1, 3)
+        assert col(m, 0) == (1, 3)
         assert m.transpose() == Matrix.from_rows([[1, 3], [2, 4]])
 
     def test_entries_become_fractions(self):

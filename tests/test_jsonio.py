@@ -36,9 +36,13 @@ class TestRationals:
         assert jsonio.rational_to_str(Fraction(4, 2)) == "2"
         assert jsonio.rational_to_str(Fraction(-3, 9)) == "-1/3"
 
-    @pytest.mark.parametrize("bad", ["", "x", "1/0", "1.5.2", None,
-                                     "1e10000000", "1E5", 0.1, 1e15, 1e16,
-                                     "1_000", True, [1]])
+    # the strings after [1] are all forms that Fraction reads but that are
+    # not -?[0-9]+(/[0-9]+)? in ASCII: a decimal point, a sign, blanks and
+    # a non-ASCII digit (U+0663, ARABIC-INDIC THREE)
+    @pytest.mark.parametrize("bad", [
+        "", "x", "1/0", "1.5.2", None, "1e10000000", "1E5", 0.1, 1e15, 1e16,
+        "1_000", True, [1], pytest.param("0.1", id="decimal-0.1"), "-.5",
+        "1.", "+3", " 3 ", "\t-5/7", "\u0663"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(SchemaError):
             jsonio.rational_from_str(bad)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropitheta.exactlinalg import (
-    Matrix, dot, gram_norm, inverse, solve, vec_add, vec_scale, vec_sub,
+    Matrix, dot, inverse, solve, vec_add, vec_scale, vec_sub,
 )
 from tropitheta.errors import NotPolarization, PreconditionViolated
 from tropitheta.theta import _ball
@@ -16,7 +16,7 @@ from tropitheta.torus import build_torus, validate_datum
 from oracles import (
     ThetaCombination, box_argmin, certified_box_argmin, concavity_check,
     diagonal_matrix, ellipsoid_box_scan, floor_plus_sqrt,
-    gamma_rational_check, lattice_point, min_plus_eval,
+    gamma_rational_check, gram_norm, lattice_point, min_plus_eval,
     quasi_periodicity_check, round_half_up, sublattice_identity_check,
     translate_datum,
 )

@@ -44,6 +44,11 @@ class TestBuildTorus:
     def test_singular_rejected(self):
         with pytest.raises(SingularEmbedding):
             build_torus(Matrix.from_rows([[1, 0], [0, 0]]))
+        # singular with no zero entry, and the zero 1 x 1 period
+        with pytest.raises(SingularEmbedding):
+            build_torus(Matrix.from_rows([[1, 2], [2, 4]]))
+        with pytest.raises(SingularEmbedding):
+            build_torus(Matrix.from_rows([[0]]))
 
 
 class TestValidateDatum:

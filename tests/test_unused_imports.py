@@ -13,8 +13,9 @@ function or class whose name starts with one underscore must appear as a
 Name or an attribute in some module of the package, so a helper that lost
 its last caller is seen.  A public top-level function or class, and a
 public non-dunder method of a package class, must be mentioned (a method
-by its own name) in the package outside its own definition, in a demo, or
-as a "<module>.<name>" metric of bench/tracing.py; code that only tests
+as an attribute of its own name, so a local variable of that name does
+not count) in the package outside its own definition, in a demo, or as a
+"<module>.<name>" metric of bench/tracing.py; code that only tests
 call belongs in tests/oracles.py, and each exception is listed with its
 reason.  The package's __all__ lists each name it
 imports once, and each entry resolves.
@@ -132,12 +133,12 @@ def test_the_check_sees_an_unused_private_definition():
 
 
 def _mentions(tree):
-    # (line, name) of every Name and attribute
+    # (line, name, is an attribute) of every Name and attribute
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.lineno, node.id
+            yield node.lineno, node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.lineno, node.attr
+            yield node.lineno, node.attr, True
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -161,24 +162,27 @@ def _public_defs(tree):
 def uncalled_public_defs(package, scripts, metrics):
     # (module, line, name) of every public definition of the package
     # sources (module -> text), as _public_defs gives them, whose last
-    # name part no Name or attribute mentions outside the definition's own
-    # lines, in the package or in the scripts (texts), and that metrics
-    # (of "module.name") does not name
+    # name part no Name or attribute (for a method, no attribute) mentions
+    # outside the definition's own lines, in the package or in the scripts
+    # (texts), and that metrics (of "module.name") does not name
     defined = []
     mentions = {}
     for module, source in package.items():
         tree = ast.parse(source)
         defined += [(module, node.lineno, node.end_lineno, name)
                     for node, name in _public_defs(tree)]
-        for line, name in _mentions(tree):
-            mentions.setdefault(name, []).append((module, line))
+        for line, name, attr in _mentions(tree):
+            mentions.setdefault(name, []).append((module, line, attr))
     for source in scripts:
-        for _, name in _mentions(ast.parse(source)):
-            mentions.setdefault(name, []).append((None, 0))
+        for _, name, attr in _mentions(ast.parse(source)):
+            mentions.setdefault(name, []).append((None, 0, attr))
 
     def called(module, first, last, name):
-        return any(where != module or not first <= line <= last
-                   for where, line in mentions.get(name.split(".")[-1], ()))
+        method = "." in name
+        return any((attr or not method)
+                   and (where != module or not first <= line <= last)
+                   for where, line, attr
+                   in mentions.get(name.split(".")[-1], ()))
     return sorted((module, first, name)
                   for module, first, last, name in defined
                   if not called(module, first, last, name)
@@ -227,6 +231,14 @@ def test_the_check_sees_an_uncalled_public_method():
                     "Kept()\n"}
     assert uncalled_public_defs(package, [], set()) == [
         ("a", 8, "Kept.only_itself")]
+    # a local variable named like a method is no call of it
+    shadowed = {"a": "class Kept:\n"
+                     "    def col(self):\n        pass\n\n\n"
+                     "def walk(rows):\n"
+                     "    return [col for col in rows]\n\n\n"
+                     "walk(Kept())\n"}
+    assert uncalled_public_defs(shadowed, [], set()) == [
+        ("a", 2, "Kept.col")]
     # a test calling a method is no library caller: scripts are demos only
     assert uncalled_public_defs(package, ["Kept().only_itself()\n"],
                                 set()) == []

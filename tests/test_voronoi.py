@@ -10,7 +10,7 @@ from tropitheta.errors import (
     PreconditionViolated,
 )
 from tropitheta.exactlinalg import (
-    Matrix, det, gram_norm, integer_vector, inverse, solve, vec_add,
+    Matrix, det, integer_vector, inverse, solve, vec_add,
 )
 from tropitheta.theta import ThetaFunction, lattice_argmin, theta_argmin, theta_eval, Q_ELL
 from tropitheta.theta import _homogeneous
@@ -26,7 +26,7 @@ from tropitheta import voronoi
 
 from oracles import (
     adapted_datum, centroid_ccw, clip_split, closest_point,
-    closest_points_brute, diagonal_matrix, half_period_system,
+    closest_points_brute, diagonal_matrix, gram_norm, half_period_system,
     hull_fractions, in_cell, is_unimodular_map, lattice_point,
     nested_cut_lines, on_boundary, polygon_area2, polygon_vertices,
     relevant_vectors_brute, split_polygon_fractions,
@@ -127,6 +127,12 @@ class TestRelevantVectors:
             relevant_vectors(Matrix.from_rows([[0]]))
         with pytest.raises(NotPolarization):
             relevant_vectors(Matrix.from_rows([[1, 1], [0, 1]]))
+        with pytest.raises(NotPolarization):
+            relevant_vectors(Matrix.from_rows([[1, 0]]))
+        with pytest.raises(NotPolarization):
+            VoronoiCell(Matrix.from_rows([[1, 1], [0, 1]]))
+        with pytest.raises(NotPolarization):
+            VoronoiCell(Matrix.from_rows([[2, 1], [1, -3]]))
 
     def test_negation_closure_and_no_zero(self):
         for G in (I2, HEX, Matrix.from_rows([[3, 1], [1, 5]])):
@@ -332,7 +338,7 @@ class TestGoodDecomposition:
                 assert gd.cell.contains(vec_add(p.basis[0], v))
 
     def check_pieces(self, gd, d):
-        n = gd.cell.lattice.n
+        n = gd.cell.G.rows
         total = Fraction(0)
         for piece in gd.pieces:
             total += abs(polygon_area2(piece.vertices))
