@@ -12,8 +12,7 @@ point.
 """
 
 from .exactlinalg import (
-    Matrix, det, inverse, invariant_factors, is_positive_definite, ldlt, snf,
-    solve,
+    Matrix, det, inverse, is_positive_definite, ldlt, snf, solve,
 )
 from .torus import (
     TorusPresentation, TropicalDescentDatum, build_torus, polarization_type,
@@ -40,8 +39,8 @@ from .nalift import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Matrix", "det", "inverse", "invariant_factors",
-    "is_positive_definite", "ldlt", "snf", "solve",
+    "Matrix", "det", "inverse", "is_positive_definite", "ldlt", "snf",
+    "solve",
     "TorusPresentation", "TropicalDescentDatum", "build_torus",
     "polarization_type", "validate_datum",
     "INF", "LAMBDA_GAMMA", "Q_ELL", "ThetaFunction",

@@ -7,8 +7,8 @@ the package needs.  One rational Gaussian elimination serves determinants,
 solves, inverses (one elimination beside the identity) and the LDL^T
 factorization that doubles as the positive-definiteness test.  The integer
 Smith elimination gives the Smith normal form with recorded unimodular
-row/column transforms, and invariant factors without transforms.  Unimodularity
-needs no Smith form: it is a gcd of 1 of the maximal minors (Newman, 1972).
+row/column transforms.  Unimodularity needs no Smith form: it is a gcd
+of 1 of the maximal minors (Newman, 1972).
 """
 
 from fractions import Fraction
@@ -318,14 +318,6 @@ def snf(A):
     D = _smith(A, U, Vt)
     return SmithDecomposition(Matrix.from_rows(U), Matrix.from_rows(D),
                               Matrix.from_rows(Vt).transpose())
-
-
-def invariant_factors(A):
-    """Nonzero diagonal entries of the Smith form, in divisibility order
-    (the zero entries trail them).  The elimination records no transforms
-    and builds no Matrix."""
-    D = _smith(A, [[] for _ in range(A.rows)], [[] for _ in range(A.cols)])
-    return tuple(D[i][i] for i in range(min(A.rows, A.cols)) if D[i][i])
 
 
 def is_unimodular_rows(rows, n):

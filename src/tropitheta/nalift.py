@@ -20,8 +20,8 @@ monomials in the common case: _prod_pows folds monomial factors in closed
 form (exponents add over one common denominator, coefficients multiply)
 and sends only the other factors through vs_pow and vs_mul, and vs_mul of
 a monomial and a series shifts and scales the terms without renormalizing.
-Tropicalization puts the sample and the valuations over one common
-denominator, so each <u, v> + val(g_u) is an integer dot product.
+Tropicalization puts the valuations over one denominator once, and
+certifies every part at a sample from one coset walk of theta there.
 """
 
 from fractions import Fraction
@@ -37,8 +37,8 @@ from .errors import (
 )
 from .embedding import linearity_cells
 from .exactlinalg import Matrix, to_vector
-from .theta import INF, lattice_argmin, theta_h_vector
-from .torus import polarization_type, validate_datum
+from .theta import INF, _center, _coset_argmins, _offsets, _piece
+from .torus import per_datum, polarization_type, validate_datum
 
 
 # -- valued scalars ----------------------------------------------------------
@@ -346,16 +346,33 @@ def _polarized_trop(datum):
     return trop
 
 
-def _window_minimum(trop, b, v, radius):
-    """The lattice minimum over a of the valuation growth of part b at v,
-    certified to be attained inside the window |a_i| <= radius."""
+def _window_minimum(trop, b, v, radius, walk=None):
+    """b.v plus the lattice minimum of part b's valuation growth at v,
+    certified inside the window |a_i| <= radius: for b = reps[k] + L.c,
+    class k's minimizers in walk (the coset walk at v, made if None) less c,
+    and theta_b's integer piece at one of them, slope.v + (off - off_0)/E."""
     if radius < 0:
         raise PreconditionViolated("window radius must be nonnegative")
-    res = lattice_argmin(trop.G, theta_h_vector(trop, b, v))
-    if any(abs(c) > radius for a in res.minimizers for c in a):
+    vn, vd = _center(to_vector(v))
+    walk = walk or _coset_argmins(trop, (*vn, vd)).minimizers
+    k, c = _class_of(trop, b)
+    mins = [tuple(x - y for x, y in zip(a, c)) for a in walk[k]]
+    if any(abs(x) > radius for a in mins for x in a):
         raise WindowInsufficient("window radius %d misses the valuation "
                                  "minimum at %r" % (radius, tuple(v)))
-    return res.value
+    slope, off = _piece(trop, b, mins[0])
+    off0, E = _piece(trop, b, (0,) * trop.n)[1], _offsets(trop)[0]
+    return Fraction(sum(map(mul, slope, vn)) * E + (off - off0) * vd, E * vd)
+
+
+@per_datum
+def _class_of(trop, b):
+    # (k, c) with b = reps[k] + L.c: U.b = box + d.q, reps[k] = U^-1.box
+    info = polarization_type(trop)
+    q, box = zip(*(divmod(int(x), d)
+                   for x, d in zip(info.U.matvec(b), info.type)))
+    rep = tuple(int(x) for x in info.Uinv.matvec(box))
+    return info.reps.index(rep), tuple(int(x) for x in info.V.matvec(q))
 
 
 def _part_coeffs(datum, b, multiplier, radius):
@@ -390,30 +407,32 @@ def tropicalize_fourier(fd, v):
     """min over the support of <u, v> + val(coeff_u), certified against
     the infinite tail: per part the full lattice minimum of the quadratic
     valuation growth must be attained inside the window."""
-    finite, certified = _tropicalize(fd, c_trop(fd.window.datum), v)
+    finite, certified = next(_tropicalize(fd, c_trop(fd.window.datum), [v]))
     if finite != certified:
         raise InternalInvariantViolated(
             "stored coefficients disagree with the certified minimum")
     return finite
 
 
-def _tropicalize(fd, trop, v):
-    # (stored minimum, certified minimum of the parts), given the tropical
-    # datum trop of the window datum; over one common denominator of v and
-    # the valuations, <u, v> + val is an integer dot product plus an integer
-    v = to_vector(v)
-    if not fd.coeffs:
-        return INF, INF
+def _tropicalize(fd, trop, samples):
+    # Per sample v = vn / vd, lazily: (stored minimum, certified minimum of
+    # the parts of the window datum, whose tropical datum is trop), from the
+    # valuations over one denominator wden and one coset walk per sample.
     vals = [(u, vs_val(g)) for u, g in fd.coeffs.items()]
-    den = lcm(*(c.denominator for c in v), *(w.denominator for _, w in vals))
-    vnum = [c.numerator * (den // c.denominator) for c in v]
-    finite = Fraction(min(sum(map(mul, u, vnum))
-                          + w.numerator * (den // w.denominator)
-                          for u, w in vals), den)
-    certified = min((vs_val(mult) + Fraction(sum(map(mul, b, vnum)), den)
-                     + _window_minimum(trop, b, v, radius)
-                     for b, mult, radius in fd.window.parts), default=INF)
-    return finite, certified
+    wden = lcm(*(w.denominator for _, w in vals))
+    vals = [(u, w.numerator * (wden // w.denominator)) for u, w in vals]
+    for v in map(to_vector, samples):
+        if not vals:
+            yield INF, INF
+            continue
+        vn, vd = _center(v)
+        den = lcm(vd, wden)
+        vnum = [c * (den // vd) for c in vn]
+        finite = Fraction(min(sum(map(mul, u, vnum)) + w * (den // wden)
+                              for u, w in vals), den)
+        walk = fd.window.parts and _coset_argmins(trop, (*vn, vd)).minimizers
+        yield finite, min((vs_val(mult) + _window_minimum(trop, b, v, r, walk)
+                           for b, mult, r in fd.window.parts), default=INF)
 
 
 def verify_na_quasi_periodicity(fd, datum, wprime):
@@ -474,9 +493,9 @@ def surjective_lift(datum, targets, radius):
     lift of each finite slot b, scaled by t^(c_b), becomes one part
     (b, t^(c_b), radius).  The report is verified when, at two interior
     samples of every linearity cell, the stored coefficients' minimum equals
-    the certified minimum of the parts.  The representatives b lie in
-    distinct cosets of L.Z^n, so the parts have disjoint supports and no
-    leading terms cancel: every residue multiplier is 1."""
+    the parts' certified minimum, one coset walk per sample.  The parts'
+    representatives lie in distinct cosets of L.Z^n: disjoint supports, no
+    leading terms cancel, and every residue multiplier is 1."""
     trop = _polarized_trop(datum)
     reps = polarization_type(trop).reps
     targets = list(targets)
@@ -496,7 +515,7 @@ def surjective_lift(datum, targets, radius):
         coeffs.update(_part_coeffs(datum, b, mult, radius))
     fd = FourierData(coeffs, LiftWindow(datum, parts))
     verified = all(finite == certified for finite, certified
-                   in (_tropicalize(fd, trop, v) for v in samples))
+                   in _tropicalize(fd, trop, samples))
     return fd, LiftReport((1,) * len(parts), tuple(samples), verified)
 
 

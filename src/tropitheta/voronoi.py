@@ -12,7 +12,8 @@ per-piece certificates: the basis turns into integer shift vectors whose
 shared-argmin property is verified exactly, and whose rows assemble into a
 unimodular matrix.  Every minimization asks theta's walk for the lattice
 points of each class mod d nearest a rational center: one walk mod 2 for
-the relevant vectors and for the half periods, one class otherwise.
+the relevant vectors and for the half periods, one class otherwise.  Each
+containment is decided in integers, over integer-homogeneous vertices.
 
 The module owns the package's one convex-polytope kernel, for intervals
 and polygons alike: a one-pass split along a line (a point, for n = 1) and
@@ -34,11 +35,13 @@ from .errors import (
     NotPolarization, PreconditionViolated,
 )
 from .exactlinalg import (
-    Matrix, det, dot, integer_vector, invariant_factors, inverse,
-    is_unimodular_rows, snf, solve, to_vector, vec_add, vec_scale,
+    Matrix, _int_det, det, dot, integer_vector, inverse, is_unimodular_rows,
+    snf, solve, to_vector, vec_add, vec_scale,
 )
 from .theta import _ball, _center, _homogeneous, _nearest
 from .torus import per_datum, polarization_type
+
+MOD2_CLASS_BUDGET = 2 ** 12  # n = 12: a 9 s walk on one Xeon core, 4x per n
 
 
 def relevant_vectors(G):
@@ -49,10 +52,13 @@ def relevant_vectors(G):
     shortest vectors of every class mod 2, and each nonzero class
     contributes its pair precisely when its minimum is a two-way tie.
     Raises NotPolarization unless G is symmetric (checked here) and
-    positive definite (checked by the walk).
+    positive definite (by the walk), PreconditionViolated past the budget.
     """
     if not G.is_symmetric():
         raise NotPolarization("Gram matrix must be symmetric")
+    if 2 ** G.rows > MOD2_CLASS_BUDGET:
+        raise PreconditionViolated("2^%d classes mod 2 exceed the budget of "
+                                   "%d" % (G.rows, MOD2_CLASS_BUDGET))
     out = []
     classes, _, _ = _nearest(G, [0] * G.rows, 1, (2,) * G.rows)
     for vs in classes[1:]:
@@ -101,18 +107,18 @@ def _half_periods(cell, x):
     # the cell, minus x, is -z/2 for the point z of the class 2t mod 2
     # nearest 2x, so one walk mod 2 gives them all; the classes come in the
     # order of product((0, 1/2)), the least z gives the least nearest point
-    # (z + 2t)/2, and a greedy scan keeps each candidate that raises the
-    # rank of the doubled ones
+    # (z + 2t)/2, and a greedy scan keeps each z that makes a maximal minor
+    # of the chosen ones nonzero
     n = cell.G.rows
     chosen = []
     classes, _, _ = _nearest(cell.G, *_center([2 * c for c in x]), (2,) * n)
     for zs in classes:
-        q = tuple(Fraction(-c, 2) for c in zs[0])
-        doubled = Matrix.from_rows([[2 * c for c in r] for r in chosen + [q]])
-        if len(invariant_factors(doubled)) > len(chosen):
-            chosen.append(q)
+        rows = chosen + [zs[0]]
+        if any(_int_det([[r[j] for j in cols] for r in rows])
+               for cols in combinations(range(n), len(rows))):
+            chosen = rows
             if len(chosen) == n:
-                return chosen
+                return [tuple(Fraction(-c, 2) for c in z) for z in chosen]
     raise InternalInvariantViolated("no independent half-period system")
 
 
@@ -177,13 +183,6 @@ def _simplex_basis(qs):
         tail = vec_add(tail, vec_scale(1 - shears[j], lifted[j]))
     out.append(tuple(c / (n - 1) for c in tail))
     return out
-
-
-def _normalize_line(a, c):
-    # integer, content-one, sign-fixed representative of the line a.x = c
-    *ints, _ = _homogeneous((*a, c))
-    g = gcd(*ints) if next(x for x in ints if x) > 0 else -gcd(*ints)
-    return tuple(x // g for x in ints[:-1]), ints[-1] // g
 
 
 # -- convex polytopes: intervals [lo, hi], counterclockwise polygons --------
@@ -264,8 +263,9 @@ def _cell_polytope(cell):
         if cell.contains(x):
             pts.add(x)
     # counterclockwise from the first vertex at or past the centroid's +x ray
-    hull = [_rational(p) for p in _hull(map(_homogeneous, pts))]
-    cx, cy = _barycenter(hull)
+    hull = _hull(map(_homogeneous, pts))
+    cx, cy = _rational(_mean(hull))
+    hull = [_rational(p) for p in hull]
     below = [y < cy or (y == cy and x < cx) for x, y in hull]
     k = next(i for i in range(len(hull)) if below[i - 1] and not below[i])
     return hull[k:] + hull[:k]
@@ -280,15 +280,19 @@ def _cut_lines(cell):
     # the t in (1/2) Z^n with t^T G t <= B: every p - s is one, and every
     # such t arises from s = -t, p = 0.  So one enumeration of the integer
     # vectors 2t with (2t)^T G (2t) <= 4B, the Fincke-Pohst walk of theta
-    # over the ball of G around the origin, gives every cut line.
+    # over the ball of G around the origin, gives every cut line: for a
+    # facet A.x = C in integers, 2A.x = 2C + 2t.A over one signed gcd.
     G = cell.G
     n = G.rows
     bound = n * sum(G[i, i] for i in range(n))  # diam(cell)^2 <= n tr G
+    hs = [(A, C, 1 if next(x for x in A if x) > 0 else -1, 2 * gcd(*A))
+          for a, c in cell.halfspaces for *A, C, _ in [_homogeneous((*a, c))]]
     lines = set()
     for s2 in _ball(G, 4 * bound):
-        shift = vec_scale(Fraction(1, 2), s2)
-        for a, c in cell.halfspaces:
-            lines.add(_normalize_line(a, c + dot(shift, a)))
+        for A, C, s, gA in hs:
+            c = 2 * C + sum(map(mul, s2, A))
+            g = s * gcd(gA, c)
+            lines.add((tuple(2 * x // g for x in A), c // g))
     return lines
 
 
@@ -298,12 +302,14 @@ def _split_cell(cell):
     polys = [[_homogeneous(v) for v in _cell_polytope(cell)]]
     for a, c in sorted(_cut_lines(cell)):
         polys = [part for p in polys for part in _split_polygon(p, a, c)]
-    return [[_rational(v) for v in p] for p in polys]
+    return polys
 
 
-def _barycenter(pts):
-    m = len(pts)
-    return tuple(sum(p[i] for p in pts) / m for i in range(len(pts[0])))
+def _mean(pts):
+    # the barycenter of integer-homogeneous points, over k lcm(W) (unreduced)
+    m = lcm(*(p[-1] for p in pts))
+    return (*(sum(p[i] * (m // p[-1]) for p in pts)
+              for i in range(len(pts[0]) - 1)), len(pts) * m)
 
 
 class Piece(NamedTuple):
@@ -324,8 +330,8 @@ def good_decomposition(G, d):
     Each full-dimensional piece sigma of the returned decomposition comes
     with a basis of the lattice Z p_1/d_1 + ... + Z p_n/d_n (coordinates
     with respect to p_i, so entries in (1/d_i) Z) whose members translate
-    sigma back into the cell; every containment is verified through the
-    halfspaces at the piece's vertices.  Only n <= 2 is implemented.
+    sigma back into the cell, each containment decided in integers through
+    the halfspaces at the piece's vertices.  Only n <= 2 is implemented.
     """
     n = G.rows
     if n > 2:
@@ -338,30 +344,33 @@ def good_decomposition(G, d):
     if d[0] < 2 * factorial(n - 1):
         raise PreconditionViolated("d_1 must be at least 2 (n-1)!")
     cell = VoronoiCell(G)
+    hs = [_homogeneous((*a, c))[:-1] for a, c in cell.halfspaces]
     delta = [x // d[0] for x in d]
-    pieces = []
+    pieces, bases = [], {}
     for poly in _split_cell(cell):
-        # q + y lies in the cell for every vertex y of the piece exactly
-        # when a.q <= c - max_y a.y for every halfspace (a, c)
-        room = [(a, c - max(dot(a, y) for y in poly))
-                for a, c in cell.halfspaces]
-        qs = _half_periods(cell, _barycenter(poly))
-        if not all(_fits(room, q) for q in qs):
+        # q + X/W lies in the cell for every vertex X/W exactly when
+        # m A.q <= m C - max m A.X/W in every A.x <= C, m the lcm of the W
+        m = lcm(*(p[-1] for p in poly))
+        room = [(A, m * C - max(sum(map(mul, A, p)) * (m // p[-1])
+                                for p in poly)) for *A, C in hs]
+        qs = tuple(_half_periods(cell, _rational(_mean(poly))))
+        if not all(_fits(room, m, q) for q in qs):
             raise InternalInvariantViolated("half period escapes the cell")
-        coords = [tuple(2 * delta[i] * q[i] for i in range(n)) for q in qs]
-        scaled = basis_in_simplex(coords, Fraction(d[0], 2))
-        basis = [tuple(p[i] / (2 * delta[i]) for i in range(n))
-                 for p in scaled]
-        if not all(_fits(room, p) for p in basis):
+        if qs not in bases:
+            coords = [tuple(2 * delta[i] * q[i] for i in range(n)) for q in qs]
+            scaled = basis_in_simplex(coords, Fraction(d[0], 2))
+            bases[qs] = tuple(tuple(p[i] / (2 * delta[i]) for i in range(n))
+                              for p in scaled)
+        if not all(_fits(room, m, p) for p in bases[qs]):
             raise InternalInvariantViolated("basis vector escapes the cell")
-        pieces.append(Piece(tuple(tuple(v) for v in poly), tuple(qs),
-                            tuple(basis)))
+        pieces.append(Piece(tuple(map(_rational, poly)), qs, bases[qs]))
     return GoodDecomposition(cell, tuple(pieces))
 
 
-def _fits(room, q):
-    # q translates the piece into the cell: a.q within every halfspace's room
-    return all(dot(a, q) <= r for a, r in room)
+def _fits(room, m, q):
+    # q = Q/w translates the piece into the cell: m A.Q <= R w in every room
+    *Q, w = _homogeneous(q)
+    return all(m * sum(map(mul, A, Q)) <= R * w for A, R in room)
 
 
 class CellCertificate(NamedTuple):
@@ -404,18 +413,19 @@ def cell_certificate(datum, piece, translate, atilde=None):
         atilde = tuple(-c for c in translate)
     else:
         atilde = integer_vector(atilde)
-    samples = [to_vector(v) for v in piece.vertices]
-    samples.append(_barycenter(samples))
+    samples = [_homogeneous(v) for v in piece.vertices]
+    samples.append(_mean(samples))
+    m = lcm(*d)
     for j, ell in enumerate(ells):
-        frac = [Fraction(ell[i], d[i]) for i in range(n)]
-        for y in samples:
+        for *X, W in samples:
             # the minimizers are the lattice points nearest
-            # -(translate + y + l/d)
-            c = [-translate[i] - y[i] - frac[i] for i in range(n)]
-            (points,), _, _ = _nearest(Ga, *_center(c))
+            # -(translate + X/W + l/d), over the denominator m W
+            (points,), _, _ = _nearest(Ga, [
+                -(t * W + x) * m - e * (m // di) * W
+                for t, x, e, di in zip(translate, X, ell, d)], m * W)
             if atilde not in points:
-                raise CertificateFailed(
-                    "shared argmin fails for shift %d at %s" % (j, tuple(y)))
+                raise CertificateFailed("shared argmin fails for shift %d at "
+                                        "%s" % (j, _rational((*X, W))))
     if not is_unimodular_rows(ells[1:], n):
         raise CertificateFailed("certificate rows are not unimodular")
     return CellCertificate(tuple(ells), atilde)

@@ -5,27 +5,33 @@ importing the package under test: naive minor expansions, exhaustive box
 enumeration (around a center, and over the box of an ellipsoid), exact
 rounding and square-root floors, Sylvester minors, the two-pass polygon
 clipping and centroid ordering that the polygon kernel replaced, and the
-generic-Fraction one-pass split and hull that its integer-homogeneous form
-replaced.  Slow but obviously correct at the sizes the tests use.  The
+generic-Fraction one-pass split and hull that its integer-homogeneous
+form replaced.  Slow but obviously correct at the sizes the tests use.  The
 last section holds small helpers that only tests call; they compose
-package functions.  Five of them are paths that a faster one replaced:
+package functions.  Seven of them are paths that a faster one replaced:
 the per-representative thetas (the coset walk), the per-class relevant
 vectors and per-point half periods (the walk mod 2 of voronoi), the
-all-pairs exact injectivity loop (the box sweep of embedding), and the
+all-pairs exact injectivity loop (the box sweep of embedding), the
 Fraction affine pieces (the integer pieces over one denominator per datum
-of theta).  The rest were public functions of the package that no
-library code, demo or benchmark layer calls, moved here with their bodies:
-the paper's identity checks (quasi-periodicity, min-plus combinations,
+of theta), the Fraction containments of the good decomposition and its
+certificates (the integer ones of voronoi), and the per-part lattice
+minimum at each sample of a Fourier datum (one coset walk per sample in
+nalift).  The invariant factors without transforms (the Smith elimination
+of exactlinalg with empty transform rows) sit with the first-principles
+oracles; voronoi's rank test, their last library caller, reads integer
+minors now.  The rest were public functions of the package that no library
+code, demo or benchmark layer calls, moved here with their bodies: the
+paper's identity checks (quasi-periodicity, min-plus combinations,
 translation of a datum, the sublattice identity), unimodularity of a
 Matrix, the datum constructions from a Gram matrix and in adapted bases,
 gamma, closest points and half-period systems of a Voronoi cell, the
 leading coefficient, scale and sum of Fourier data (the composition
-oracle of the one-pass surjective lift), and the JSON writers and
-readers that only round-trip tests use, and the Gram norm v^T G v, which
-the one product G v of each Voronoi halfspace replaced.  The same holds
-for the methods that only tests called, now functions of their object:
-the lattice point and coordinates of a torus, the pairing of a datum with
-a point, the zero and diagonal matrices, a column of a Matrix, and the
+oracle of the one-pass surjective lift), and the JSON writers and readers
+that only round-trip tests use, and the Gram norm v^T G v, which the one
+product G v of each Voronoi halfspace replaced.  The same holds for the
+methods that only tests called, now functions of their object: the
+lattice point and coordinates of a torus, the pairing of a datum with a
+point, the zero and diagonal matrices, a column of a Matrix, and the
 boundary test of a Voronoi cell.
 """
 
@@ -36,13 +42,12 @@ from math import ceil, floor, gcd, isqrt
 
 from tropitheta.embedding import InjectivityVerdict, _collision_pair
 from tropitheta.errors import (
-    DivisionByZero, NonIntegerLambda, NotPolarization, NotSymmetric,
-    PreconditionViolated, SchemaError,
+    CertificateFailed, DivisionByZero, NonIntegerLambda, NotPolarization,
+    NotSymmetric, PreconditionViolated, SchemaError, WindowInsufficient,
 )
 from tropitheta.exactlinalg import (
-    Matrix, det, dot, integer_vector, invariant_factors, inverse,
-    is_integer_vector, is_unimodular_rows, solve, to_vector, vec_add,
-    vec_scale, vec_sub,
+    Matrix, _smith, det, dot, integer_vector, inverse, is_integer_vector,
+    is_unimodular_rows, solve, to_vector, vec_add, vec_scale, vec_sub,
 )
 from tropitheta.jsonio import (
     rows_to_json, scalar_from_json, scalar_to_json, vector_to_json,
@@ -52,12 +57,15 @@ from tropitheta.nalift import (
 )
 from tropitheta.theta import (
     INF, Q_ELL, ArgminResult, ThetaFunction, _center, _h_constant, _nearest,
-    lattice_argmin, q_ell_constant, theta_eval,
+    lattice_argmin, q_ell_constant, theta_eval, theta_h_vector,
 )
 from tropitheta.torus import (
     TropicalDescentDatum, build_torus, polarization_type, validate_datum,
 )
-from tropitheta.voronoi import VoronoiCell, _half_periods
+from tropitheta.voronoi import (
+    CellCertificate, Piece, VoronoiCell, _half_periods, _rational,
+    _split_cell, adapted_gram, basis_in_simplex,
+)
 
 
 def det_expansion(rows):
@@ -94,6 +102,14 @@ def minor_gcd_invariant_factors(rows):
             break
         gs.append(g)
     return tuple(gs[k] // gs[k - 1] for k in range(1, len(gs)))
+
+
+def invariant_factors(A):
+    """Nonzero diagonal entries of the Smith form of the integer Matrix A,
+    in divisibility order (the zero entries trail them).  The elimination
+    records no transforms and builds no Matrix."""
+    D = _smith(A, [[] for _ in range(A.rows)], [[] for _ in range(A.cols)])
+    return tuple(D[i][i] for i in range(min(A.rows, A.cols)) if D[i][i])
 
 
 def sylvester_is_positive_definite(rows):
@@ -653,6 +669,79 @@ def half_periods_per_point(G, x):
             if len(chosen) == n:
                 return chosen
     raise AssertionError("no independent half-period system")
+
+
+def decomposition_fractions(datum, translates):
+    """(pieces, certificates) of voronoi.certified_cells with every
+    containment in generic Fractions: per piece the room c - max_y a.y of
+    each halfspace (a, c), a translation q fits when a.q is within every
+    room, the half periods come from one lattice_argmin per class, each
+    piece computes its own basis, and each certificate walks around the
+    rational sample points.  A failed certificate raises CertificateFailed
+    with the package's message."""
+    G = adapted_gram(datum)
+    d = polarization_type(datum).type
+    n = G.rows
+    cell = VoronoiCell(G)
+    delta = [x // d[0] for x in d]
+
+    def fits(room, q):
+        return all(dot(a, q) <= r for a, r in room)
+
+    def barycenter(pts):
+        return tuple(sum(p[i] for p in pts) / len(pts) for i in range(n))
+    pieces = []
+    for poly in _split_cell(cell):
+        poly = [_rational(v) for v in poly]
+        room = [(a, c - max(dot(a, y) for y in poly))
+                for a, c in cell.halfspaces]
+        qs = half_periods_per_point(G, barycenter(poly))
+        assert all(fits(room, q) for q in qs)
+        coords = [tuple(2 * delta[i] * q[i] for i in range(n)) for q in qs]
+        basis = [tuple(p[i] / (2 * delta[i]) for i in range(n))
+                 for p in basis_in_simplex(coords, Fraction(d[0], 2))]
+        assert all(fits(room, p) for p in basis)
+        pieces.append(Piece(tuple(poly), tuple(qs), tuple(basis)))
+    certs = []
+    for piece in pieces:
+        for t in translates:
+            ells = [(0,) * n] + [integer_vector([d[i] * p[i]
+                                                 for i in range(n)])
+                                 for p in piece.basis]
+            atilde = tuple(-c for c in t)
+            samples = list(piece.vertices) + [barycenter(piece.vertices)]
+            for j, ell in enumerate(ells):
+                for y in samples:
+                    c = [-t[i] - y[i] - Fraction(ell[i], d[i])
+                         for i in range(n)]
+                    if atilde not in closest_point(G, c).minimizers:
+                        raise CertificateFailed(
+                            "shared argmin fails for shift %d at %s"
+                            % (j, tuple(y)))
+            if not is_unimodular_rows(ells[1:], n):
+                raise CertificateFailed("certificate rows are not unimodular")
+            certs.append(CellCertificate(tuple(ells), atilde))
+    return pieces, certs
+
+
+def tropicalize_per_part(fd, trop, v):
+    """(stored minimum, certified minimum of the parts) of a Fourier datum
+    at v, one lattice_argmin per part: the minimum of
+    (1/2) a^T G a + h.a with h = L^T.v + Pmat^T.b - ell, whose minimizers
+    must lie in the part's window, plus val(mult) + b.v."""
+    v = to_vector(v)
+    if not fd.coeffs:
+        return INF, INF
+    certified = []
+    for b, mult, radius in fd.window.parts:
+        if radius < 0:
+            raise PreconditionViolated("window radius must be nonnegative")
+        res = lattice_argmin(trop.G, theta_h_vector(trop, b, v))
+        if any(abs(c) > radius for a in res.minimizers for c in a):
+            raise WindowInsufficient("window radius %d misses the valuation "
+                                     "minimum at %r" % (radius, tuple(v)))
+        certified.append(mult.terms[0][0] + dot(b, v) + res.value)
+    return fourier_minimum_dot(fd.coeffs, v), min(certified, default=INF)
 
 
 def rep_class_coords(datum, b1, b2):

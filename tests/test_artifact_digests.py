@@ -25,7 +25,10 @@ integer rows.  The theta jobs (both conventions, n = 1, 2, 3, a nonzero
 ell and, for n >= 2, a non-diagonal L), the type jobs on those data and
 the voronoi jobs on a bare Gram matrix (n = 2, 3, 4) pin the constants
 derived once per datum and the cell's halfspaces; their digests were
-recorded before those constants were shared.
+recorded before those constants were shared.  The voronoi jobs with
+'translates' (two and three translates on the plane panel data) pin the
+pieces, bases and certificates; their digests were recorded before the
+good decomposition decided its containments in integers.
 """
 
 import hashlib
@@ -56,6 +59,10 @@ PLANE_48 = _plane([[0, 12], [-12, 6]], [[0, 3], [-6, 3]])
 # PLANE_48 moved by c = 4/3 and the signed permutation that swaps the two
 # coordinates and flips the second: Pmat -> c S Pmat S, L -> S L S
 PLANE_48_MOVED = _plane([[8, 16], [-16, 0]], [[3, 6], [-3, 0]])
+
+# certificates of every piece for several translates, in piece-major order
+PLANE_48_MOVED_TRANSLATES = dict(PLANE_48_MOVED, translates=[[0, 0], [1, 0]])
+PLANE_4_TRANSLATES = dict(PLANE_4, translates=[[0, 0], [1, 0], [0, -1]])
 
 ELLIPTIC_2 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[2]]), "ell": ["0"]}}
 ELLIPTIC_3 = {"datum": {"Pmat": _mat([[12]]), "L": _mat([[3]]), "ell": ["0"]}}
@@ -176,6 +183,12 @@ JOBS = [
             "266a93a38fc8f7d57a948d2495cbfba6abe778c916414edea549159bb533fe37",
         "embed.svg":
             "fb32024797556d93e036f95e1c3f124b52ddd257f120b6523f4834618a2a1ffa"}),
+    ("voronoi-48-moved-translates", ["voronoi"], PLANE_48_MOVED_TRANSLATES,
+     0, {"voronoi.json":
+         "2798dcf32d1d468b3a6ca509dd9f87aec40a96edab9a723e429deb279c17be2f"}),
+    ("voronoi-4-translates", ["voronoi"], PLANE_4_TRANSLATES, 0, {
+        "voronoi.json":
+            "34808453d4780e7344f3ce70c8926235c11223ba763ab842c0a19f35dab2f359"}),
     ("voronoi-elliptic-3", ["voronoi"], ELLIPTIC_3, 0, {
         "voronoi.json":
             "fc2c115d69712be9d3ba93b75572745ba11c12660d9e686d493d691775a2a780"}),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -308,6 +309,19 @@ class TestVoronoiCommand:
         path = job(tmp_path, {"n": 2})
         assert run(tmp_path, "voronoi", "--input", path) == 1
 
+    def test_gram_beyond_the_class_budget_exits_two(self, tmp_path, capsys):
+        # 2^13 classes mod 2 exceed the budget: refused before the walk
+        n = 13
+        entries = [str(int(i == j)) for i in range(n) for j in range(n)]
+        path = job(tmp_path, {"G": {"rows": n, "cols": n, "entries": entries}})
+        start = time.perf_counter()
+        assert run(tmp_path, "voronoi", "--input", path) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "precondition failed: 2^13 classes mod 2 exceed the budget of "
+            "4096\n")
+        assert not (tmp_path / "out" / "voronoi.json").exists()
+
 
 class TestLiftCommand:
     def test_lift_single_representative(self, tmp_path):
@@ -376,6 +390,31 @@ class TestLiftCommand:
     def test_needs_b_or_targets(self, tmp_path):
         path = job(tmp_path, {"na_datum": na_elliptic_json()})
         assert run(tmp_path, "lift", "--input", path) == 1
+
+    # a window one smaller than the least that verifies: the window check at
+    # the origin passes and a later sample's check names that sample
+    @pytest.mark.parametrize("nad, targets, window, sample", [
+        (na_elliptic_json(d=4, cexp="25/2"), ["0", "inf", "inf", "1/2"], "1",
+         "(Fraction(191, 16),)"),
+        ({"Pmat": {"rows": 2, "cols": 2, "entries": ["3/2", "0", "0", "3/2"]},
+          "L": {"rows": 2, "cols": 2, "entries": ["2", "0", "0", "2"]},
+          "Tmat": [[[["3/2", "1"]], [["0", "1"]]],
+                   [[["0", "1"]], [["3/2", "1"]]]],
+          "cBasis": [[["5", "1"]], [["0", "1"]]]},
+         ["0", "inf", "1/2", "-1/2"], "2",
+         "(Fraction(11, 8), Fraction(3, 8))"),
+    ], ids=["circle", "plane"])
+    def test_window_one_too_small_names_the_sample(self, tmp_path, capsys,
+                                                   nad, targets, window,
+                                                   sample):
+        path = job(tmp_path, {"na_datum": nad, "targets": targets})
+        assert run(tmp_path, "lift", "--input", path,
+                   "--window", str(int(window) + 1)) == 0
+        capsys.readouterr()
+        assert run(tmp_path, "lift", "--input", path, "--window", window) == 2
+        assert capsys.readouterr().err == (
+            "precondition failed: window radius %s misses the valuation "
+            "minimum at %s\n" % (window, sample))
 
 
 class TestSchemaErrors:

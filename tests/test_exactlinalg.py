@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropitheta.exactlinalg import (
-    Matrix, det, dot, integer_vector, invariant_factors, inverse,
+    Matrix, det, dot, integer_vector, inverse,
     _int_det, is_positive_definite, is_unimodular_rows,
     ldlt, snf, solve,
 )
@@ -12,8 +12,9 @@ from tropitheta.errors import NotSymmetric, SingularMatrix, SingularPivot
 from tropitheta.theta import _prepared, lattice_argmin
 
 from oracles import (
-    col, det_expansion, diagonal_matrix, gram_norm, is_unimodular_map,
-    minor_gcd_invariant_factors, sylvester_is_positive_definite, zero_matrix,
+    col, det_expansion, diagonal_matrix, gram_norm, invariant_factors,
+    is_unimodular_map, minor_gcd_invariant_factors,
+    sylvester_is_positive_definite, zero_matrix,
 )
 
 

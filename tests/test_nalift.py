@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tropitheta import nalift, theta as theta_module
 from tropitheta.exactlinalg import Matrix, dot
@@ -22,7 +22,7 @@ from tropitheta.torus import build_torus, polarization_type
 from oracles import (
     ThetaCombination, c_extend_recursive, fourier_minimum_dot, fourier_scale,
     fourier_sum, gram_norm, min_plus_eval, pairing_brute, series_mul,
-    series_pow, vs_leading,
+    series_pow, tropicalize_per_part, vs_leading,
 )
 
 
@@ -463,6 +463,81 @@ class TestTropicalize:
         assert tropicalize_fourier(fd, v) == fourier_minimum_dot(fd.coeffs, v)
 
 
+@st.composite
+def skewed_fourier(draw):
+    """A Fourier datum over a monomial descent datum with n = 1 or 2, a
+    nonzero ell and, for n = 2, a non-diagonal L = U.diag(d).V, with
+    Pmat = W.L for a symmetric positive definite W (so G = L^T W L): one
+    part b = rep + L.c on some of the classes, c in {-1, 0, 1}^n, each
+    with a multiplier t^e and a window radius 0..3 that no check at the
+    origin has vetted.  Returns (fd, tropical datum)."""
+    n = draw(st.integers(1, 2))
+    if n == 1:
+        d = draw(st.integers(1, 4))
+        L = Matrix.from_rows([[d]])
+        W = Matrix.from_rows([[draw(small_fraction.filter(lambda x: x > 0))]])
+    else:
+        s, t = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+        assume(s or t)
+        d1, d2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        L = (Matrix.from_rows([[1, s], [0, 1]])
+             * Matrix.from_rows([[d1, 0], [0, d2]])
+             * Matrix.from_rows([[1, 0], [t, 1]]))
+        a, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        b = draw(st.sampled_from((0, Fraction(1, 2), Fraction(-1, 2))))
+        W = Matrix.from_rows([[a, b], [b, c]])
+    P = W * L
+    T = [[monomial(P[i, j]) for j in range(n)] for i in range(n)]
+    cB = [monomial(draw(small_fraction)) for _ in range(n)]
+    nad = build_na_datum(build_torus(P), L, T, cB)
+    trop = c_trop(nad)
+    assume(any(trop.ellVec))
+    reps = polarization_type(trop).reps
+    chosen = draw(st.lists(st.booleans(), min_size=len(reps),
+                           max_size=len(reps)))
+    assume(any(chosen))
+    parts = []
+    for rep, keep in zip(reps, chosen):
+        if keep:
+            c = [draw(st.integers(-1, 1)) for _ in range(n)]
+            b = tuple(int(x + y) for x, y in zip(rep, L.matvec(c)))
+            parts.append((b, monomial(draw(small_fraction)),
+                          draw(st.integers(0, 3))))
+    coeffs = {}
+    for b, mult, radius in parts:
+        coeffs.update(nalift._part_coeffs(nad, b, mult, radius))
+    return FourierData(coeffs, nalift.LiftWindow(nad, tuple(parts))), trop
+
+
+def _pairs(tropicalize, samples):
+    # the (finite, certified) pairs in sample order, and the message of
+    # the WindowInsufficient that stopped them, if one did
+    out = []
+    try:
+        for v in samples:
+            out.append(tropicalize(v))
+    except WindowInsufficient as exc:
+        return out, str(exc)
+    return out, None
+
+
+class TestOneWalkPerSample:
+    @given(case=skewed_fourier(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_part_minima(self, case, data):
+        # the one coset walk per sample against one lattice_argmin per
+        # part, over the combination samples and two random points, parts
+        # off their representatives included
+        fd, trop = case
+        point = st.tuples(*[st.builds(Fraction, st.integers(-30, 30),
+                                      st.integers(1, 7))] * trop.n)
+        samples = (nalift._combination_samples(trop)
+                   + [data.draw(point), data.draw(point)])
+        walk = nalift._tropicalize(fd, trop, samples)
+        assert _pairs(lambda v: next(walk), samples) \
+            == _pairs(lambda v: tropicalize_per_part(fd, trop, v), samples)
+
+
 class TestFourierSums:
     def test_disjoint_supports_take_the_min(self):
         nad = circle_na(d=3)
@@ -639,11 +714,12 @@ class TestSurjectiveLift:
         (circle_na(d=3), [0, Fraction(1, 2), INF]),
         (plane_na(), [0, INF, Fraction(-1, 3), 1]),
     ], ids=["circle", "plane"])
-    def test_one_argmin_per_part_per_sample(self, monkeypatch, nad,
-                                            targets):
-        # the cell refinement calls the kernel through embedding's own
-        # name, so the count is the window check at the origin and the
-        # sample check, per part; no theta function is evaluated
+    def test_one_coset_walk_per_sample(self, monkeypatch, nad, targets):
+        # the cell refinement calls the kernels through embedding's own
+        # names, so the counts are one coset walk per part, for the window
+        # check at the origin, and one per sample for all parts; nalift
+        # makes no lattice_argmin call and evaluates no theta function
+        assert not hasattr(nalift, "lattice_argmin")
         calls = []
 
         def counted(name, fn):
@@ -651,17 +727,17 @@ class TestSurjectiveLift:
                 calls.append(name)
                 return fn(*args)
             return wrapper
-        monkeypatch.setattr(nalift, "lattice_argmin",
-                            counted("argmin", nalift.lattice_argmin))
         monkeypatch.setattr(theta_module, "lattice_argmin",
                             counted("argmin", theta_module.lattice_argmin))
+        monkeypatch.setattr(nalift, "_coset_argmins",
+                            counted("walk", nalift._coset_argmins))
         monkeypatch.setattr(theta_module, "theta_eval",
                             counted("theta_eval", theta_module.theta_eval))
         fd, report = surjective_lift(nad, targets, 2)
         assert report.verified
-        parts = len(fd.window.parts)
-        assert calls.count("argmin") == parts * (len(report.samples) + 1)
-        assert "theta_eval" not in calls
+        assert calls.count("walk") \
+            == len(fd.window.parts) + len(report.samples)
+        assert "argmin" not in calls and "theta_eval" not in calls
 
     @pytest.mark.parametrize("case", sorted(LIFT_CASES))
     @given(data=st.data())

@@ -26,7 +26,8 @@ from tropitheta import voronoi
 
 from oracles import (
     adapted_datum, centroid_ccw, clip_split, closest_point,
-    closest_points_brute, diagonal_matrix, gram_norm, half_period_system,
+    closest_points_brute, decomposition_fractions, diagonal_matrix,
+    gram_norm, half_period_system,
     hull_fractions, in_cell, is_unimodular_map, lattice_point,
     nested_cut_lines, on_boundary, polygon_area2, polygon_vertices,
     relevant_vectors_brute, split_polygon_fractions,
@@ -369,6 +370,72 @@ class TestGoodDecomposition:
             good_decomposition(Matrix.identity(3), (2, 2, 2))
         with pytest.raises(NotPolarization):
             good_decomposition(Matrix.from_rows([[1, 2], [2, 1]]), (2, 2))
+
+
+@st.composite
+def skewed_data(draw):
+    """A polarized datum with n = 1 or 2, a nonzero ell and, for n = 2, a
+    non-diagonal L = U.diag(d).V of a type with d_1 >= 2, with
+    Pmat = W.L for a symmetric positive definite W (so G = L^T W L)."""
+    n = draw(st.integers(1, 2))
+    ell = [draw(st.fractions(-3, 3, max_denominator=4)) for _ in range(n)]
+    assume(any(ell))
+    if n == 1:
+        L = Matrix.from_rows([[draw(st.integers(2, 4))]])
+        W = Matrix.from_rows([[draw(small_entries)]])
+    else:
+        s, t = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+        assume(s or t)
+        d1 = draw(st.integers(2, 3))
+        d2 = d1 * draw(st.integers(1, 2))
+        L = (Matrix.from_rows([[1, s], [0, 1]])
+             * diagonal_matrix([d1, d2]) * Matrix.from_rows([[1, 0], [t, 1]]))
+        a, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        b = draw(st.sampled_from((0, Fraction(1, 2), Fraction(-1, 2), 1)))
+        assume(b * b < a * c)
+        W = Matrix.from_rows([[a, b], [b, c]])
+    return validate_datum(build_torus(W * L), L, ell)
+
+
+class TestIntegerContainment:
+    @given(datum=skewed_data(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_fraction_containments(self, datum, data):
+        # pieces, bases and certificates equal those of the Fraction
+        # room and fits, per-piece bases and rational walk centers, or
+        # both fail with the same message
+        translates = data.draw(st.lists(
+            st.tuples(*[st.integers(-1, 1)] * datum.n),
+            min_size=1, max_size=2))
+        try:
+            want = decomposition_fractions(datum, translates)
+        except CertificateFailed as exc:
+            with pytest.raises(CertificateFailed) as got:
+                certified_cells(datum, translates)
+            assert str(got.value) == str(exc)
+            return
+        dec, certs = certified_cells(datum, translates)
+        assert (list(dec.pieces), certs) == want
+
+    @pytest.mark.parametrize("P, L, pieces, systems", [
+        ([["0", "12"], ["-12", "6"]], [[0, 3], [-6, 3]], 48, 8),
+        ([[2, 1], [1, 2]], [[2, 0], [0, 2]], 24, 8),
+    ], ids=["panel-48", "hex"])
+    def test_one_basis_per_half_period_system(self, monkeypatch, P, L,
+                                              pieces, systems):
+        calls = []
+        basis = voronoi.basis_in_simplex
+
+        def counted(qs, r):
+            calls.append(tuple(qs))
+            return basis(qs, r)
+        monkeypatch.setattr(voronoi, "basis_in_simplex", counted)
+        datum = validate_datum(build_torus(Matrix.from_rows(P)),
+                               Matrix.from_rows(L), [0, 0])
+        dec, _ = certified_cells(datum)
+        assert len(dec.pieces) == pieces
+        assert len(calls) == len({p.half_periods for p in dec.pieces}) \
+            == systems
 
 
 class TestCellTheta:
