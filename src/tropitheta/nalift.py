@@ -15,13 +15,25 @@ is 1.  Each sample is checked once, stored minimum against certified
 minimum, and a mismatch leaves the lift unverified.  divide_datum
 extracts d1-th roots of a datum when the scalar model contains them.
 
-The coefficients are products of powers of the datum's entries, which are
-monomials in the common case: _prod_pows folds monomial factors in closed
-form (exponents add over one common denominator, coefficients multiply)
-and sends only the other factors through vs_pow and vs_mul, and vs_mul of
-a monomial and a series shifts and scales the terms without renormalizing.
+A lift window is walked once, outward from a = 0 by the cocycle step: the
+coefficient g(a) = c(a) t(a, b) at a + s e_k (s = +-1, a_j = 0 for j > k,
+s a_k >= 0) is g(a) times
+
+    r = cBasis_k^s prod_i Tmat_ik^(s b_i) prod_{j<k} S_jk^(s a_j)
+          S_kk^(a_k if s = 1 else 1 - a_k),
+
+and the next step on that line multiplies r by S_kk.  Each exponent of r
+has the sign of the same entry's exponent in the closed form at the
+coefficient reached, so the walk inverts an entry exactly when the closed
+form does somewhere in the window: the same windows lift and the same
+raise NotInvertible.  That costs two products per coefficient and one
+_prod_pows per line.  _prod_pows folds monomial factors in closed form
+(exponents add over one common denominator, coefficients multiply) and
+sends only the other factors through vs_pow and vs_mul, and vs_mul of a
+monomial and a series shifts and scales the terms without renormalizing.
 Tropicalization puts the valuations over one denominator once, and
-certifies every part at a sample from one coset walk of theta there.
+certifies every part at a sample from one coset walk of theta there, the
+parts' minimum one integer over one denominator.
 """
 
 from fractions import Fraction
@@ -40,6 +52,12 @@ from .exactlinalg import Matrix, to_vector
 from .theta import INF, _center, _coset_argmins, _offsets, _piece
 from .torus import per_datum, polarization_type, validate_datum
 
+# Coefficients per lift job, parts * (2 radius + 1)^n.  After the cocycle
+# step a plane `lift` with `b` costs about 70 us per coefficient end to end
+# on one Xeon core (10-20 us the window, 30-60 us the two quasi-periodicity
+# checks, 10-20 us and 80 bytes of JSON): radius 150 (90601 coefficients)
+# ran 6.6 s in 140 MB and wrote 7.4 MB, so the budget stays under 10 s.
+LIFT_COEFF_BUDGET = 10 ** 5
 
 # -- valued scalars ----------------------------------------------------------
 
@@ -130,9 +148,13 @@ def vs_mul(s1, s2):
     if len(s1.terms) == 1:
         # a monomial shifts and scales the other factor's terms, which
         # stay sorted, distinct and nonzero
+        # (a coefficient 1, the common case, skips the Fraction products)
         (g1, a1), = s1.terms
-        return ValuedScalar._canonical(tuple((g1 + g2, a1 * a2)
-                                             for g2, a2 in s2.terms))
+        if a1 == 1:
+            terms = tuple((g1 + g2, a2) for g2, a2 in s2.terms)
+        else:
+            terms = tuple((g1 + g2, a1 * a2) for g2, a2 in s2.terms)
+        return ValuedScalar._canonical(terms)
     return ValuedScalar([(g1 + g2, a1 * a2)
                          for g1, a1 in s1.terms for g2, a2 in s2.terms])
 
@@ -300,6 +322,12 @@ def c_extend(datum, a):
 
         c(a) = prod_i cBasis_i^(a_i) * prod_{i<j} S_ij^(a_i a_j)
                  * prod_i S_ii^(a_i (a_i - 1) / 2).
+
+    A lift window takes the same identity one step at a time instead
+    (_part_coeffs): c(a + s e_k) / c(a), for a_j = 0 past k and s a_k >= 0,
+    is cBasis_k^s prod_{j<k} S_jk^(s a_j) S_kk^(a_k or 1 - a_k), whose
+    exponents have the signs of the closed form's at a + s e_k, so the
+    step inverts no entry that the closed form keeps whole.
     """
     a = [int(c) for c in a]
     n = datum.n
@@ -346,25 +374,6 @@ def _polarized_trop(datum):
     return trop
 
 
-def _window_minimum(trop, b, v, radius, walk=None):
-    """b.v plus the lattice minimum of part b's valuation growth at v,
-    certified inside the window |a_i| <= radius: for b = reps[k] + L.c,
-    class k's minimizers in walk (the coset walk at v, made if None) less c,
-    and theta_b's integer piece at one of them, slope.v + (off - off_0)/E."""
-    if radius < 0:
-        raise PreconditionViolated("window radius must be nonnegative")
-    vn, vd = _center(to_vector(v))
-    walk = walk or _coset_argmins(trop, (*vn, vd)).minimizers
-    k, c = _class_of(trop, b)
-    mins = [tuple(x - y for x, y in zip(a, c)) for a in walk[k]]
-    if any(abs(x) > radius for a in mins for x in a):
-        raise WindowInsufficient("window radius %d misses the valuation "
-                                 "minimum at %r" % (radius, tuple(v)))
-    slope, off = _piece(trop, b, mins[0])
-    off0, E = _piece(trop, b, (0,) * trop.n)[1], _offsets(trop)[0]
-    return Fraction(sum(map(mul, slope, vn)) * E + (off - off0) * vd, E * vd)
-
-
 @per_datum
 def _class_of(trop, b):
     # (k, c) with b = reps[k] + L.c: U.b = box + d.q, reps[k] = U^-1.box
@@ -375,32 +384,76 @@ def _class_of(trop, b):
     return info.reps.index(rep), tuple(int(x) for x in info.V.matvec(q))
 
 
-def _part_coeffs(datum, b, multiplier, radius):
+def _lift_coeffs(datum, trop, parts):
+    # the coefficients of the parts (b, multiplier, radius) of a window over
+    # datum, whose tropical datum is trop: its size, the sum of the parts'
+    # (2 radius + 1)^n, against LIFT_COEFF_BUDGET before any walk or
+    # product, then each part's window check at the origin before its
+    # products (a negative radius fails there)
     n = datum.n
-    out = {}
-    for a in product(range(-radius, radius + 1), repeat=n):
-        La = datum.L.matvec(a)
-        u = tuple(int(b[i]) + int(La[i]) for i in range(n))
-        g = vs_mul(multiplier, vs_mul(c_extend(datum, a), t_pair(datum, a, b)))
-        if g:
-            out[u] = g
-    return out
+    if sum((2 * r + 1) ** n for _, _, r in parts if r >= 0) \
+            > LIFT_COEFF_BUDGET:
+        raise PreconditionViolated(
+            "a window of %d part(s) in dimension %d exceeds the budget of %d "
+            "coefficients" % (len(parts), n, LIFT_COEFF_BUDGET))
+    coeffs = {}
+    for part in parts:
+        next(_certified(trop, [part], [[0] * n]))
+        coeffs.update(_part_coeffs(datum, *part))
+    return coeffs
+
+
+def _part_coeffs(datum, b, multiplier, radius):
+    """multiplier * c(a) * t(a, b) at u = b + L.a over the window
+    |a_i| <= radius, in the product order of a, by the cocycle step of the
+    module docstring: every a_0 from the origin, then every a_1 from each of
+    those points, and so on, each line stepping outward from its a_k = 0.
+    A line's first factor r is one _prod_pows whose exponents have the
+    signs of the closed form's at the coefficient reached, so the walk
+    inverts what c_extend * t_pair would invert and nothing else; every
+    coefficient then costs one product, and every further r one more."""
+    n, S = datum.n, datum.S
+    walked = [((), tuple(b), multiplier)]
+    for k in range(n):
+        Skk = S[k][k]
+        col = [int(datum.L[i, k]) for i in range(n)]
+        first = [(datum.cBasis[k], 1)] + [(datum.Tmat[i][k], b[i])
+                                          for i in range(n)]
+        nxt = []
+        for a, u0, g0 in walked:
+            line = {0: (u0, g0)}
+            for s in (-1, 1):
+                u, g = u0, g0
+                for step in range(1, radius + 1):
+                    r = vs_mul(r, Skk) if step > 1 else _prod_pows(
+                        [(x, s * e) for x, e in first]
+                        + [(S[j][k], s * a[j]) for j in range(k)]
+                        + [(Skk, (1 - s) // 2)])
+                    g = vs_mul(g, r)
+                    u = tuple([x + s * c for x, c in zip(u, col)])
+                    line[s * step] = u, g
+            nxt += [(a + (i,), *line[i]) for i in range(-radius, radius + 1)]
+        walked = nxt
+    return {u: g for _, u, g in walked if g}
 
 
 def fourier_lift(datum, b, radius):
     """The Fourier coefficients of the canonical lift of theta_b: the
     coefficient at u = b + L.a is c(a) * t(a, b), over the window
-    |a_i| <= radius.  The window must contain the valuation minimum so
-    that downstream evaluation can start from a certified support.  A
-    radius >= 1 reaches negative a_i, which raise cBasis and Tmat entries
-    to negative powers: the scalar model inverts monomials only, so those
-    entries must be monomials, or the lift raises NotInvertible."""
+    |a_i| <= radius of at most LIFT_COEFF_BUDGET coefficients.  The window
+    must contain the valuation minimum so that downstream evaluation can
+    start from a certified support; both are checked before any coefficient
+    is built.  A radius >= 1 reaches negative a_i, which raise cBasis and
+    Tmat entries to negative powers: the scalar model inverts monomials
+    only, so those entries must be monomials, or the lift raises
+    NotInvertible.  The coefficients come by the cocycle step (module
+    docstring), which inverts an entry exactly when the closed form
+    c_extend * t_pair does at some coefficient of the window."""
     trop = _polarized_trop(datum)
     b = tuple(int(c) for c in to_vector(b))
-    radius = int(radius)
-    _window_minimum(trop, b, [0] * datum.n, radius)
-    coeffs = _part_coeffs(datum, b, ONE, radius)
-    return FourierData(coeffs, LiftWindow(datum, ((b, ONE, radius),)))
+    parts = ((b, ONE, int(radius)),)
+    return FourierData(_lift_coeffs(datum, trop, parts),
+                       LiftWindow(datum, parts))
 
 
 def tropicalize_fourier(fd, v):
@@ -415,24 +468,62 @@ def tropicalize_fourier(fd, v):
 
 
 def _tropicalize(fd, trop, samples):
-    # Per sample v = vn / vd, lazily: (stored minimum, certified minimum of
-    # the parts of the window datum, whose tropical datum is trop), from the
-    # valuations over one denominator wden and one coset walk per sample.
+    # Per sample, lazily: (stored minimum, certified minimum of the parts of
+    # the window datum, whose tropical datum is trop), the valuations over
+    # one denominator wden and the certified minima from _certified.
     vals = [(u, vs_val(g)) for u, g in fd.coeffs.items()]
+    if not vals:
+        yield from ((INF, INF) for _ in samples)
+        return
     wden = lcm(*(w.denominator for _, w in vals))
     vals = [(u, w.numerator * (wden // w.denominator)) for u, w in vals]
-    for v in map(to_vector, samples):
-        if not vals:
-            yield INF, INF
-            continue
-        vn, vd = _center(v)
+    for vn, vd, certified in _certified(trop, fd.window.parts,
+                                        map(to_vector, samples)):
         den = lcm(vd, wden)
         vnum = [c * (den // vd) for c in vn]
-        finite = Fraction(min(sum(map(mul, u, vnum)) + w * (den // wden)
-                              for u, w in vals), den)
-        walk = fd.window.parts and _coset_argmins(trop, (*vn, vd)).minimizers
-        yield finite, min((vs_val(mult) + _window_minimum(trop, b, v, r, walk)
-                           for b, mult, r in fd.window.parts), default=INF)
+        yield Fraction(min(sum(map(mul, u, vnum)) + w * (den // wden)
+                           for u, w in vals), den), certified
+
+
+def _certified(trop, parts, samples):
+    # Per sample v, lazily: (vn, vd, m) with v = vn / vd and m the minimum
+    # over the parts (b, multiplier, radius) of val(multiplier) + b.v plus
+    # the lattice minimum of part b's valuation growth at v, certified in
+    # the window |a_i| <= radius (INF for no parts).  For b = reps[k] + L.c
+    # part b's minimizers are class k's in the one coset walk at v, less c,
+    # and its value theta_b's integer piece at one of them,
+    # slope.v + (off - off0) / E; over one denominator lcm(E vd, wden) with
+    # the multipliers' valuations, the minimum is one integer.
+    E = _offsets(trop)[0]
+    vals = [vs_val(mult) for _, mult, _ in parts]
+    wden = lcm(*(w.denominator for w in vals))
+    consts = []
+    for (b, _, radius), w in zip(parts, vals):
+        if radius < 0:
+            raise PreconditionViolated("window radius must be nonnegative")
+        consts.append((b, *_class_of(trop, b), radius,
+                       w.numerator * (wden // w.denominator),
+                       _piece(trop, b, (0,) * trop.n)[1]))
+    for v in samples:
+        vn, vd = _center(v)
+        if not consts:
+            yield vn, vd, INF
+            continue
+        walk = _coset_argmins(trop, (*vn, vd)).minimizers
+        den = lcm(E * vd, wden)
+        f, h = den // (E * vd), den // wden
+        ms = []
+        for b, k, c, radius, w, off0 in consts:
+            mins = walk[k]
+            if any(abs(x - y) > radius for a in mins for x, y in zip(a, c)):
+                raise WindowInsufficient("window radius %d misses the "
+                                         "valuation minimum at %r"
+                                         % (radius, tuple(v)))
+            slope, off = _piece(trop, b, tuple([x - y for x, y
+                                                in zip(mins[0], c)]))
+            ms.append((sum(map(mul, slope, vn)) * E + (off - off0) * vd) * f
+                      + w * h)
+        yield vn, vd, Fraction(min(ms), den)
 
 
 def verify_na_quasi_periodicity(fd, datum, wprime):
@@ -442,7 +533,11 @@ def verify_na_quasi_periodicity(fd, datum, wprime):
 
     exactly on every support pair (u, u + L.w') inside the window.  Factors
     of t(w', u) with a negative exponent move to the left, so no Tmat entry
-    is inverted: valued series have no zero divisors."""
+    is inverted: valued series have no zero divisors.  Row i of t(w', u),
+    prod_j Tmat_ij^(u_i w'_j), depends on u through u_i alone, so its left
+    and right factors are built once per (i, u_i) of the check, c(w') folded
+    into row 0's, and a pair costs 2n products of them and the coefficients.
+    """
     w = tuple(int(c) for c in to_vector(wprime))
     Lw = tuple(int(c) for c in datum.L.matvec(w))
     cw = c_extend(datum, w)
@@ -451,14 +546,22 @@ def verify_na_quasi_periodicity(fd, datum, wprime):
     if not pairs:
         raise WindowInsufficient("no coefficient pair at shift %r fits the "
                                  "window" % (w,))
+    rows = {}
     for u in pairs:
         shifted = tuple(u[i] + Lw[i] for i in range(len(u)))
-        exps = [(T, u[i] * w[j]) for i, row in enumerate(datum.Tmat)
-                for j, T in enumerate(row)]
-        left = _prod_pows((T, -e) for T, e in exps if e < 0)
-        right = _prod_pows((T, e) for T, e in exps if e > 0)
-        if vs_mul(left, fd.coeffs[shifted]) != vs_mul(
-                vs_mul(cw, right), fd.coeffs[u]):
+        for i, ui in enumerate(u):
+            try:
+                li, ri = rows[i, ui]
+            except KeyError:
+                # row 0 carries c(w') on the right
+                exps = [(T, ui * wj) for T, wj in zip(datum.Tmat[i], w)]
+                li, ri = rows[i, ui] = (
+                    _prod_pows((T, -e) for T, e in exps if e < 0),
+                    _prod_pows([(T, e) for T, e in exps if e > 0]
+                               + [(cw, int(i == 0))]))
+            left, right = (li, ri) if i == 0 else (vs_mul(left, li),
+                                                   vs_mul(right, ri))
+        if vs_mul(left, fd.coeffs[shifted]) != vs_mul(right, fd.coeffs[u]):
             return False
     return True
 
@@ -506,14 +609,11 @@ def surjective_lift(datum, targets, radius):
              if c is not INF]
     if not slots:
         raise PreconditionViolated("at least one finite target is needed")
-    samples = _combination_samples(trop)
     radius = int(radius)
     parts = tuple((b, monomial(c), radius) for b, c in sorted(slots))
-    coeffs = {}
-    for b, mult, _ in parts:
-        _window_minimum(trop, b, [0] * datum.n, radius)
-        coeffs.update(_part_coeffs(datum, b, mult, radius))
-    fd = FourierData(coeffs, LiftWindow(datum, parts))
+    fd = FourierData(_lift_coeffs(datum, trop, parts),
+                     LiftWindow(datum, parts))
+    samples = _combination_samples(trop)
     verified = all(finite == certified for finite, certified
                    in _tropicalize(fd, trop, samples))
     return fd, LiftReport((1,) * len(parts), tuple(samples), verified)

@@ -8,15 +8,17 @@ clipping and centroid ordering that the polygon kernel replaced, and the
 generic-Fraction one-pass split and hull that its integer-homogeneous
 form replaced.  Slow but obviously correct at the sizes the tests use.  The
 last section holds small helpers that only tests call; they compose
-package functions.  Seven of them are paths that a faster one replaced:
+package functions.  Nine of them are paths that a faster one replaced:
 the per-representative thetas (the coset walk), the per-class relevant
 vectors and per-point half periods (the walk mod 2 of voronoi), the
 all-pairs exact injectivity loop (the box sweep of embedding), the
 Fraction affine pieces (the integer pieces over one denominator per datum
 of theta), the Fraction containments of the good decomposition and its
-certificates (the integer ones of voronoi), and the per-part lattice
+certificates (the integer ones of voronoi), the per-part lattice
 minimum at each sample of a Fourier datum (one coset walk per sample in
-nalift).  The invariant factors without transforms (the Smith elimination
+nalift), the per-part Fraction value of that walk (the one integer
+minimum over the parts of nalift) and the closed-form Fourier
+coefficients (the cocycle step of nalift).  The invariant factors without transforms (the Smith elimination
 of exactlinalg with empty transform rows) sit with the first-principles
 oracles; voronoi's rank test, their last library caller, reads integer
 minors now.  The rest were public functions of the package that no library
@@ -38,7 +40,8 @@ boundary test of a Voronoi cell.
 import functools
 import itertools
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, gcd, isqrt, lcm
+from operator import mul
 
 from tropitheta.embedding import InjectivityVerdict, _collision_pair
 from tropitheta.errors import (
@@ -53,11 +56,13 @@ from tropitheta.jsonio import (
     rows_to_json, scalar_from_json, scalar_to_json, vector_to_json,
 )
 from tropitheta.nalift import (
-    FourierData, LiftWindow, _part_coeffs, to_scalar, vs_add, vs_mul,
+    FourierData, LiftWindow, _class_of, _part_coeffs, c_extend, t_pair,
+    to_scalar, vs_add, vs_mul, vs_val,
 )
 from tropitheta.theta import (
-    INF, Q_ELL, ArgminResult, ThetaFunction, _center, _h_constant, _nearest,
-    lattice_argmin, q_ell_constant, theta_eval, theta_h_vector,
+    INF, Q_ELL, ArgminResult, ThetaFunction, _center, _coset_argmins,
+    _h_constant, _nearest, _offsets, _piece, lattice_argmin, q_ell_constant,
+    theta_eval, theta_h_vector,
 )
 from tropitheta.torus import (
     TropicalDescentDatum, build_torus, polarization_type, validate_datum,
@@ -742,6 +747,62 @@ def tropicalize_per_part(fd, trop, v):
                                      "minimum at %r" % (radius, tuple(v)))
         certified.append(mult.terms[0][0] + dot(b, v) + res.value)
     return fourier_minimum_dot(fd.coeffs, v), min(certified, default=INF)
+
+
+def part_coeffs_closed_form(datum, b, multiplier, radius):
+    """multiplier * c(a) * t(a, b) at u = b + L.a over the window
+    |a_i| <= radius in the product order of a, each coefficient from
+    scratch by the closed forms c_extend and t_pair."""
+    n = datum.n
+    out = {}
+    for a in itertools.product(range(-radius, radius + 1), repeat=n):
+        La = datum.L.matvec(a)
+        u = tuple(int(b[i]) + int(La[i]) for i in range(n))
+        g = vs_mul(multiplier, vs_mul(c_extend(datum, a), t_pair(datum, a, b)))
+        if g:
+            out[u] = g
+    return out
+
+
+def window_minimum(trop, b, v, radius, walk=None):
+    """b.v plus the lattice minimum of part b's valuation growth at v,
+    certified inside the window |a_i| <= radius: for b = reps[k] + L.c,
+    class k's minimizers in walk (the coset walk at v, made if None) less c,
+    and theta_b's integer piece at one of them, slope.v + (off - off_0)/E,
+    one Fraction per part."""
+    if radius < 0:
+        raise PreconditionViolated("window radius must be nonnegative")
+    vn, vd = _center(to_vector(v))
+    walk = walk or _coset_argmins(trop, (*vn, vd)).minimizers
+    k, c = _class_of(trop, b)
+    mins = [tuple(x - y for x, y in zip(a, c)) for a in walk[k]]
+    if any(abs(x) > radius for a in mins for x in a):
+        raise WindowInsufficient("window radius %d misses the valuation "
+                                 "minimum at %r" % (radius, tuple(v)))
+    slope, off = _piece(trop, b, mins[0])
+    off0, E = _piece(trop, b, (0,) * trop.n)[1], _offsets(trop)[0]
+    return Fraction(sum(map(mul, slope, vn)) * E + (off - off0) * vd, E * vd)
+
+
+def tropicalize_window_minima(fd, trop, samples):
+    """Per sample, lazily: (stored minimum, certified minimum) of a Fourier
+    datum, the certified one the least val(multiplier) + window_minimum
+    over the parts, from one coset walk per sample."""
+    vals = [(u, vs_val(g)) for u, g in fd.coeffs.items()]
+    wden = lcm(*(w.denominator for _, w in vals))
+    vals = [(u, w.numerator * (wden // w.denominator)) for u, w in vals]
+    for v in map(to_vector, samples):
+        if not vals:
+            yield INF, INF
+            continue
+        vn, vd = _center(v)
+        den = lcm(vd, wden)
+        vnum = [c * (den // vd) for c in vn]
+        finite = Fraction(min(sum(map(mul, u, vnum)) + w * (den // wden)
+                              for u, w in vals), den)
+        walk = fd.window.parts and _coset_argmins(trop, (*vn, vd)).minimizers
+        yield finite, min((vs_val(mult) + window_minimum(trop, b, v, r, walk)
+                           for b, mult, r in fd.window.parts), default=INF)
 
 
 def rep_class_coords(datum, b1, b2):

@@ -355,6 +355,31 @@ class TestLiftCommand:
         path = job(tmp_path, dict(payload, na_datum=na_elliptic_json()))
         assert run(tmp_path, "lift", "--input", path, "--window", "-1") == 2
 
+    @pytest.mark.parametrize("payload", [{"b": [1, 0]},
+                                         {"targets": ["0", "inf", "1/2",
+                                                      "-1/2"]}],
+                             ids=["b", "targets"])
+    def test_window_over_the_budget_exits_two(self, tmp_path, capsys,
+                                              monkeypatch, payload):
+        # the plane lift of the benchmark at --window 10^9: refused before
+        # any coefficient or coset walk, and nothing is written
+        def fail(*args):
+            pytest.fail("work started past the budget")
+        monkeypatch.setattr(nalift, "_part_coeffs", fail)
+        monkeypatch.setattr(nalift, "_coset_argmins", fail)
+        nad = {"Pmat": {"rows": 2, "cols": 2,
+                        "entries": ["3/2", "0", "0", "3/2"]},
+               "L": {"rows": 2, "cols": 2, "entries": ["2", "0", "0", "2"]},
+               "Tmat": [[[["3/2", "1"]], [["0", "1"]]],
+                        [[["0", "1"]], [["3/2", "1"]]]],
+               "cBasis": [[["2", "1"]], [["1", "1"]]]}
+        path = job(tmp_path, dict(payload, na_datum=nad))
+        assert run(tmp_path, "lift", "--input", path,
+                   "--window", "1000000000") == 2
+        assert "exceeds the budget of %d" % nalift.LIFT_COEFF_BUDGET \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out" / "lift.json").exists()
+
     def test_wrong_lift_exits_three_with_the_report(self, tmp_path,
                                                      monkeypatch):
         part_coeffs = nalift._part_coeffs

@@ -21,8 +21,9 @@ from tropitheta.torus import build_torus, polarization_type
 
 from oracles import (
     ThetaCombination, c_extend_recursive, fourier_minimum_dot, fourier_scale,
-    fourier_sum, gram_norm, min_plus_eval, pairing_brute, series_mul,
-    series_pow, tropicalize_per_part, vs_leading,
+    fourier_sum, gram_norm, min_plus_eval, pairing_brute,
+    part_coeffs_closed_form, series_mul, series_pow, tropicalize_per_part,
+    tropicalize_window_minima, vs_leading,
 )
 
 
@@ -317,6 +318,56 @@ class TestMixedProducts:
                        pairing_brute(T, w, u) if invertible else None)
 
 
+def _coefficients(part_coeffs, *args):
+    # the coefficient items in their order, or NotInvertible
+    try:
+        return list(part_coeffs(*args).items())
+    except NotInvertible:
+        return NotInvertible
+
+
+class TestCocycleStep:
+    """The window walked by the cocycle step against every coefficient
+    from scratch by the closed forms c_extend and t_pair."""
+
+    @given(nad=mixed_na(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_closed_form(self, nad, data):
+        # equal coefficients in the same key order, or NotInvertible from
+        # both, on monomial and two-term Tmat and cBasis entries
+        b = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=nad.n,
+                                     max_size=nad.n)))
+        mult = data.draw(st.just(ONE) | small_fraction.map(monomial))
+        radius = data.draw(st.integers(0, 3))
+        assert _coefficients(nalift._part_coeffs, nad, b, mult, radius) \
+            == _coefficients(part_coeffs_closed_form, nad, b, mult, radius)
+
+    @pytest.mark.parametrize("nad, b", [
+        (plane_na(), (1, -1)),
+        (circle_na(d=3), (2,)),
+        (circle_na_series(((18, 1),)), (0,)),
+    ], ids=["plane", "circle", "circle-series-pairing"])
+    @pytest.mark.parametrize("radius", [1, 3])
+    def test_two_products_per_coefficient(self, monkeypatch, nad, b, radius):
+        # at most 2 vs_mul per coefficient, plus O(n) per line for the
+        # line's first factor r (its _prod_pows and the powers inside it)
+        calls = []
+
+        def counted(s1, s2):
+            calls.append(1)
+            return vs_mul(s1, s2)
+        monkeypatch.setattr(nalift, "vs_mul", counted)
+        coeffs = nalift._part_coeffs(nad, b, ONE, radius)
+        n = nad.n
+        lines = sum(2 * (2 * radius + 1) ** k for k in range(n))
+        assert len(coeffs) == (2 * radius + 1) ** n
+        assert len(calls) <= 2 * len(coeffs) + 3 * (n + 2) * lines
+        # with monomial data each line's r is one product: exactly two
+        # products per coefficient off the origin
+        if all(len(x.terms) == 1 for row in nad.S for x in row):
+            assert len(calls) == 2 * (len(coeffs) - 1)
+
+
 class TestCTrop:
     def test_ell_from_basis_valuations(self):
         assert c_trop(circle_na(d=3)).ellVec == (0,)
@@ -367,6 +418,55 @@ class TestFourierLift:
     def test_negative_window_radius(self):
         with pytest.raises(PreconditionViolated):
             fourier_lift(circle_na(d=3), [0], -1)
+
+    def test_window_check_comes_before_any_inverse(self):
+        # ell = 66: the minimum at the origin sits at a = 2, and radius 1
+        # would invert the two-term cBasis; the window check speaks first
+        nad = circle_na_series(((-48, 1), (-47, 2)))
+        with pytest.raises(WindowInsufficient):
+            fourier_lift(nad, [0], 1)
+        with pytest.raises(NotInvertible):
+            fourier_lift(nad, [0], 2)
+
+    @pytest.mark.parametrize("lift", [
+        lambda nad, radius: fourier_lift(nad, (1, 0), radius),
+        lambda nad, radius: surjective_lift(nad, [0, INF, 1, 0], radius),
+    ], ids=["b", "targets"])
+    def test_window_over_the_budget(self, monkeypatch, lift):
+        # refused before any coset walk or coefficient product
+        nad = plane_na()
+
+        def fail(*args):
+            pytest.fail("work started past the budget")
+        for name in ("_part_coeffs", "_coset_argmins", "_prod_pows",
+                     "linearity_cells"):
+            monkeypatch.setattr(nalift, name, fail)
+        with pytest.raises(PreconditionViolated, match="budget"):
+            lift(nad, 10 ** 9)
+
+    def test_budget_bound(self, monkeypatch):
+        # the parts' (2 radius + 1)^n coefficients, up to the budget
+        # inclusive, checked before any part is lifted
+        lifted = []
+        monkeypatch.setattr(nalift, "_certified",
+                            lambda *args: iter([None]))
+        monkeypatch.setattr(nalift, "_part_coeffs",
+                            lambda *args: lifted.append(args) or {})
+        nad = circle_na(d=3)
+        budget = nalift.LIFT_COEFF_BUDGET
+        radius = (budget - 1) // 2
+
+        def lift(*radii):
+            nalift._lift_coeffs(nad, None, [((b,), ONE, r)
+                                            for b, r in enumerate(radii)])
+        full = (radius,) + (0,) * (budget - 2 * radius - 1)  # the budget
+        # a negative radius adds nothing here; the window check refuses it
+        for radii in [(radius,), full, (-1, radius)]:
+            lift(*radii)
+        for radii in [(radius + 1,), full + (0,), (0,) * (budget + 1)]:
+            with pytest.raises(PreconditionViolated, match="budget"):
+                lift(*radii)
+        assert len(lifted) == 1 + len(full) + 2
 
     def test_needs_positive_definite_valuations(self):
         torus = build_torus(Matrix.from_rows([[12]]))
@@ -536,6 +636,43 @@ class TestOneWalkPerSample:
         walk = nalift._tropicalize(fd, trop, samples)
         assert _pairs(lambda v: next(walk), samples) \
             == _pairs(lambda v: tropicalize_per_part(fd, trop, v), samples)
+
+
+class TestIntegerCertification:
+    @pytest.mark.parametrize("case", ["circle", "plane"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_fraction_route(self, case, data):
+        # the one integer minimum over the parts per sample against one
+        # Fraction per part (window_minimum), random targets, radii 0..3
+        # and samples: equal pairs, and a too small window stops both with
+        # WindowInsufficient at the same sample
+        nad = circle_na(d=3, cexp=Fraction(35, 2)) if case == "circle" \
+            else plane_na(cexps=(1, Fraction(3, 2)))
+        trop = c_trop(nad)
+        reps = polarization_type(trop).reps
+        targets = data.draw(
+            st.lists(st.one_of(st.just(INF), small_fraction),
+                     min_size=len(reps), max_size=len(reps))
+            .filter(lambda ts: any(t is not INF for t in ts)))
+        radius = data.draw(st.integers(0, 3))
+        parts = tuple((b, monomial(c), radius)
+                      for b, c in zip(reps, targets) if c is not INF)
+        coeffs = {}
+        for part in parts:
+            coeffs.update(nalift._part_coeffs(nad, *part))
+        fd = FourierData(coeffs, nalift.LiftWindow(nad, parts))
+        period = 12 if case == "circle" else 1
+        point = st.tuples(*[st.builds(lambda k, q: Fraction(k * period, q),
+                                      st.integers(-3, 6),
+                                      st.integers(2, 4))] * nad.n)
+        samples = (nalift._combination_samples(trop)
+                   + [data.draw(point), data.draw(point)])
+        walk = nalift._tropicalize(fd, trop, samples)
+        oracle = tropicalize_window_minima(fd, trop, samples)
+        got = _pairs(lambda v: next(walk), samples)
+        assert got == _pairs(lambda v: next(oracle), samples)
+        assert all(f is not INF and c is not INF for f, c in got[0])
 
 
 class TestFourierSums:
